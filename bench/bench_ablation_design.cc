@@ -153,7 +153,8 @@ void SnatPinningStudy() {
       takeovers += inst->stats().takeovers_server_side;
     }
     std::printf("%-10s %-22llu %-22llu (%d/%d ok)\n", enabled != 0 ? "on" : "off",
-                static_cast<unsigned long long>(tb.store->stats().lookups),
+                static_cast<unsigned long long>(
+                    tb.metrics.GetCounter("tcpstore.lookups").value()),
                 static_cast<unsigned long long>(takeovers), ok, done);
     if (enabled == 0) {
       tb.PrintMetricsSnapshot("metrics registry snapshot (SNAT-off run)");

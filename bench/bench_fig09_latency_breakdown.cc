@@ -93,7 +93,7 @@ Run RunMode(Mode mode, double rate, sim::Duration duration) {
     if (when > duration) {
       return;
     }
-    tb.sim.At(when, [&]() {
+    tb.SimFor(0)->At(when, [&]() {
       auto* client =
           tb.clients[static_cast<std::size_t>(rng.UniformInt(
                          0, static_cast<std::int64_t>(tb.clients.size()) - 1))].get();

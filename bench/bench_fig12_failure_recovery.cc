@@ -108,10 +108,10 @@ ScenarioResult RunScenario(bool use_yoda, bool browser_retry, int processes,
     (*do_fetch)(proc, obj.url, tb.sim.now(), 0);
   };
   for (int p = 0; p < processes; ++p) {
-    tb.sim.After(sim::Msec(10 * p), [&next_fetch, p]() { next_fetch(p); });
+    tb.SimFor(0)->After(sim::Msec(10 * p), [&next_fetch, p]() { next_fetch(p); });
   }
 
-  tb.sim.After(fail_at, [&]() {
+  tb.SimFor(0)->After(fail_at, [&]() {
     if (use_yoda) {
       // Through the fault plane: routes the crash to the instance AND the
       // network, and stamps kFaultInjected into the flight recorder so the
@@ -287,25 +287,25 @@ CtlFailoverResult RunCtlFailover(bool crash_leader) {
                         });
   };
   for (int p = 0; p < 24; ++p) {
-    tb.sim.After(sim::Msec(10 * p), [&next_fetch, p]() { next_fetch(p); });
+    tb.SimFor(0)->After(sim::Msec(10 * p), [&next_fetch, p]() { next_fetch(p); });
   }
 
   // Round 1 establishes the assignment; round 2 shifts it (vip0 grows, vip1
   // shrinks) and the leader dies 10 ms in, break phase still parked.
   std::map<net::IpAddr, yoda::Controller::VipDemand> demand;
-  tb.sim.At(sim::Sec(2), [&] {
+  tb.SimFor(0)->At(sim::Sec(2), [&] {
     demand[tb.vip(0)] = {0.4, 2, 0};
     demand[tb.vip(1)] = {0.4, 2, 0};
     tb.LeaderController()->ApplyManyToMany(demand, 1.0, 2000);
   });
-  tb.sim.At(sim::Sec(5), [&] {
+  tb.SimFor(0)->At(sim::Sec(5), [&] {
     demand[tb.vip(0)] = {0.4, 3, 0};
     demand[tb.vip(1)] = {0.4, 1, 0};
     tb.LeaderController()->ApplyManyToMany(demand, 1.0, 2000, /*migration_limit=*/1.0);
     out.rollout_at = tb.sim.now();
   });
   if (crash_leader) {
-    tb.sim.At(sim::Sec(5) + sim::Msec(10), [&] {
+    tb.SimFor(0)->At(sim::Sec(5) + sim::Msec(10), [&] {
       for (int i = 0; i < tb.controller_count(); ++i) {
         yoda::Controller* c = tb.ControllerAt(i);
         if (!c->crashed() && c->ActingLeader()) {

@@ -10,20 +10,22 @@
 // model is scaled up by the same factor so the utilization percentages land
 // where the paper's do.
 
-// With --x100 an additional section runs the same per-cell topology as
-// workload::kScenarioCells independent cells at 100x the Fig 13 aggregate
-// rate (cell-sharded across --threads N worker threads, default 1). Flow
-// totals are worker-count-invariant; only wall-clock changes with N.
+// With --x100 an additional section runs the same per-cell topology as a
+// `threads N` scenario — workload::kScenarioCells independent cells at 100x
+// the Fig 13 aggregate rate, taken by --threads N plain threads (default 1).
+// Flow totals are thread-count-invariant; only wall-clock changes with N.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/workload/browser_client.h"
-#include "src/workload/parallel_load.h"
 #include "src/workload/scenario.h"
 #include "src/workload/testbed.h"
 
@@ -56,17 +58,26 @@ workload::TestbedConfig Fig13CellConfig() {
 void RunX100(int threads) {
   std::printf("\n=== x100 section: %d cells, %d worker thread(s) ===\n",
               workload::kScenarioCells, threads);
-  const double aggregate_rate = 100.0 * 6 * 250;
+  const workload::TestbedConfig cell_cfg = Fig13CellConfig();
+  std::string split;
+  for (int i = 1; i <= cell_cfg.backends; ++i) {
+    split += (i > 1 ? ",10.3.0." : "10.3.0.") + std::to_string(i);
+  }
+  const double cell_rate = 100.0 * 6 * 250 / workload::kScenarioCells;
+  std::optional<workload::Scenario> sc = workload::ParseScenario(
+      "threads " + std::to_string(std::max(1, threads)) +
+      "\nvip 10.200.0.1\nrule 10.200.0.1 name=r-default priority=1 url=* split=" + split +
+      "\nat 1ms load 10.200.0.1 rate " + std::to_string(cell_rate) + " duration 3s\n");
+  sc->testbed = cell_cfg;
   const auto wall0 = std::chrono::steady_clock::now();
-  const workload::ParallelLoadResult r = workload::RunShardedFetchLoad(
-      Fig13CellConfig(), aggregate_rate, sim::Sec(3), threads);
+  const workload::ScenarioReport r = workload::RunScenario(*sc);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
-  std::printf("  x100: %llu ok, %llu failed across %d cells (%d workers) in %.1f s"
+  std::printf("  x100: %llu ok, %llu failed across %d cells (%d threads) in %.1f s"
               " -> %.0f flows/s\n",
-              static_cast<unsigned long long>(r.ok),
-              static_cast<unsigned long long>(r.failed), r.cells, r.workers, wall,
-              static_cast<double>(r.ok + r.failed) / wall);
+              static_cast<unsigned long long>(r.requests_ok),
+              static_cast<unsigned long long>(r.requests_failed), r.cells, threads, wall,
+              static_cast<double>(r.requests_ok + r.requests_failed) / wall);
 }
 
 }  // namespace
@@ -125,7 +136,7 @@ int main(int argc, char** argv) {
     if (when > kEnd) {
       return;
     }
-    tb.sim.At(when, [&]() {
+    tb.SimFor(0)->At(when, [&]() {
       auto* client = tb.clients[static_cast<std::size_t>(
                                     rng.UniformInt(0, static_cast<std::int64_t>(
                                                           tb.clients.size()) - 1))].get();
@@ -142,7 +153,7 @@ int main(int argc, char** argv) {
     });
   };
   schedule(sim::Msec(1));
-  tb.sim.At(sim::Sec(10), [&]() { per_instance_rate = 500; });
+  tb.SimFor(0)->At(sim::Sec(10), [&]() { per_instance_rate = 500; });
 
   // Per-second sampler: requests landed per active instance + CPU.
   std::printf("%-8s %-12s %-14s %-12s %-10s\n", "t (s)", "#instances", "req/s/instance",
@@ -152,7 +163,7 @@ int main(int argc, char** argv) {
     if (second > 30) {
       return;
     }
-    tb.sim.At(sim::Sec(second), [&, second]() {
+    tb.SimFor(0)->At(sim::Sec(second), [&, second]() {
       const auto active = tb.controller->ActiveInstances();
       std::uint64_t flows = 0;
       double cpu = 0;

@@ -47,13 +47,13 @@ int main() {
   tb.controller->Start();
 
   // Policy timeline.
-  tb.sim.At(sim::Sec(10), [&]() {
+  tb.SimFor(0)->At(sim::Sec(10), [&]() {
     tb.controller->UpdateVipRules(tb.vip(), SplitOver(tb, {0, 1, 2, 3}, {1, 1, 1, 1}));
   });
-  tb.sim.At(sim::Sec(20), [&]() {
+  tb.SimFor(0)->At(sim::Sec(20), [&]() {
     tb.controller->UpdateVipRules(tb.vip(), SplitOver(tb, {1, 2, 3}, {1, 1, 1}));
   });
-  tb.sim.At(sim::Sec(30), [&]() {
+  tb.SimFor(0)->At(sim::Sec(30), [&]() {
     tb.controller->UpdateVipRules(tb.vip(), SplitOver(tb, {1, 2, 3}, {1, 1, 2}));
   });
 
@@ -70,7 +70,7 @@ int main() {
     if (when > kEnd) {
       return;
     }
-    tb.sim.At(when, [&]() {
+    tb.SimFor(0)->At(when, [&]() {
       auto* client = tb.clients[static_cast<std::size_t>(
                                     rng.UniformInt(0, static_cast<std::int64_t>(
                                                           tb.clients.size()) - 1))].get();
@@ -95,7 +95,7 @@ int main() {
     if (second > 40) {
       return;
     }
-    tb.sim.At(sim::Sec(second), [&, second]() {
+    tb.SimFor(0)->At(sim::Sec(second), [&, second]() {
       std::uint64_t counts[4];
       std::uint64_t total = 0;
       for (int s = 0; s < 4; ++s) {

@@ -9,7 +9,8 @@
 //   fabric_pps           — packet deliveries/sec through Network::Send with a
 //                          512 B payload bouncing between two nodes;
 //   e2e_flows            — full-testbed open-loop HTTP fetches at Fig 13
-//                          scale, wall-clock flows/sec.
+//                          scale, wall-clock flows/sec, on a placed testbed
+//                          (1 shard; 8 shards for the _intra keys).
 //
 // Results are emitted as machine-readable JSON (BENCH_perf_core.json) so the
 // perf trajectory has data, and `--baseline FILE` turns the binary into a CI
@@ -22,12 +23,12 @@
 //   --scale10         additionally run the ~10x Fig 13 scale-up; also records
 //                     peak_rss_mb_x10 (taken right after the x10 run, which
 //                     dominates the process high-water mark)
-//   --threads N       additionally run the e2e sections cell-sharded (8 cells
-//                     on N worker threads, same aggregate rate) and emit
-//                     e2e_flows_per_sec_sharded[_x10], plus intra-cell
-//                     sharded (ONE testbed placed across 8 shards, every
-//                     inter-component hop crossing shards) and emit
-//                     e2e_flows_per_sec_intra[_x10]
+//   --threads N       additionally run the e2e sections as a `threads N`
+//                     scenario (8 independent cells on N threads, same
+//                     aggregate rate) and emit e2e_flows_per_sec_sharded[_x10],
+//                     plus on ONE testbed placed across 8 shards run by N
+//                     workers (every inter-component hop crossing shards) and
+//                     emit e2e_flows_per_sec_intra[_x10]
 
 #include <sys/resource.h>
 
@@ -39,14 +40,17 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/net/network.h"
+#include "src/sim/sharded_sim.h"
 #include "src/sim/simulator.h"
 #include "src/workload/browser_client.h"
-#include "src/workload/parallel_load.h"
+#include "src/workload/scenario.h"
 #include "src/workload/testbed.h"
 
 namespace {
@@ -252,90 +256,19 @@ workload::TestbedConfig Fig13Config() {
   return cfg;
 }
 
-// Fig 13-shaped testbed under open-loop load; wall-clock flows/sec. `scale`
-// multiplies the request rate (scale=10 is the "10x Fig 13" headroom run).
-double BenchE2eFlows(int scale, double* out_flows) {
-  workload::TestbedConfig cfg = Fig13Config();
-  workload::Testbed tb(cfg);
-  tb.DefineDefaultVipAndStart();
-
-  sim::Rng rng(5);
-  std::vector<std::string> urls;
-  for (const auto& o : tb.catalog->objects()) {
-    urls.push_back(o.url);
-  }
-  std::uint64_t ok = 0;
-  std::uint64_t failed = 0;
-  const double rate = 1500.0 * scale;  // Fig 13 pre-step aggregate is 1500 req/s.
-  const sim::Duration kEnd = sim::Sec(5);
-  std::function<void(sim::Time)> schedule = [&](sim::Time when) {
-    if (when > kEnd) {
-      return;
-    }
-    tb.sim.At(when, [&]() {
-      auto* client =
-          tb.clients[static_cast<std::size_t>(rng.UniformInt(
-                         0, static_cast<std::int64_t>(tb.clients.size()) - 1))].get();
-      const std::string& url = urls[static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<std::int64_t>(urls.size()) - 1))];
-      client->FetchObject(tb.vip(), 80, url, {}, [&](const workload::FetchResult& r) {
-        if (r.ok) {
-          ++ok;
-        } else {
-          ++failed;
-        }
-      });
-      schedule(tb.sim.now() + sim::FromSeconds(rng.Exponential(1.0 / rate)));
-    });
-  };
-  const auto t0 = std::chrono::steady_clock::now();
-  schedule(sim::Msec(1));
-  tb.sim.Run();
-  const double wall = WallSeconds(t0);
-  const double flows = static_cast<double>(ok + failed);
-  const double fps = flows / wall;
-  std::printf("  e2e_flows (x%d): %.0f flows (%llu ok, %llu failed) in %.3f s -> %.0f flows/s\n",
-              scale, flows, static_cast<unsigned long long>(ok),
-              static_cast<unsigned long long>(failed), wall, fps);
-  if (out_flows != nullptr) {
-    *out_flows = flows;
-  }
-  return fps;
-}
-
-// Same workload cell-sharded: 8 cells on `threads` workers, each cell serving
-// 1/8 of the aggregate rate. On a multi-core host this is where the parallel
-// engine's headroom shows; flow totals are worker-count-invariant.
-double BenchE2eFlowsSharded(int scale, int threads, double* out_flows) {
-  const double rate = 1500.0 * scale;
-  const auto t0 = std::chrono::steady_clock::now();
-  const workload::ParallelLoadResult r =
-      workload::RunShardedFetchLoad(Fig13Config(), rate, sim::Sec(5), threads);
-  const double wall = WallSeconds(t0);
-  const double flows = static_cast<double>(r.ok + r.failed);
-  const double fps = flows / wall;
-  std::printf(
-      "  e2e_flows_sharded (x%d, %d cells, %d workers): %.0f flows (%llu ok, %llu failed) in "
-      "%.3f s -> %.0f flows/s\n",
-      scale, r.cells, r.workers, flows, static_cast<unsigned long long>(r.ok),
-      static_cast<unsigned long long>(r.failed), wall, fps);
-  if (out_flows != nullptr) {
-    *out_flows = flows;
-  }
-  return fps;
-}
-
-// Same workload intra-cell sharded: ONE Fig 13 testbed placed across 8
-// shards (round-robin: instances, backends, KV servers and clients each on
-// their owning shard) on `threads` workers. Unlike the cell-sharded run the
-// shards talk to each other constantly — every fetch crosses client ->
-// fabric -> instance -> backend shard boundaries — so this measures the
-// cross-shard delivery path under load. Flow totals are worker-count-
-// invariant.
-double BenchE2eFlowsIntra(int scale, int threads, double* out_flows) {
+// Fig 13-shaped testbed placed on `shards` shards run by `workers` threads,
+// under open-loop load; wall-clock flows/sec. `scale` multiplies the request
+// rate (scale=10 is the "10x Fig 13" headroom run). Each client runs its own
+// generator on its own shard with its own RNG (a function of the client
+// index only). On 1 shard this is the plain testbed; on 8 shards (round-
+// robin: instances, backends, KV servers and clients each on their owning
+// shard) every fetch crosses client -> fabric -> instance -> backend shard
+// boundaries, so it measures the cross-shard delivery path under load. Flow
+// totals are worker-count-invariant.
+double BenchE2eFlows(int scale, int shards, int workers, double* out_flows) {
   sim::ShardedSim::Config ecfg;
-  ecfg.shards = 8;
-  ecfg.workers = threads;
+  ecfg.shards = shards;
+  ecfg.workers = workers;
   sim::ShardedSim engine(ecfg);
   workload::TestbedConfig cfg = Fig13Config();
   cfg.engine = &engine;
@@ -346,8 +279,6 @@ double BenchE2eFlowsIntra(int scale, int threads, double* out_flows) {
   for (const auto& o : tb.catalog->objects()) {
     urls.push_back(o.url);
   }
-  // Per-client open-loop generators, each on its client's own shard with its
-  // own RNG (a function of the client index only).
   struct ClientLoad {
     explicit ClientLoad(std::uint64_t seed) : rng(seed) {}
     sim::Rng rng;
@@ -398,10 +329,42 @@ double BenchE2eFlowsIntra(int scale, int threads, double* out_flows) {
   const double flows = static_cast<double>(ok + failed);
   const double fps = flows / wall;
   std::printf(
-      "  e2e_flows_intra (x%d, 8 shards, %d workers): %.0f flows (%llu ok, %llu failed) in "
+      "  e2e_flows (x%d, %d shard(s), %d worker(s)): %.0f flows (%llu ok, %llu failed) in "
       "%.3f s -> %.0f flows/s\n",
-      scale, engine.workers(), flows, static_cast<unsigned long long>(ok),
+      scale, engine.shards(), engine.workers(), flows, static_cast<unsigned long long>(ok),
       static_cast<unsigned long long>(failed), wall, fps);
+  if (out_flows != nullptr) {
+    *out_flows = flows;
+  }
+  return fps;
+}
+
+// Same workload as `threads N` scenario cells: workload::kScenarioCells
+// independent single-shard testbeds (derived seeds), each serving 1/8 of the
+// aggregate rate, on `threads` plain threads. Measures cell-level multi-core
+// headroom through the scenario runner; flow totals are thread-count-
+// invariant.
+double BenchE2eFlowsCells(int scale, int threads, double* out_flows) {
+  std::string split;
+  for (int i = 1; i <= Fig13Config().backends; ++i) {
+    split += (i > 1 ? ",10.3.0." : "10.3.0.") + std::to_string(i);
+  }
+  const double cell_rate = 1500.0 * scale / workload::kScenarioCells;
+  std::optional<workload::Scenario> sc = workload::ParseScenario(
+      "threads " + std::to_string(threads) +
+      "\nvip 10.200.0.1\nrule 10.200.0.1 name=r-default priority=1 url=* split=" + split +
+      "\nat 1ms load 10.200.0.1 rate " + std::to_string(cell_rate) + " duration 5s\n");
+  sc->testbed = Fig13Config();
+  const auto t0 = std::chrono::steady_clock::now();
+  const workload::ScenarioReport r = workload::RunScenario(*sc);
+  const double wall = WallSeconds(t0);
+  const double flows = static_cast<double>(r.requests_ok + r.requests_failed);
+  const double fps = flows / wall;
+  std::printf(
+      "  e2e_flows_sharded (x%d, %d cells, %d threads): %.0f flows (%llu ok, %llu failed) in "
+      "%.3f s -> %.0f flows/s\n",
+      scale, r.cells, threads, flows, static_cast<unsigned long long>(r.requests_ok),
+      static_cast<unsigned long long>(r.requests_failed), wall, fps);
   if (out_flows != nullptr) {
     *out_flows = flows;
   }
@@ -505,7 +468,7 @@ int main(int argc, char** argv) {
       BestOf3([] { return BenchTimerCancelChurn(4'000'000); });
   metrics["fabric_packets_per_sec"] = BestOf3([] { return BenchFabricPps(4'000'000); });
   double flows = 0;
-  metrics["e2e_flows_per_sec"] = BenchE2eFlows(1, &flows);
+  metrics["e2e_flows_per_sec"] = BenchE2eFlows(1, 1, 1, &flows);
   metrics["e2e_flows_completed"] = flows;
   // Sample before the x10/sharded sections: maxrss is a monotonic high-water
   // mark, so this is the only point where the reading still means "x1
@@ -514,7 +477,7 @@ int main(int argc, char** argv) {
   std::printf("  peak_rss_mb: %.1f\n", metrics["peak_rss_mb"]);
   if (scale10) {
     double flows10 = 0;
-    metrics["e2e_flows_per_sec_x10"] = BenchE2eFlows(10, &flows10);
+    metrics["e2e_flows_per_sec_x10"] = BenchE2eFlows(10, 1, 1, &flows10);
     metrics["e2e_flows_completed_x10"] = flows10;
     // The x10 run dominates the process high-water mark, so sampling right
     // after it attributes the figure to that scale (the x1 peak is ~10x
@@ -525,19 +488,19 @@ int main(int argc, char** argv) {
   if (threads > 0) {
     metrics["threads"] = threads;
     double sflows = 0;
-    metrics["e2e_flows_per_sec_sharded"] = BenchE2eFlowsSharded(1, threads, &sflows);
+    metrics["e2e_flows_per_sec_sharded"] = BenchE2eFlowsCells(1, threads, &sflows);
     metrics["e2e_flows_completed_sharded"] = sflows;
     if (scale10) {
       double sflows10 = 0;
-      metrics["e2e_flows_per_sec_x10_sharded"] = BenchE2eFlowsSharded(10, threads, &sflows10);
+      metrics["e2e_flows_per_sec_x10_sharded"] = BenchE2eFlowsCells(10, threads, &sflows10);
       metrics["e2e_flows_completed_x10_sharded"] = sflows10;
     }
     double iflows = 0;
-    metrics["e2e_flows_per_sec_intra"] = BenchE2eFlowsIntra(1, threads, &iflows);
+    metrics["e2e_flows_per_sec_intra"] = BenchE2eFlows(1, 8, threads, &iflows);
     metrics["e2e_flows_completed_intra"] = iflows;
     if (scale10) {
       double iflows10 = 0;
-      metrics["e2e_flows_per_sec_x10_intra"] = BenchE2eFlowsIntra(10, threads, &iflows10);
+      metrics["e2e_flows_per_sec_x10_intra"] = BenchE2eFlows(10, 8, threads, &iflows10);
       metrics["e2e_flows_completed_x10_intra"] = iflows10;
     }
   }

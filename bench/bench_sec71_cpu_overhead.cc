@@ -54,7 +54,7 @@ CpuRun Run(bool use_yoda, double rate, std::size_t object_size, sim::Duration du
     if (when > duration) {
       return;
     }
-    tb.sim.At(when, [&]() {
+    tb.SimFor(0)->At(when, [&]() {
       auto* client = tb.clients[static_cast<std::size_t>(
                                     rng.UniformInt(0, static_cast<std::int64_t>(
                                                           tb.clients.size()) - 1))].get();

@@ -86,7 +86,7 @@ ModeRun RunMode(yoda::StoreMode mode, int scale) {
     if (when > end) {
       return;
     }
-    tb.sim.At(when, [&]() {
+    tb.SimFor(0)->At(when, [&]() {
       auto* client =
           tb.clients[static_cast<std::size_t>(rng.UniformInt(
                          0, static_cast<std::int64_t>(tb.clients.size()) - 1))].get();

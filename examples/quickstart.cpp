@@ -49,12 +49,15 @@ int main() {
   });
   tb.sim.Run();
 
-  // Show where the flow state lived while the flow was active.
+  // Show where the flow state lived while the flow was active (every
+  // instance's TCPStore client counts into the registry's tcpstore.*).
   std::printf("\nTCPStore activity: %llu connection writes, %llu tunneling writes, "
               "%llu lookups\n",
-              static_cast<unsigned long long>(tb.store->stats().connection_writes),
-              static_cast<unsigned long long>(tb.store->stats().tunneling_writes),
-              static_cast<unsigned long long>(tb.store->stats().lookups));
+              static_cast<unsigned long long>(
+                  tb.metrics.GetCounter("tcpstore.connection_writes").value()),
+              static_cast<unsigned long long>(
+                  tb.metrics.GetCounter("tcpstore.tunneling_writes").value()),
+              static_cast<unsigned long long>(tb.metrics.GetCounter("tcpstore.lookups").value()));
   for (auto& inst : tb.instances) {
     std::printf("instance %s: %llu flows, %llu packets tunneled\n",
                 net::IpToString(inst->ip()).c_str(),

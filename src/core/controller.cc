@@ -42,8 +42,7 @@ Controller::Controller(sim::Simulator* simulator, net::Network* network, l4lb::L
       state_(simulator, config.recorder),
       monitor_(network, HealthMonitorConfig{config.fail_after_misses, config.readmit_instances,
                                             config.readmit_after_successes,
-                                            config.readmit_penalty_cap,
-                                            config.probe_network_only}),
+                                            config.readmit_penalty_cap}),
       scaler_(AutoScalerConfig{config.scale_out_cpu, config.scale_out_step,
                                config.scale_out_ticks}),
       actuator_(simulator, fabric, &state_, ActuatorConfigFor(this, config)) {
@@ -278,10 +277,20 @@ void Controller::RepairHeadroom() {
 
 void Controller::RunAutoScale() {
   const int n = scaler_.Tick(monitor_.active(), static_cast<int>(spares_.size()), sim_->now());
-  if (n == 0) {
+  if (ActivateSpares(n) == 0) {
     return;
   }
-  for (int k = 0; k < n; ++k) {
+  for (YodaInstance* i : monitor_.active()) {
+    i->cpu().ResetWindow(sim_->now());
+  }
+}
+
+int Controller::ActivateSpares(int n) {
+  if (!ActingLeader()) {
+    return 0;
+  }
+  int activated = 0;
+  for (; activated < n && !spares_.empty(); ++activated) {
     YodaInstance* spare = spares_.back();
     spares_.pop_back();
     monitor_.AddActive(spare);
@@ -294,11 +303,11 @@ void Controller::RunAutoScale() {
     }
     Log("activated spare instance " + net::IpToString(spare->ip()));
   }
-  ExecutePlan(BuildPoolSyncPlan(state_, state_.epoch(), monitor_.ActiveIps(),
-                                /*staggered=*/true, "scale-out pool sync"));
-  for (YodaInstance* i : monitor_.active()) {
-    i->cpu().ResetWindow(sim_->now());
+  if (activated > 0) {
+    ExecutePlan(BuildPoolSyncPlan(state_, state_.epoch(), monitor_.ActiveIps(),
+                                  /*staggered=*/true, "scale-out pool sync"));
   }
+  return activated;
 }
 
 std::vector<net::IpAddr> Controller::AssignedInstances(net::IpAddr vip) const {

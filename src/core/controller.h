@@ -94,10 +94,6 @@ struct ControllerConfig {
   obs::Registry* registry = nullptr;
   obs::FlightRecorder* recorder = nullptr;
   ControllerHaConfig ha;
-  // --- intra-cell sharding (set together by the placed testbed) ---
-  // Health probes consult only the network's shard-replicated down flags
-  // (never instance->failed(): the instance lives on another shard).
-  bool probe_network_only = false;
   // Actuator hooks: route instance-state writes onto the instance's owning
   // shard, and replace the retry probe's failed() read (see
   // FleetActuatorConfig).
@@ -120,6 +116,12 @@ class Controller {
   void AddSpareInstance(YodaInstance* instance);   // Activated by scaling.
   void AddKvServer(kv::KvServer* server);
   void AddBackend(net::IpAddr backend);
+  // Scale-out: activates up to `n` spares, last registered first. Each one
+  // catches up on every desired VIP's rules and backend health, then one
+  // fenced, staggered pool-sync plan adds them all to the muxes. Auto-scale
+  // and the scenario DSL's add-instance both go through here. Returns the
+  // number activated (0 on an HA replica that is not the acting leader).
+  int ActivateSpares(int n);
 
   // --- VIP lifecycle (§5.2) ---
   void DefineVip(net::IpAddr vip, net::Port vip_port, std::vector<rules::Rule> vip_rules);

@@ -36,6 +36,12 @@ const char* ExecStepKindName(ExecStepKind kind) {
 FleetActuator::FleetActuator(sim::Simulator* simulator, l4lb::L4Fabric* fabric,
                              const ControlState* state, FleetActuatorConfig config)
     : sim_(simulator), fabric_(fabric), state_(state), cfg_(config) {
+  if (!cfg_.run_on_instance) {
+    cfg_.run_on_instance = [](YodaInstance*, const std::function<void()>& fn) { fn(); };
+  }
+  if (!cfg_.instance_down) {
+    cfg_.instance_down = [](const YodaInstance* inst) { return inst->failed(); };
+  }
   if (cfg_.registry != nullptr) {
     plans_ctr_ = &cfg_.registry->GetCounter("controller.reconcile.plans");
     steps_ctr_ = &cfg_.registry->GetCounter("controller.reconcile.steps");
@@ -169,8 +175,7 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
        step.kind == ExecStepKind::kScrubRules ||
        step.kind == ExecStepKind::kSetStoreMode)) {
     YodaInstance* inst = InstanceByIp(step.instance);
-    if (inst != nullptr &&
-        (cfg_.instance_down ? cfg_.instance_down(inst) : inst->failed())) {
+    if (inst != nullptr && cfg_.instance_down(inst)) {
       return ApplyResult::kRetry;
     }
   }
@@ -204,14 +209,10 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
         effective = false;  // VIP removed (or instance gone) since planning.
         break;
       }
-      if (cfg_.run_on_instance) {
-        cfg_.run_on_instance(inst, [inst, vip = step.vip, port = desired->port,
-                                    rules = desired->rules, token]() {
-          inst->InstallVip(vip, port, rules, token);
-        });
-      } else {
-        inst->InstallVip(step.vip, desired->port, desired->rules, token);
-      }
+      cfg_.run_on_instance(inst, [inst, vip = step.vip, port = desired->port,
+                                  rules = desired->rules, token]() {
+        inst->InstallVip(vip, port, rules, token);
+      });
       if (rule_updates_ctr_ != nullptr) {
         rule_updates_ctr_->Inc();
       }
@@ -252,14 +253,9 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
         effective = false;
         break;
       }
-      if (cfg_.run_on_instance) {
-        cfg_.run_on_instance(inst, [inst, backend = step.vip, healthy = step.healthy,
-                                    token]() {
-          inst->SetBackendHealth(backend, healthy, token);
-        });
-      } else {
-        inst->SetBackendHealth(/*backend=*/step.vip, step.healthy, token);
-      }
+      cfg_.run_on_instance(inst, [inst, backend = step.vip, healthy = step.healthy, token]() {
+        inst->SetBackendHealth(backend, healthy, token);
+      });
       break;
     }
     case ExecStepKind::kAwaitConvergence:
@@ -286,12 +282,8 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
         effective = false;
         break;
       }
-      if (cfg_.run_on_instance) {
-        cfg_.run_on_instance(inst,
-                             [inst, vip = step.vip, token]() { inst->RemoveVip(vip, token); });
-      } else {
-        inst->RemoveVip(step.vip, token);
-      }
+      cfg_.run_on_instance(inst,
+                           [inst, vip = step.vip, token]() { inst->RemoveVip(vip, token); });
       break;
     }
     case ExecStepKind::kDetachVip:
@@ -315,14 +307,9 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
         break;
       }
       const StoreMode mode = stateless ? StoreMode::kStateless : StoreMode::kStateful;
-      if (cfg_.run_on_instance) {
-        cfg_.run_on_instance(inst,
-                             [inst, vip = step.vip, mode, epoch = plan.epoch, token]() {
-                               inst->SetStoreMode(vip, mode, epoch, token);
-                             });
-      } else {
-        inst->SetStoreMode(step.vip, mode, plan.epoch, token);
-      }
+      cfg_.run_on_instance(inst, [inst, vip = step.vip, mode, epoch = plan.epoch, token]() {
+        inst->SetStoreMode(vip, mode, epoch, token);
+      });
       break;
     }
   }

@@ -124,16 +124,16 @@ struct FleetActuatorConfig {
   // for aborted plans: a deposed leader must not journal completion of a
   // plan the new leader now owns.
   std::function<void(const ExecPlan&, bool ok)> on_plan_done;
-  // --- intra-cell sharding hooks (both optional) ---
-  // Runs an instance-state write (InstallVip / SetBackendHealth / RemoveVip)
-  // "on" the instance: the testbed wires this to a cross-shard CallOn onto
-  // the instance's owning shard. The write is fire-and-forget (lands at the
-  // next barrier); ledger/journal/counters stay controller-side at dispatch
-  // time. Unset = run inline (legacy single-sim behavior).
+  // --- cross-shard hooks (unset = the inline defaults below) ---
+  // Runs an instance-state write (InstallVip / SetBackendHealth / RemoveVip /
+  // SetStoreMode) "on" the instance: the testbed wires this to a cross-shard
+  // CallOn onto the instance's owning shard. The write is fire-and-forget
+  // (lands at the next barrier); ledger/journal/counters stay controller-side
+  // at dispatch time. Default: run inline.
   std::function<void(YodaInstance*, std::function<void()>)> run_on_instance;
-  // Replaces the retry probe's instance->failed() read, which is not safe
-  // across shards. The testbed wires it to the network's shard-replicated
-  // down flag for the instance's ip.
+  // The retry probe's "is the target down" read. The testbed wires it to the
+  // network's shard-replicated down flag for the instance's ip, since
+  // instance->failed() is not safe across shards. Default: failed().
   std::function<bool(const YodaInstance*)> instance_down;
 };
 

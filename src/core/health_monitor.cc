@@ -5,9 +5,9 @@
 namespace yoda {
 
 bool HealthMonitor::ProbeInstance(const YodaInstance* instance) const {
-  if (!cfg_.probe_network_only && instance->failed()) {
-    return false;
-  }
+  // Network-only: ProbePath consults the shard-replicated down flags, never
+  // instance->failed() — the instance may live on another shard, whose
+  // fields must not be read from the controller's.
   return net_->ProbePath(/*src=*/0, instance->ip());
 }
 

@@ -30,12 +30,6 @@ struct HealthMonitorConfig {
   // Flap suppression: every failure after a readmission doubles the healthy
   // streak required next time, capped here.
   int readmit_penalty_cap = 8;
-  // Intra-cell sharding: probe ONLY via the network (ProbePath consults the
-  // shard-replicated down flags), never by reading instance->failed() — the
-  // instance object lives on another shard and its fields must not be read
-  // from the controller's. Off by default: the legacy short-circuit saves a
-  // probe and is byte-identical to the pre-sharding build.
-  bool probe_network_only = false;
 };
 
 struct HealthTransition {

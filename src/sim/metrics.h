@@ -19,7 +19,7 @@ namespace sim {
 class Histogram {
  public:
   void Add(double v);
-  // Appends every sample of `other` (cell-sharded runs fold per-cell
+  // Appends every sample of `other` (`threads N` scenario runs fold per-cell
   // histograms into one aggregate).
   void MergeFrom(const Histogram& other);
   std::size_t count() const { return samples_.size(); }

@@ -1,10 +1,10 @@
 // Intra-cell placement: which ShardedSim shard owns which component.
 //
-// PR 8 parallelized *across* cells (one full testbed per shard). This map is
-// the other axis: ONE testbed spread over the shards of one engine — each
-// Yoda instance pipeline, backend HTTP server, KV server and client pool is
-// assigned a shard, and every cross-component interaction travels as a
-// cross-shard message (Network mail or CallOn) instead of a direct call.
+// Every testbed is placed: ONE testbed spread over the shards of one engine
+// (a single shard for a plain testbed) — each Yoda instance pipeline, backend
+// HTTP server, KV server and client pool is assigned a shard, and every
+// cross-component interaction travels as a cross-shard message (Network mail
+// or CallOn) instead of a direct call.
 //
 // The assignment is a pure function of the placement config and the
 // component index — never of the worker count — so the shard that executes
@@ -66,8 +66,8 @@ struct IntraPlacement {
 
 // Debug-build assertion that the executing shard owns the component whose
 // state is being mutated. Bind(shard) during placed construction; every
-// mutation entry point calls Check(). Unbound (owner -1, the legacy
-// single-sim and cell-sharded paths) and outside-the-epoch-loop (setup,
+// mutation entry point calls Check(). Unbound (owner -1: components built
+// outside a testbed, e.g. by unit tests) and outside-the-epoch-loop (setup,
 // aggregation — current_shard() == -1) checks pass; only a *worker thread on
 // the wrong shard* trips the assert. Release builds compile it away.
 class ShardOwnershipAudit {

@@ -4,10 +4,12 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <ostream>
 #include <sstream>
+#include <thread>
 
 #include "src/sim/sharded_sim.h"
 
@@ -47,13 +49,10 @@ std::string JoinFrom(const std::vector<std::string>& toks, std::size_t from) {
   return out;
 }
 
-// Applies one non-load timeline action to a testbed. Shared by the legacy
-// single-simulator path (one testbed, fired at the scripted instant) and the
-// cell-sharded path (fired once per cell at the first epoch barrier after the
-// scripted instant). `ctl` is the control-plane handle — under HA, whichever
-// replica currently acts as leader.
-void ApplyControlEvent(Testbed& tb, const Scenario& scenario, const ScenarioEvent& ev,
-                       yoda::Controller* ctl,
+// Applies one non-load timeline action to a testbed, on the conductor shard
+// at the scripted instant. `ctl` is the control-plane handle — under HA,
+// whichever replica currently acts as leader.
+void ApplyControlEvent(Testbed& tb, const ScenarioEvent& ev, yoda::Controller* ctl,
                        const std::function<void(const std::string&)>& say) {
   long long idx = 0;
   if (ev.action == "fail-instance" && !ev.args.empty()) {
@@ -94,17 +93,9 @@ void ApplyControlEvent(Testbed& tb, const Scenario& scenario, const ScenarioEven
     say("restart controller " + ev.args[0]);
     tb.RestartController(static_cast<int>(idx));
   } else if (ev.action == "add-instance") {
-    if (!tb.spares.empty()) {
-      say("activating spare instance");
-      ctl->AddInstance(tb.spares.back().get());
-      // Hand ownership bookkeeping stays in the testbed; pools follow.
-      std::vector<net::IpAddr> pool;
-      for (auto* inst : ctl->ActiveInstances()) {
-        pool.push_back(inst->ip());
-      }
-      for (const auto& def : scenario.vips) {
-        tb.fabric.SetVipPoolStaggered(def.vip, pool, sim::Msec(50));
-      }
+    // The next unused spare: caught up, then pooled by a fenced plan.
+    if (ctl->ActivateSpares(1) == 1) {
+      say("activated spare instance");
     }
   } else if (ev.action == "assign") {
     say("running many-to-many assignment round");
@@ -422,256 +413,66 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
 
 namespace {
 
-// Per-cell run state for the sharded path. Everything here is touched only by
-// the cell's owning shard (load loops, counters) or by the coordinator while
-// the engine is idle (setup, aggregation) — never both at once.
-struct CellState {
-  std::unique_ptr<Testbed> tb;
-  std::unique_ptr<sim::Rng> rng;
+// Per-client load state, owned and mutated only by the client's shard
+// (FetchObject and its callback both run there).
+struct ClientLoad {
+  explicit ClientLoad(std::uint64_t seed) : rng(seed) {}
+  sim::Rng rng;
   std::uint64_t ok = 0;
   std::uint64_t failed = 0;
   sim::Histogram latency_ms;
-  std::vector<std::shared_ptr<std::function<void()>>> load_loops;
+  // Load generators keep per-generator state via shared_ptr closures. The
+  // closures capture a weak_ptr to themselves (ownership stays here), so
+  // rescheduling cannot form a shared_ptr cycle.
+  std::vector<std::shared_ptr<std::function<void()>>> loops;
 };
 
-// `threads N` path: the experiment replicated into kScenarioCells independent
-// cells — one full testbed (own fleet, VIPs, clients, faults) per ShardedSim
-// shard, with distinct per-cell seeds — executed by N worker threads. The
-// workload is cell-local; the timeline is conducted from shard 0, which fans
-// each control event out to every cell over cross-shard mail. Cells apply it
-// at the first epoch barrier after the scripted time, an instant that depends
-// only on event timestamps — so the per-cell traces (and their concatenation,
-// the report) are byte-identical for any N.
-ScenarioReport RunScenarioSharded(const Scenario& scenario, std::ostream* log,
-                                  const std::function<void(Testbed&)>& after_run) {
+// One placed run, kept alive past the run so after_run can inspect it (and
+// even advance it: pending load ticks still point into `loads`). The testbed
+// is declared after (and so dies before) the engine it runs on.
+struct PlacedRun {
+  std::unique_ptr<sim::ShardedSim> engine;
+  std::unique_ptr<Testbed> tb;
+  std::vector<std::unique_ptr<ClientLoad>> loads;
   ScenarioReport report;
-  report.cells = kScenarioCells;
+};
 
+// The scenario runner: ONE testbed placed on `shards` shards of an engine
+// executed by `workers` threads — every instance, backend, KV server and
+// client on its owning shard per the scenario's placement. Load is generated
+// per client ON the client's shard (each client loop has its own RNG, a
+// function of the scenario seed and client index only). Control events are
+// conducted from the controller's shard, which is also the only shard that
+// narrates to `log`, so narration is race-free for any worker count.
+// Cross-component traffic rides the shard-aware network and cross-shard
+// calls. Results merge in fixed (client, then shard) order, so the report is
+// byte-identical for any worker count.
+std::unique_ptr<PlacedRun> RunPlaced(const Scenario& scenario, int shards, int workers,
+                                     std::ostream* log) {
+  auto run = std::make_unique<PlacedRun>();
   sim::ShardedSim::Config ecfg;
-  ecfg.shards = kScenarioCells;
-  ecfg.workers = scenario.threads;
-  sim::ShardedSim engine(ecfg);
+  ecfg.shards = shards;
+  ecfg.workers = workers;
+  run->engine = std::make_unique<sim::ShardedSim>(ecfg);
+  sim::ShardedSim& engine = *run->engine;
   if (log != nullptr) {
-    *log << "  [cell-sharded] " << kScenarioCells << " cells on " << engine.workers()
-         << " worker thread(s), window " << engine.window() << " ticks\n";
-  }
-
-  std::vector<std::unique_ptr<CellState>> cells;
-  for (int c = 0; c < kScenarioCells; ++c) {
-    TestbedConfig cfg = scenario.testbed;
-    cfg.external_sim = &engine.shard(c);
-    // Distinct trial per cell; a function of the scenario seed and the cell
-    // index only, never of the worker count.
-    cfg.seed = scenario.testbed.seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(c);
-    for (const auto& def : scenario.vips) {
-      if (def.tls_cert) {
-        cfg.server_template.tls_service_key = def.tls_key;
-      }
-    }
-    auto cell = std::make_unique<CellState>();
-    cell->tb = std::make_unique<Testbed>(cfg);
-    cell->rng = std::make_unique<sim::Rng>(cfg.seed ^ 0x5ce9a210ULL);
-    cells.push_back(std::move(cell));
-  }
-
-  auto ctl = [](Testbed& tb) -> yoda::Controller* {
-    if (!tb.cfg.controller_ha) {
-      return tb.controller.get();
-    }
-    yoda::Controller* leader = tb.LeaderController();
-    return leader != nullptr ? leader : tb.controller.get();
-  };
-
-  // Setup runs on the coordinator while the engine is idle, so touching the
-  // shard simulators directly is race-free.
-  for (auto& cell : cells) {
-    Testbed& tb = *cell->tb;
-    if (tb.cfg.controller_ha) {
-      tb.StartAllControllers();
-      tb.AwaitLeader();
-    }
-    for (const auto& def : scenario.vips) {
-      ctl(tb)->DefineVip(def.vip, 80, def.vip_rules);
-      if (def.store_mode != yoda::StoreMode::kStateful) {
-        ctl(tb)->SetStoreMode(def.vip, def.store_mode);
-      }
-      if (def.tls_cert) {
-        for (auto& inst : tb.instances) {
-          inst->InstallVipTls(def.vip, *def.tls_cert, def.tls_key);
-        }
-        for (auto& inst : tb.spares) {
-          inst->InstallVipTls(def.vip, *def.tls_cert, def.tls_key);
-        }
-      }
-    }
-    if (!tb.cfg.controller_ha) {
-      tb.controller->Start();
-    }
-  }
-  // HA leader election advances cell clocks unevenly (AwaitLeader runs each
-  // cell's simulator on its own); align them so every shard enters the epoch
-  // loop at one common instant.
-  sim::Time t0 = 0;
-  for (auto& cell : cells) {
-    t0 = std::max(t0, cell->tb->simulator->now());
-  }
-  if (t0 > 0) {
-    for (auto& cell : cells) {
-      cell->tb->simulator->RunUntil(t0);
-    }
-  }
-
-  // Cells run concurrently, so per-event narration from worker threads would
-  // race on the log stream; the cells stay quiet and the aggregate report
-  // carries the results.
-  const std::function<void(const std::string&)> quiet = [](const std::string&) {};
-
-  auto start_load = [](CellState& cell, net::IpAddr vip, double rate, sim::Duration duration,
-                       bool use_tls) {
-    const sim::Time end = cell.tb->simulator->now() + duration;
-    auto tick = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak_tick = tick;
-    CellState* cs = &cell;
-    *tick = [cs, vip, rate, end, use_tls, weak_tick]() {
-      Testbed& tb = *cs->tb;
-      if (tb.simulator->now() > end) {
-        return;
-      }
-      sim::Rng& rng = *cs->rng;
-      auto* client = tb.clients[static_cast<std::size_t>(rng.UniformInt(
-                                    0, static_cast<std::int64_t>(tb.clients.size()) - 1))].get();
-      const auto& obj = tb.catalog->objects()[static_cast<std::size_t>(rng.UniformInt(
-          0, static_cast<std::int64_t>(tb.catalog->objects().size()) - 1))];
-      FetchOptions opts;
-      opts.use_tls = use_tls;
-      client->FetchObject(vip, 80, obj.url, opts, [cs](const FetchResult& r) {
-        if (r.ok) {
-          ++cs->ok;
-          cs->latency_ms.Add(sim::ToMillis(r.latency));
-        } else {
-          ++cs->failed;
-        }
-      });
-      if (auto self = weak_tick.lock()) {
-        tb.simulator->After(sim::FromSeconds(rng.Exponential(1.0 / rate)), *self);
-      }
-    };
-    cs->load_loops.push_back(tick);
-    (*tick)();
-  };
-
-  sim::Simulator& conductor = engine.shard(0);
-  for (const ScenarioEvent& ev : scenario.events) {
-    if (ev.action == "load" && ev.args.size() >= 5) {
-      auto vip = ParseIp(ev.args[0]);
-      const double rate = std::strtod(ev.args[2].c_str(), nullptr);
-      auto duration = ParseDuration(ev.args[4]);
-      const bool use_tls = ev.args.size() > 5 && ev.args[5] == "tls";
-      if (!vip || !duration || rate <= 0) {
-        continue;
-      }
-      // The workload is cell-local: each cell's generator starts on its own
-      // shard at the scripted time, driven by the cell's own RNG.
-      for (auto& cellp : cells) {
-        CellState* cs = cellp.get();
-        sim::Simulator& s = *cs->tb->simulator;
-        s.At(std::max(ev.at, s.now()),
-             [cs, vip = *vip, rate, duration = *duration, use_tls, &start_load]() {
-               start_load(*cs, vip, rate, duration, use_tls);
-             });
-      }
-    } else {
-      // Control events are conducted from shard 0: at the scripted time the
-      // conductor fans the action out over cross-shard mail, and each cell
-      // applies it at its next epoch barrier — a bounded <= window() after
-      // ev.at, at an instant identical for any worker count.
-      conductor.At(std::max(ev.at, conductor.now()), [&engine, &cells, &scenario, &ctl, &quiet,
-                                                      ev]() {
-        for (int c = 0; c < kScenarioCells; ++c) {
-          Testbed* tbp = cells[static_cast<std::size_t>(c)]->tb.get();
-          engine.CallOn(c, [tbp, &scenario, &ctl, &quiet, ev]() {
-            ApplyControlEvent(*tbp, scenario, ev, ctl(*tbp), quiet);
-          });
-        }
-      });
-    }
-  }
-
-  if (scenario.run_until > 0) {
-    engine.RunUntil(scenario.run_until);
-  } else {
-    engine.Run();
-  }
-
-  for (int c = 0; c < kScenarioCells; ++c) {
-    CellState& cell = *cells[static_cast<std::size_t>(c)];
-    Testbed& tb = *cell.tb;
-    report.requests_ok += cell.ok;
-    report.requests_failed += cell.failed;
-    report.latency_ms.MergeFrom(cell.latency_ms);
-    for (auto& inst : tb.instances) {
-      report.takeovers +=
-          inst->stats().takeovers_client_side + inst->stats().takeovers_server_side;
-      report.reswitches += inst->stats().reswitches;
-    }
-    for (auto& inst : tb.spares) {
-      report.takeovers +=
-          inst->stats().takeovers_client_side + inst->stats().takeovers_server_side;
-    }
-    report.failures_detected += tb.controller->detected_failures();
-    for (const auto& evt : tb.controller->events()) {
-      report.controller_events.push_back(evt);
-    }
-    const std::string marker = "{\"cell\":" + std::to_string(c) + "}\n";
-    report.metrics_table += "--- cell " + std::to_string(c) + " ---\n" + tb.metrics.TextTable();
-    report.metrics_jsonl += marker + tb.metrics.JsonLines();
-    std::ostringstream traces;
-    tb.flight.ExportJsonLines(traces);
-    report.traces_jsonl += marker + traces.str();
-  }
-  if (after_run) {
-    for (auto& cell : cells) {
-      after_run(*cell->tb);
-    }
-  }
-  return report;
-}
-
-// `intra-threads N` path: ONE testbed spread over the kScenarioCells shards
-// of a single engine — every instance, backend, KV server and client on its
-// owning shard per the scenario's placement — executed by N worker threads.
-// Load is generated per client ON the client's shard (each client loop has
-// its own RNG, a function of the scenario seed and client index only);
-// control events are conducted from the controller's shard; cross-component
-// traffic rides the shard-aware network and cross-shard calls. Results merge
-// in fixed (client, then shard) order, so the report is byte-identical for
-// any N.
-ScenarioReport RunScenarioIntra(const Scenario& scenario, std::ostream* log,
-                                const std::function<void(Testbed&)>& after_run) {
-  ScenarioReport report;
-  report.cells = 1;  // One cell — sharded on the inside.
-
-  sim::ShardedSim::Config ecfg;
-  ecfg.shards = kScenarioCells;
-  ecfg.workers = scenario.intra_threads;
-  sim::ShardedSim engine(ecfg);
-  if (log != nullptr) {
-    *log << "  [intra-cell] 1 testbed over " << kScenarioCells << " shards on "
-         << engine.workers() << " worker thread(s), window " << engine.window()
-         << " ticks\n";
+    *log << "  [placed] 1 testbed over " << engine.shards() << " shard(s) on "
+         << engine.workers() << " worker thread(s), window " << engine.window() << " ticks\n";
   }
 
   TestbedConfig cfg = scenario.testbed;
   cfg.engine = &engine;
   cfg.placement = scenario.placement;
-  cfg.placement.shards = kScenarioCells;
   for (const auto& def : scenario.vips) {
     if (def.tls_cert) {
       cfg.server_template.tls_service_key = def.tls_key;
     }
   }
-  Testbed tb(cfg);
+  run->tb = std::make_unique<Testbed>(cfg);
+  Testbed& tb = *run->tb;
 
+  // Control-plane handle: with HA the mutating APIs must go through whichever
+  // replica currently holds the lease (a standby silently ignores them).
   auto ctl = [&tb]() -> yoda::Controller* {
     if (!tb.cfg.controller_ha) {
       return tb.controller.get();
@@ -680,8 +481,8 @@ ScenarioReport RunScenarioIntra(const Scenario& scenario, std::ostream* log,
     return leader != nullptr ? leader : tb.controller.get();
   };
 
-  // Setup runs on the coordinator while the engine is idle, so cross-shard
-  // construction and config pushes are race-free.
+  // Setup runs while the engine is idle, so cross-shard construction and
+  // config pushes are race-free.
   if (tb.cfg.controller_ha) {
     tb.StartAllControllers();
     tb.AwaitLeader();
@@ -704,22 +505,11 @@ ScenarioReport RunScenarioIntra(const Scenario& scenario, std::ostream* log,
     tb.controller->Start();
   }
 
-  // Per-client load state, owned and mutated only by the client's shard
-  // (FetchObject and its callback both run there).
-  struct ClientLoad {
-    explicit ClientLoad(std::uint64_t seed) : rng(seed) {}
-    sim::Rng rng;
-    std::uint64_t ok = 0;
-    std::uint64_t failed = 0;
-    sim::Histogram latency_ms;
-    std::vector<std::shared_ptr<std::function<void()>>> loops;
-  };
-  std::vector<std::unique_ptr<ClientLoad>> loads;
+  std::vector<std::unique_ptr<ClientLoad>>& loads = run->loads;
   for (std::size_t i = 0; i < tb.clients.size(); ++i) {
     loads.push_back(std::make_unique<ClientLoad>(
         cfg.seed ^ (0xC11E47ULL + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i))));
   }
-
   auto start_client_load = [&tb](ClientLoad* cl, BrowserClient* client, net::IpAddr vip,
                                  double rate, sim::Duration duration, bool use_tls) {
     sim::Simulator* csim = tb.SimFor(tb.OwnerShardOf(client->ip()));
@@ -751,39 +541,44 @@ ScenarioReport RunScenarioIntra(const Scenario& scenario, std::ostream* log,
     (*tick)();
   };
 
-  // Worker threads must not narrate into the shared log stream.
-  const std::function<void(const std::string&)> quiet = [](const std::string&) {};
-
-  // Conduct control events from the controller's shard: the controller, the
-  // fault plane and this timeline are co-located, so every ApplyControlEvent
-  // mutation is either shard-local or routed by the testbed/fabric hooks.
+  // The controller, the fault plane and this timeline are co-located on the
+  // conductor shard, so every ApplyControlEvent mutation is either
+  // shard-local or routed by the testbed/fabric hooks.
   sim::Simulator& conductor = engine.shard(cfg.placement.controller_shard);
+  const std::function<void(const std::string&)> say = [log, &conductor](const std::string& msg) {
+    if (log != nullptr) {
+      *log << "  [" << sim::FormatDouble(sim::ToMillis(conductor.now()), 0) << " ms] " << msg
+           << "\n";
+    }
+  };
   for (const ScenarioEvent& ev : scenario.events) {
-    if (ev.action == "load" && ev.args.size() >= 5) {
-      auto vip = ParseIp(ev.args[0]);
-      const double rate = std::strtod(ev.args[2].c_str(), nullptr);
-      auto duration = ParseDuration(ev.args[4]);
-      const bool use_tls = ev.args.size() > 5 && ev.args[5] == "tls";
-      if (!vip || !duration || rate <= 0) {
-        continue;
-      }
-      // The scripted rate is the aggregate; each client generates its share
-      // on its own shard with its own RNG.
-      const double per_client = rate / static_cast<double>(tb.clients.size());
-      for (std::size_t i = 0; i < tb.clients.size(); ++i) {
-        ClientLoad* cl = loads[i].get();
-        BrowserClient* client = tb.clients[i].get();
-        sim::Simulator* csim = tb.SimFor(tb.OwnerShardOf(client->ip()));
-        csim->At(std::max(ev.at, csim->now()),
-                 [cl, client, vip = *vip, per_client, duration = *duration, use_tls,
-                  &start_client_load]() {
-                   start_client_load(cl, client, vip, per_client, duration, use_tls);
-                 });
-      }
-    } else {
-      conductor.At(std::max(ev.at, conductor.now()), [&tb, &scenario, &ctl, &quiet, ev]() {
-        ApplyControlEvent(tb, scenario, ev, ctl(), quiet);
-      });
+    if (ev.action != "load") {
+      conductor.At(std::max(ev.at, conductor.now()),
+                   [&tb, ctl, say, ev]() { ApplyControlEvent(tb, ev, ctl(), say); });
+      continue;
+    }
+    const auto vip = ev.args.size() >= 5 ? ParseIp(ev.args[0]) : std::nullopt;
+    const auto duration = ev.args.size() >= 5 ? ParseDuration(ev.args[4]) : std::nullopt;
+    const double rate = ev.args.size() >= 5 ? std::strtod(ev.args[2].c_str(), nullptr) : 0;
+    const bool use_tls = ev.args.size() > 5 && ev.args[5] == "tls";
+    if (!vip || !duration || rate <= 0) {
+      continue;
+    }
+    conductor.At(std::max(ev.at, conductor.now()), [say, ev]() {
+      say("load " + ev.args[0] + " @" + ev.args[2] + "/s for " + ev.args[4]);
+    });
+    // The scripted rate is the aggregate; each client generates its share on
+    // its own shard with its own RNG.
+    const double per_client = rate / static_cast<double>(tb.clients.size());
+    for (std::size_t i = 0; i < tb.clients.size(); ++i) {
+      ClientLoad* cl = loads[i].get();
+      BrowserClient* client = tb.clients[i].get();
+      sim::Simulator* csim = tb.SimFor(tb.OwnerShardOf(client->ip()));
+      csim->At(std::max(ev.at, csim->now()),
+               [cl, client, vip = *vip, per_client, duration = *duration, use_tls,
+                start_client_load]() {
+                 start_client_load(cl, client, vip, per_client, duration, use_tls);
+               });
     }
   }
 
@@ -795,6 +590,7 @@ ScenarioReport RunScenarioIntra(const Scenario& scenario, std::ostream* log,
 
   // Merge: per-client tallies in client order, then the per-shard
   // observability lanes in shard order — both fixed, worker-count-invariant.
+  ScenarioReport& report = run->report;
   for (auto& cl : loads) {
     report.requests_ok += cl->ok;
     report.requests_failed += cl->failed;
@@ -820,147 +616,85 @@ ScenarioReport RunScenarioIntra(const Scenario& scenario, std::ostream* log,
     tb.flight_lane(s).ExportJsonLines(traces);
     report.traces_jsonl += marker + traces.str();
   }
-  if (after_run) {
-    after_run(tb);
-  }
-  return report;
+  return run;
 }
 
 }  // namespace
 
+std::uint64_t CellSeed(std::uint64_t seed, int cell) {
+  return seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(cell);
+}
+
 ScenarioReport RunScenario(const Scenario& scenario, std::ostream* log,
                            const std::function<void(Testbed&)>& after_run) {
-  if (scenario.intra_threads > 0) {
-    return RunScenarioIntra(scenario, log, after_run);
-  }
-  if (scenario.threads > 0) {
-    return RunScenarioSharded(scenario, log, after_run);
-  }
-  TestbedConfig cfg = scenario.testbed;
-  for (const auto& def : scenario.vips) {
-    if (def.tls_cert) {
-      cfg.server_template.tls_service_key = def.tls_key;
+  if (scenario.threads == 0) {
+    const bool intra = scenario.intra_threads > 0;
+    std::unique_ptr<PlacedRun> run = RunPlaced(scenario, intra ? kScenarioCells : 1,
+                                               std::max(1, scenario.intra_threads), log);
+    if (after_run) {
+      after_run(*run->tb);
     }
-  }
-  Testbed tb(cfg);
-  ScenarioReport report;
-  auto say = [log, &tb](const std::string& msg) {
-    if (log != nullptr) {
-      *log << "  [" << sim::FormatDouble(sim::ToMillis(tb.sim.now()), 0) << " ms] " << msg
-           << "\n";
-    }
-  };
-
-  // Control-plane handle: with HA the mutating APIs must go through whichever
-  // replica currently holds the lease (a standby silently ignores them).
-  auto ctl = [&tb, &cfg]() -> yoda::Controller* {
-    if (!cfg.controller_ha) {
-      return tb.controller.get();
-    }
-    yoda::Controller* leader = tb.LeaderController();
-    return leader != nullptr ? leader : tb.controller.get();
-  };
-
-  if (cfg.controller_ha) {
-    tb.StartAllControllers();
-    tb.AwaitLeader();
-  }
-  for (const auto& def : scenario.vips) {
-    ctl()->DefineVip(def.vip, 80, def.vip_rules);
-    if (def.store_mode != yoda::StoreMode::kStateful) {
-      ctl()->SetStoreMode(def.vip, def.store_mode);
-    }
-    if (def.tls_cert) {
-      for (auto& inst : tb.instances) {
-        inst->InstallVipTls(def.vip, *def.tls_cert, def.tls_key);
-      }
-      for (auto& inst : tb.spares) {
-        inst->InstallVipTls(def.vip, *def.tls_cert, def.tls_key);
-      }
-    }
-  }
-  if (!cfg.controller_ha) {
-    tb.controller->Start();
+    return std::move(run->report);
   }
 
-  sim::Rng rng(scenario.testbed.seed ^ 0x5ce9a210ULL);
-  // Load generators keep per-generator state via shared_ptr closures. The
-  // closures capture a weak_ptr to themselves (ownership stays in
-  // `load_loops`), so rescheduling cannot form a shared_ptr cycle.
-  std::vector<std::shared_ptr<std::function<void()>>> load_loops;
-  auto start_load = [&](net::IpAddr vip, double rate, sim::Duration duration, bool use_tls) {
-    const sim::Time end = tb.sim.now() + duration;
-    auto tick = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak_tick = tick;
-    *tick = [&, vip, rate, end, use_tls, weak_tick]() {
-      if (tb.sim.now() > end) {
-        return;
-      }
-      auto* client = tb.clients[static_cast<std::size_t>(rng.UniformInt(
-                                    0, static_cast<std::int64_t>(tb.clients.size()) - 1))].get();
-      const auto& obj = tb.catalog->objects()[static_cast<std::size_t>(rng.UniformInt(
-          0, static_cast<std::int64_t>(tb.catalog->objects().size()) - 1))];
-      FetchOptions opts;
-      opts.use_tls = use_tls;
-      client->FetchObject(vip, 80, obj.url, opts, [&report, &tb](const FetchResult& r) {
-        if (r.ok) {
-          ++report.requests_ok;
-          report.latency_ms.Add(sim::ToMillis(r.latency));
-        } else {
-          ++report.requests_failed;
+  // `threads N`: kScenarioCells independent cells, each one runner call on a
+  // single-shard testbed with the cell's derived seed. N plain threads take
+  // the cells round-robin; the cells share nothing, so the per-cell reports
+  // (and their cell-ordered merge) are byte-identical for any N. Cells run
+  // concurrently, so they do not narrate.
+  const int workers = std::clamp(scenario.threads, 1, kScenarioCells);
+  if (log != nullptr) {
+    *log << "  [cells] " << kScenarioCells << " independent cells on " << workers
+         << " thread(s)\n";
+  }
+  std::vector<std::unique_ptr<PlacedRun>> runs(kScenarioCells);
+  std::vector<std::exception_ptr> errors(kScenarioCells);
+  {
+    std::vector<std::jthread> pool;  // Joined at the end of this block.
+    for (int w = 0; w < workers; ++w) {
+      pool.emplace_back([&scenario, &runs, &errors, workers, w]() {
+        for (int c = w; c < kScenarioCells; c += workers) {
+          const auto i = static_cast<std::size_t>(c);
+          try {
+            Scenario cell = scenario;
+            cell.threads = 0;
+            cell.testbed.seed = CellSeed(scenario.testbed.seed, c);
+            runs[i] = RunPlaced(cell, 1, 1, nullptr);
+          } catch (...) {
+            errors[i] = std::current_exception();  // Rethrown on the caller.
+          }
         }
       });
-      if (auto self = weak_tick.lock()) {
-        tb.sim.After(sim::FromSeconds(rng.Exponential(1.0 / rate)), *self);
-      }
-    };
-    load_loops.push_back(tick);
-    (*tick)();
-  };
-
-  for (const ScenarioEvent& ev : scenario.events) {
-    tb.sim.At(ev.at, [&, ev]() {
-      if (ev.action == "load" && ev.args.size() >= 5) {
-        auto vip = ParseIp(ev.args[0]);
-        double rate = std::strtod(ev.args[2].c_str(), nullptr);
-        auto duration = ParseDuration(ev.args[4]);
-        const bool use_tls = ev.args.size() > 5 && ev.args[5] == "tls";
-        if (vip && duration && rate > 0) {
-          say("load " + ev.args[0] + " @" + ev.args[2] + "/s for " + ev.args[4]);
-          start_load(*vip, rate, *duration, use_tls);
-        }
-        return;
-      }
-      ApplyControlEvent(tb, scenario, ev, ctl(), say);
-    });
+    }
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e) {
+      std::rethrow_exception(e);
+    }
   }
 
-  if (scenario.run_until > 0) {
-    tb.sim.RunUntil(scenario.run_until);
-  } else {
-    tb.sim.Run();
-  }
-
-  for (auto& inst : tb.instances) {
-    report.takeovers +=
-        inst->stats().takeovers_client_side + inst->stats().takeovers_server_side;
-    report.reswitches += inst->stats().reswitches;
-  }
-  for (auto& inst : tb.spares) {
-    report.takeovers +=
-        inst->stats().takeovers_client_side + inst->stats().takeovers_server_side;
-  }
-  report.failures_detected = tb.controller->detected_failures();
-  report.controller_events = tb.controller->events();
-  report.metrics_table = tb.metrics.TextTable();
-  report.metrics_jsonl = tb.metrics.JsonLines();
-  {
-    std::ostringstream traces;
-    tb.flight.ExportJsonLines(traces);
-    report.traces_jsonl = traces.str();
+  ScenarioReport report;
+  report.cells = kScenarioCells;
+  for (int c = 0; c < kScenarioCells; ++c) {
+    ScenarioReport& r = runs[static_cast<std::size_t>(c)]->report;
+    report.requests_ok += r.requests_ok;
+    report.requests_failed += r.requests_failed;
+    report.takeovers += r.takeovers;
+    report.reswitches += r.reswitches;
+    report.failures_detected += r.failures_detected;
+    report.latency_ms.MergeFrom(r.latency_ms);
+    report.controller_events.insert(report.controller_events.end(),
+                                    r.controller_events.begin(), r.controller_events.end());
+    const std::string marker = "{\"cell\":" + std::to_string(c) + "}\n";
+    report.metrics_table += "--- cell " + std::to_string(c) + " ---\n" + r.metrics_table;
+    report.metrics_jsonl += marker + r.metrics_jsonl;
+    report.traces_jsonl += marker + r.traces_jsonl;
+    report.cell_reports.push_back(std::move(r));
   }
   if (after_run) {
-    after_run(tb);
+    for (auto& run : runs) {
+      after_run(*run->tb);
+    }
   }
   return report;
 }

@@ -3,10 +3,17 @@
 // This is what `tools/yodasim` executes, so experiments can be scripted
 // without writing C++.
 //
+// There is one execution model: every run is one testbed placed on a
+// sim::ShardedSim, with per-client load loops on the client shards and the
+// timeline conducted from the controller shard. A plain scenario places it
+// on 1 shard; `intra-threads N` spreads it over kScenarioCells shards run by
+// N workers; `threads N` runs kScenarioCells independent 1-shard copies
+// (derived seeds) on N plain threads and merges their reports.
+//
 //   # comments and blank lines are ignored
 //   seed 42
-//   threads 4                            # cell-sharded run on 4 workers
-//   intra-threads 4                      # OR: one placed testbed, 4 workers
+//   threads 4                            # 8 independent cells on 4 threads
+//   intra-threads 4                      # OR: one 8-shard testbed, 4 workers
 //   place instance 0 5                   # pin instance 0 to shard 5
 //   place controller 0                   # pin the control plane to shard 0
 //   instances 4
@@ -53,18 +60,17 @@ struct ScenarioEvent {
   std::string raw;  // Original tail for rule specs.
 };
 
-// Cell count of a `threads N` run. Fixed — the partitioning (and hence every
-// trace) depends only on the scenario, never on how many worker threads
-// execute it; N picks the worker count, which ranges over [1, kScenarioCells].
+// Cell count of a `threads N` run, and shard count of an `intra-threads N`
+// run. Fixed — the partitioning (and hence every trace) depends only on the
+// scenario, never on how many threads execute it; N picks the thread count,
+// which ranges over [1, kScenarioCells].
 inline constexpr int kScenarioCells = 8;
 
 struct Scenario {
   TestbedConfig testbed;
-  // `threads N` directive: run the scenario cell-sharded on a sim::ShardedSim
-  // with N worker threads — the experiment is replicated into kScenarioCells
-  // independent cells (one full testbed per logical shard, distinct seeds),
-  // with timeline events conducted from shard 0 over cross-shard mail. 0 (no
-  // directive) keeps the legacy single-Simulator path byte-for-byte.
+  // `threads N` directive: replicate the experiment into kScenarioCells
+  // independent cells — each a plain 1-shard run with seed CellSeed(seed, c)
+  // — taken round-robin by N plain threads. 0 (no directive) runs once.
   int threads = 0;
   // `intra-threads N` directive: run ONE testbed spread over kScenarioCells
   // shards of a sim::ShardedSim (intra-cell sharding: each instance, backend,
@@ -102,9 +108,9 @@ std::optional<sim::Duration> ParseDuration(const std::string& token);
 std::optional<net::IpAddr> ParseIp(const std::string& token);
 
 struct ScenarioReport {
-  // 1 for legacy runs; kScenarioCells for `threads N` runs, whose jsonl
-  // sections below are per-cell exports concatenated in shard order (each
-  // preceded by a {"cell":i} marker line).
+  // 1 for single runs; kScenarioCells for `threads N` runs, whose sections
+  // below are the cell reports' sections concatenated in cell order (each preceded by
+  // a {"cell":i} marker line) and whose counts are the cells' sums.
   int cells = 1;
   std::uint64_t requests_ok = 0;
   std::uint64_t requests_failed = 0;
@@ -113,19 +119,26 @@ struct ScenarioReport {
   int failures_detected = 0;
   sim::Histogram latency_ms;
   std::vector<yoda::ControllerEvent> controller_events;
-  // Uniform observability snapshot, taken after the run: the registry as an
-  // aligned text table and as JSON lines, plus the flight recorder's flow
-  // traces as JSON lines (see src/obs/).
+  // Uniform observability snapshot, taken after the run: each shard's
+  // registry as an aligned text table and as JSON lines, plus its flight
+  // recorder's flow traces as JSON lines (see src/obs/), in shard order, each
+  // lane preceded by a "--- shard i ---" heading / {"shard":i} marker line.
   std::string metrics_table;
   std::string metrics_jsonl;
   std::string traces_jsonl;
+  // `threads N` runs: every cell's own report, in cell order.
+  std::vector<ScenarioReport> cell_reports;
 };
+
+// Seed of cell `cell` in a `threads N` run of a scenario seeded `seed`: a
+// function of the two only, never of the thread count.
+std::uint64_t CellSeed(std::uint64_t seed, int cell);
 
 // Builds the testbed, schedules the events, runs the simulation and returns
 // the aggregate report. `log` (optional) receives progress lines. `after_run`
-// (optional) is invoked on the testbed after the simulation finishes but
-// before teardown — tools use it to inspect the flight recorder and metrics
-// registry directly.
+// (optional) is invoked on the calling thread on each testbed (in cell order)
+// after the simulation finishes but before teardown — tools use it to
+// inspect the flight recorder and metrics registry directly.
 ScenarioReport RunScenario(const Scenario& scenario, std::ostream* log = nullptr,
                            const std::function<void(Testbed&)>& after_run = nullptr);
 

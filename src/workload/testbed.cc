@@ -6,40 +6,35 @@
 namespace workload {
 
 Testbed::Testbed(TestbedConfig config)
-    : cfg(std::move(config)),
-      sim(),
-      // Placed: the testbed's "home" simulator is shard 0 (Network lane 0
-      // must live there); the fabric is constructed on ITS owning shard's
-      // simulator so its timers and packets run where its state lives.
-      simulator(cfg.engine != nullptr
-                    ? &cfg.engine->shard(0)
-                    : (cfg.external_sim != nullptr ? cfg.external_sim : &sim)),
-      network(simulator, cfg.seed ^ 0x6e6574ULL),
-      fabric(cfg.engine != nullptr ? &cfg.engine->shard(cfg.placement.fabric_shard)
-                                   : simulator,
-             &network, cfg.muxes) {
-  if (cfg.engine != nullptr) {
-    cfg.placement.shards = cfg.engine->shards();
-    // Per-shard observability lanes: every component reports into its own
-    // shard's registry/recorder so no two worker threads share a sink.
-    for (int s = 0; s < cfg.placement.shards; ++s) {
-      shard_metrics.push_back(std::make_unique<obs::Registry>());
-      shard_flight.push_back(std::make_unique<obs::FlightRecorder>());
-      obs::BindSimulatorGauges(*shard_metrics.back(), cfg.engine->shard(s));
-    }
-    // Resolver before any Attach (Attach stamps the endpoint's owner), then
-    // the engine bind (replicates the endpoint map onto one lane per shard).
-    network.SetShardResolver([this](net::IpAddr ip) { return OwnerShardOf(ip); });
-    network.BindEngine(cfg.engine);
-    fabric.BindShard(cfg.engine, cfg.placement.fabric_shard);
-  } else {
-    obs::BindSimulatorGauges(metrics, *simulator);
+    : own_engine_(config.engine == nullptr
+                      ? std::make_unique<sim::ShardedSim>(sim::ShardedSim::Config{1, 1})
+                      : nullptr),
+      cfg(std::move(config)),
+      sim(cfg.engine != nullptr ? *cfg.engine : *own_engine_),
+      // Network lane 0 must live on shard 0; the fabric is constructed on ITS
+      // owning shard's simulator so its timers and packets run where its
+      // state lives.
+      network(&sim.shard(0), cfg.seed ^ 0x6e6574ULL),
+      fabric(&sim.shard(cfg.placement.fabric_shard), &network, cfg.muxes) {
+  cfg.engine = &sim;
+  cfg.placement.shards = sim.shards();
+  // Per-shard observability lanes: every component reports into its own
+  // shard's registry/recorder so no two worker threads share a sink.
+  for (int s = 1; s < sim.shards(); ++s) {
+    shard_metrics.push_back(std::make_unique<obs::Registry>());
+    shard_flight.push_back(std::make_unique<obs::FlightRecorder>());
   }
-  const bool placed_mode = cfg.engine != nullptr;
+  for (int s = 0; s < sim.shards(); ++s) {
+    obs::BindSimulatorGauges(metrics_lane(s), sim.shard(s));
+  }
+  // Resolver before any Attach (Attach stamps the endpoint's owner), then
+  // the engine bind (replicates the endpoint map onto one lane per shard).
+  network.SetShardResolver([this](net::IpAddr ip) { return OwnerShardOf(ip); });
+  network.BindEngine(&sim);
+  fabric.BindShard(&sim, cfg.placement.fabric_shard);
   const int ctl_shard = cfg.placement.controller_shard;
-  fabric.SetObservability(
-      placed_mode ? &metrics_lane(cfg.placement.fabric_shard) : &metrics,
-      placed_mode ? &flight_lane(cfg.placement.fabric_shard) : &flight);
+  fabric.SetObservability(&metrics_lane(cfg.placement.fabric_shard),
+                          &flight_lane(cfg.placement.fabric_shard));
   network.SetLatency(net::Region::kDatacenter, net::Region::kDatacenter, cfg.dc_latency,
                      cfg.dc_jitter);
   network.SetLatency(net::Region::kDatacenter, net::Region::kInternet, cfg.internet_latency,
@@ -50,77 +45,54 @@ Testbed::Testbed(TestbedConfig config)
   // TCPStore fleet: each replica runs on its owning shard.
   for (int i = 0; i < cfg.kv_servers; ++i) {
     kv_servers.push_back(std::make_unique<kv::KvServer>(
-        SimFor(placed_mode ? cfg.placement.KvShard(i) : 0), "kv-" + std::to_string(i),
-        cfg.kv));
-    if (placed_mode) {
-      kv_servers.back()->audit().Bind(cfg.placement.KvShard(i));
-    }
+        SimFor(cfg.placement.KvShard(i)), "kv-" + std::to_string(i), cfg.kv));
+    kv_servers.back()->audit().Bind(cfg.placement.KvShard(i));
   }
   std::vector<kv::KvServer*> kv_ptrs;
   for (auto& s : kv_servers) {
     kv_ptrs.push_back(s.get());
   }
-  // Placed: op messages to a replica hop to its shard and answers hop home.
-  std::function<int(const kv::KvServer*)> kv_shard_of;
-  if (placed_mode) {
-    kv_shard_of = [this](const kv::KvServer* s) {
-      for (std::size_t i = 0; i < kv_servers.size(); ++i) {
-        if (kv_servers[i].get() == s) {
-          return cfg.placement.KvShard(static_cast<int>(i));
-        }
-      }
-      return cfg.placement.controller_shard;
-    };
-  }
+  // Op messages to a replica hop to its shard and answers hop home.
   kv::ReplicatingClientConfig kv_client_cfg = cfg.kv_client;
   kv_client_cfg.replicas = cfg.kv_replicas;
-  kv_client_cfg.registry = placed_mode ? &metrics_lane(ctl_shard) : &metrics;
-  if (placed_mode) {
-    kv_client_cfg.engine = cfg.engine;
-    kv_client_cfg.home_shard = ctl_shard;
-    kv_client_cfg.shard_of = kv_shard_of;
-  }
-  // The shared client + store live on the controller shard (instances get
-  // their own, below, when placed).
-  kv_client =
-      std::make_unique<kv::ReplicatingClient>(SimFor(ctl_shard), kv_ptrs, kv_client_cfg);
-  store = std::make_unique<yoda::TcpStore>(
-      kv_client.get(), SimFor(ctl_shard),
-      placed_mode ? &flight_lane(ctl_shard) : &flight,
-      placed_mode ? &metrics_lane(ctl_shard) : &metrics);
+  kv_client_cfg.registry = &metrics_lane(ctl_shard);
+  kv_client_cfg.engine = &sim;
+  kv_client_cfg.home_shard = ctl_shard;
+  kv_client_cfg.shard_of = [this](const kv::KvServer* s) {
+    for (std::size_t i = 0; i < kv_servers.size(); ++i) {
+      if (kv_servers[i].get() == s) {
+        return cfg.placement.KvShard(static_cast<int>(i));
+      }
+    }
+    return cfg.placement.controller_shard;
+  };
 
   if (cfg.build_catalog) {
     sim::Rng catalog_rng(cfg.seed ^ 0x636174ULL);
     catalog = std::make_unique<ObjectCatalog>(catalog_rng, cfg.catalog);
   }
 
-  // Yoda instances (+ spares). Placed: each pipeline runs on its owning
-  // shard with its OWN store client (its KV op bookkeeping and timers must
-  // live on its shard, not the controller's).
+  // Yoda instances (+ spares). Each pipeline runs on its owning shard with
+  // its OWN store client (its KV op bookkeeping and timers must live on its
+  // shard, not the controller's).
   for (int i = 0; i < cfg.yoda_instances + cfg.spare_instances; ++i) {
-    const int shard = placed_mode ? cfg.placement.InstanceShard(i) : 0;
+    const int shard = cfg.placement.InstanceShard(i);
     yoda::YodaInstanceConfig icfg = cfg.instance_template;
     icfg.ip = instance_ip(i);
-    icfg.registry = placed_mode ? &metrics_lane(shard) : &metrics;
-    icfg.recorder = placed_mode ? &flight_lane(shard) : &flight;
-    yoda::TcpStore* inst_store = store.get();
-    if (placed_mode) {
-      kv::ReplicatingClientConfig icc = kv_client_cfg;
-      icc.registry = &metrics_lane(shard);
-      icc.home_shard = shard;
-      instance_kv_clients.push_back(
-          std::make_unique<kv::ReplicatingClient>(SimFor(shard), kv_ptrs, icc));
-      instance_stores.push_back(std::make_unique<yoda::TcpStore>(
-          instance_kv_clients.back().get(), SimFor(shard), &flight_lane(shard),
-          &metrics_lane(shard)));
-      inst_store = instance_stores.back().get();
-    }
+    icfg.registry = &metrics_lane(shard);
+    icfg.recorder = &flight_lane(shard);
+    kv::ReplicatingClientConfig icc = kv_client_cfg;
+    icc.registry = &metrics_lane(shard);
+    icc.home_shard = shard;
+    instance_kv_clients.push_back(
+        std::make_unique<kv::ReplicatingClient>(SimFor(shard), kv_ptrs, icc));
+    instance_stores.push_back(std::make_unique<yoda::TcpStore>(
+        instance_kv_clients.back().get(), SimFor(shard), &flight_lane(shard),
+        &metrics_lane(shard)));
     auto inst = std::make_unique<yoda::YodaInstance>(SimFor(shard), &network, &fabric,
-                                                     inst_store,
+                                                     instance_stores.back().get(),
                                                      cfg.seed ^ (0x1000ULL + i), icfg);
-    if (placed_mode) {
-      inst->audit().Bind(shard);
-    }
+    inst->audit().Bind(shard);
     if (i < cfg.yoda_instances) {
       instances.push_back(std::move(inst));
     } else {
@@ -133,8 +105,7 @@ Testbed::Testbed(TestbedConfig config)
     baseline::ProxyConfig pcfg = cfg.proxy_template;
     pcfg.ip = proxy_ip(i);
     proxies.push_back(std::make_unique<baseline::ProxyInstance>(
-        SimFor(placed_mode ? cfg.placement.ProxyShard(i) : 0), &network,
-        cfg.seed ^ (0x2000ULL + i), pcfg));
+        SimFor(cfg.placement.ProxyShard(i)), &network, cfg.seed ^ (0x2000ULL + i), pcfg));
   }
 
   // Backend web servers.
@@ -143,39 +114,32 @@ Testbed::Testbed(TestbedConfig config)
     scfg.ip = backend_ip(i);
     scfg.processing_delay = cfg.server_processing;
     scfg.tcp = cfg.server_tcp;
-    servers.push_back(std::make_unique<HttpServerNode>(
-        SimFor(placed_mode ? cfg.placement.BackendShard(i) : 0), &network, catalog.get(),
-        cfg.seed ^ (0x3000ULL + i), scfg));
-    if (placed_mode) {
-      servers.back()->audit().Bind(cfg.placement.BackendShard(i));
-    }
+    servers.push_back(std::make_unique<HttpServerNode>(SimFor(cfg.placement.BackendShard(i)),
+                                                       &network, catalog.get(),
+                                                       cfg.seed ^ (0x3000ULL + i), scfg));
+    servers.back()->audit().Bind(cfg.placement.BackendShard(i));
   }
 
   // Clients (Internet region).
   for (int i = 0; i < cfg.clients; ++i) {
-    clients.push_back(std::make_unique<BrowserClient>(
-        SimFor(placed_mode ? cfg.placement.ClientShard(i) : 0), &network, client_ip(i),
-        cfg.seed ^ (0x4000ULL + i)));
-    if (placed_mode) {
-      clients.back()->audit().Bind(cfg.placement.ClientShard(i));
-    }
+    clients.push_back(std::make_unique<BrowserClient>(SimFor(cfg.placement.ClientShard(i)),
+                                                      &network, client_ip(i),
+                                                      cfg.seed ^ (0x4000ULL + i)));
+    clients.back()->audit().Bind(cfg.placement.ClientShard(i));
   }
 
+  // Cross-shard control plane: health probes see only the network's
+  // shard-replicated down flags, and every instance-state write (rules,
+  // backend health, scrubs) is routed onto the instance's owning shard.
   yoda::ControllerConfig ctl_cfg = cfg.controller;
-  ctl_cfg.registry = placed_mode ? &metrics_lane(ctl_shard) : &metrics;
-  ctl_cfg.recorder = placed_mode ? &flight_lane(ctl_shard) : &flight;
-  if (placed_mode) {
-    // Cross-shard control plane: probe health only through the network's
-    // shard-replicated down flags, and route every instance-state write
-    // (rules, backend health, scrubs) onto the instance's owning shard.
-    ctl_cfg.probe_network_only = true;
-    ctl_cfg.instance_down = [this](const yoda::YodaInstance* inst) {
-      return network.IsDown(inst->ip());
-    };
-    ctl_cfg.run_on_instance = [this](yoda::YodaInstance* inst, std::function<void()> fn) {
-      RunOnOwner(OwnerShardOf(inst->ip()), std::move(fn));
-    };
-  }
+  ctl_cfg.registry = &metrics_lane(ctl_shard);
+  ctl_cfg.recorder = &flight_lane(ctl_shard);
+  ctl_cfg.instance_down = [this](const yoda::YodaInstance* inst) {
+    return network.IsDown(inst->ip());
+  };
+  ctl_cfg.run_on_instance = [this](yoda::YodaInstance* inst, std::function<void()> fn) {
+    RunOnOwner(OwnerShardOf(inst->ip()), std::move(fn));
+  };
   if (cfg.controller_ha) {
     ctl_kv_client = std::make_unique<kv::ReplicatingClient>(SimFor(ctl_shard), kv_ptrs,
                                                             kv_client_cfg);
@@ -211,14 +175,13 @@ Testbed::Testbed(TestbedConfig config)
 
   // Fault plane last: it installs itself as the network's fault hook and
   // needs the component lists above to route crash/restart/kv-slow events.
-  // Placed: the fault plane is conducted from the controller shard (the
-  // scenario timeline fires there), so its timers and recorder live there.
-  faults = std::make_unique<fault::FaultPlane>(
-      SimFor(ctl_shard), &network, cfg.seed ^ 0x66617574ULL,
-      fault::FaultPlaneConfig{placed_mode ? &flight_lane(ctl_shard) : &flight});
-  // Placed: component mutations are routed to the component's owning shard
-  // (RunOnOwner — inline and byte-identical when unplaced); SetNodeDown
-  // already replicates to every lane internally.
+  // It is conducted from the controller shard (the scenario timeline fires
+  // there), so its timers and recorder live there.
+  faults = std::make_unique<fault::FaultPlane>(SimFor(ctl_shard), &network,
+                                               cfg.seed ^ 0x66617574ULL,
+                                               fault::FaultPlaneConfig{&flight_lane(ctl_shard)});
+  // Component mutations are routed to the component's owning shard
+  // (RunOnOwner); SetNodeDown already replicates to every lane internally.
   faults->set_crash_handler([this](net::IpAddr ip) {
     if (ControllerByIp(ip) != nullptr) {
       // Controllers live off-network (their store client talks to the KV
@@ -283,9 +246,6 @@ Testbed::Testbed(TestbedConfig config)
 }
 
 int Testbed::OwnerShardOf(net::IpAddr ip) const {
-  if (cfg.engine == nullptr) {
-    return 0;
-  }
   const sim::IntraPlacement& pl = cfg.placement;
   // Testbed address plan: the second octet identifies the component kind,
   // the host octet its index (see the header comment).
@@ -312,12 +272,10 @@ int Testbed::OwnerShardOf(net::IpAddr ip) const {
 }
 
 void Testbed::RunOnOwner(int shard, std::function<void()> fn) {
-  if (cfg.engine != nullptr) {
-    const int cur = sim::ShardedSim::current_shard();
-    if (cur >= 0 && cur != shard) {
-      cfg.engine->CallOn(shard, std::move(fn));
-      return;
-    }
+  const int cur = sim::ShardedSim::current_shard();
+  if (cur >= 0 && cur != shard) {
+    sim.CallOn(shard, std::move(fn));
+    return;
   }
   fn();
 }
@@ -348,14 +306,9 @@ yoda::Controller* Testbed::LeaderController() {
 }
 
 yoda::Controller* Testbed::AwaitLeader(sim::Duration max_wait) {
-  const sim::Time deadline = simulator->now() + max_wait;
-  while (LeaderController() == nullptr && simulator->now() < deadline) {
-    const sim::Time step = std::min(deadline, simulator->now() + sim::Msec(10));
-    if (cfg.engine != nullptr) {
-      cfg.engine->RunUntil(step);  // Placed: every shard must advance.
-    } else {
-      simulator->RunUntil(step);
-    }
+  const sim::Time deadline = sim.now() + max_wait;
+  while (LeaderController() == nullptr && sim.now() < deadline) {
+    sim.RunUntil(std::min(deadline, sim.now() + sim::Msec(10)));
   }
   return LeaderController();
 }
@@ -426,8 +379,11 @@ void Testbed::InstallProxyRules(const std::vector<rules::Rule>& proxy_rules) {
   }
 }
 
-void Testbed::PrintMetricsSnapshot(const char* title) const {
-  std::printf("\n--- %s ---\n%s", title, metrics.TextTable().c_str());
+void Testbed::PrintMetricsSnapshot(const char* title) {
+  std::printf("\n--- %s ---\n", title);
+  for (int s = 0; s < lane_count(); ++s) {
+    std::printf("--- shard %d ---\n%s", s, metrics_lane(s).TextTable().c_str());
+  }
 }
 
 void Testbed::FailInstance(int i) {

@@ -4,6 +4,11 @@
 // Integration tests, examples and benches all build on this instead of
 // hand-wiring sixty objects.
 //
+// Every testbed runs placed on a sim::ShardedSim: each component is built on
+// its owning shard's simulator per `cfg.placement`, and time advances only
+// through the engine (`tb.sim`). A testbed built without `cfg.engine` owns a
+// 1-shard, 1-worker engine; everything else is the same code path.
+//
 // Default layout mirrors the Azure testbed: Yoda instances 10.1.0.x,
 // TCPStore 10.2.0.x, backends 10.3.0.x, baseline proxies 10.4.0.x, clients
 // 10.9.0.x (Internet region), VIPs 10.200.0.x.
@@ -36,22 +41,17 @@ namespace workload {
 
 struct TestbedConfig {
   std::uint64_t seed = 42;
-  // When set, every component is wired to this simulator instead of the
-  // testbed's own `sim` member. Cell-sharded scenario runs use this to place
-  // one whole testbed on each sim::ShardedSim shard; the pointer must
-  // outlive the testbed.
-  sim::Simulator* external_sim = nullptr;
-  // Intra-cell sharding: when set, this ONE testbed spans the engine's
-  // shards per `placement` — each instance/backend/kv/client is constructed
-  // on its owning shard's simulator, the network delivers cross-shard
-  // packets through the engine's mailboxes, the fabric and controller get
-  // their cross-shard routing hooks, and observability is per-shard (see
-  // metrics_lane/flight_lane). Mutually exclusive with external_sim; the
-  // engine must outlive the testbed, and its epoch window must not exceed
-  // the minimum cross-shard latency (dc_latency and kv network_delay).
-  // Unsupported in this mode: assignment rollouts / auto-scale (counter
-  // aggregation reads instance state cross-shard) and fault-plane packet
-  // overlays (per-packet draws would race).
+  // The engine this testbed is placed on: each instance/backend/kv/client is
+  // constructed on its owning shard's simulator per `placement`, the network
+  // delivers cross-shard packets through the engine's mailboxes, the fabric
+  // and controller get their cross-shard routing hooks, and observability is
+  // per-shard (see metrics_lane/flight_lane). Unset, the testbed owns a
+  // 1-shard, 1-worker engine. The engine must outlive the testbed, and its
+  // epoch window must not exceed the minimum cross-shard latency (dc_latency
+  // and kv network_delay). Unsupported on more than one shard: assignment
+  // rollouts / auto-scale (counter aggregation reads instance state
+  // cross-shard) and fault-plane packet overlays (per-packet draws would
+  // race).
   sim::ShardedSim* engine = nullptr;
   sim::IntraPlacement placement;
   int yoda_instances = 4;
@@ -115,34 +115,29 @@ class Testbed {
   void InstallProxyRules(const std::vector<rules::Rule>& proxy_rules);
 
   // Uniform end-of-run observability dump used by benches and examples:
-  // prints the metrics registry as an aligned text table to stdout.
-  void PrintMetricsSnapshot(const char* title = "metrics registry snapshot") const;
+  // prints every shard's metrics registry, in shard order, as an aligned
+  // text table under a "shard N" heading.
+  void PrintMetricsSnapshot(const char* title = "metrics registry snapshot");
 
-  // --- intra-cell sharding (cfg.engine set) ---
-  bool placed() const { return cfg.engine != nullptr; }
+  // --- placement ---
   // Owning shard of an address under cfg.placement (controller_shard when
-  // unplaced or the address is outside the testbed plan).
+  // the address is outside the testbed plan).
   int OwnerShardOf(net::IpAddr ip) const;
-  // Simulator that owns `shard` (the testbed's single simulator when
-  // unplaced).
-  sim::Simulator* SimFor(int shard) const {
-    return cfg.engine != nullptr ? &cfg.engine->shard(shard) : simulator;
-  }
-  // Runs `fn` on `shard`: inline when unplaced, idle, or already executing
-  // there; otherwise a cross-shard CallOn landing at the next barrier.
+  // Simulator that owns `shard`.
+  sim::Simulator* SimFor(int shard) const { return &sim.shard(shard); }
+  // Runs `fn` on `shard`: inline when idle or already executing there;
+  // otherwise a cross-shard CallOn landing at the next barrier.
   void RunOnOwner(int shard, std::function<void()> fn);
-  // Per-shard observability lanes. Placed components report into their own
-  // shard's registry/recorder (no cross-thread writes); report code merges
-  // the lanes in shard order. Unplaced, both fall back to the shared
-  // `metrics`/`flight` members and lane_count() is 0.
-  int lane_count() const { return static_cast<int>(shard_metrics.size()); }
+  // Per-shard observability lanes, one per engine shard. Components report
+  // into their own shard's registry/recorder (no cross-thread writes); report
+  // code merges the lanes in shard order. Lane 0 is the `metrics`/`flight`
+  // members, so a single-shard testbed reads them directly.
+  int lane_count() const { return sim.shards(); }
   obs::Registry& metrics_lane(int shard) {
-    return shard_metrics.empty() ? metrics
-                                 : *shard_metrics[static_cast<std::size_t>(shard)];
+    return shard == 0 ? metrics : *shard_metrics[static_cast<std::size_t>(shard - 1)];
   }
   obs::FlightRecorder& flight_lane(int shard) {
-    return shard_flight.empty() ? flight
-                                : *shard_flight[static_cast<std::size_t>(shard)];
+    return shard == 0 ? flight : *shard_flight[static_cast<std::size_t>(shard - 1)];
   }
 
   // Crash helpers (instance/proxy/kv/backend): mark down + drop state.
@@ -183,31 +178,29 @@ class Testbed {
   }
 
   // --- components (construction order matters; declared accordingly) ---
-  TestbedConfig cfg;
-  sim::Simulator sim;
-  // The simulator every component actually runs on: &sim normally, the
-  // engine-owned shard when cfg.external_sim is set (then `sim` is idle and
-  // callers must drive the external engine, not tb.sim).
-  sim::Simulator* const simulator;
-  // Shared observability: every component reports into this registry, and
-  // every flow's lifecycle lands in this flight recorder. Placed testbeds
-  // use the per-shard lanes below instead (metrics_lane/flight_lane).
+ private:
+  // The 1-shard engine of a testbed built without cfg.engine.
+  std::unique_ptr<sim::ShardedSim> own_engine_;
+
+ public:
+  TestbedConfig cfg;  // cfg.engine is always set once constructed.
+  // The engine every component runs on; time advances only through it.
+  sim::ShardedSim& sim;
+  // Lane 0 of the per-shard observability: shard 0's components report into
+  // this registry, and their flows' lifecycles land in this flight recorder.
   obs::Registry metrics;
   obs::FlightRecorder flight;
-  // Per-shard observability lanes (placed mode only; one per engine shard).
+  // Lanes 1..shards-1 (metrics_lane/flight_lane).
   std::vector<std::unique_ptr<obs::Registry>> shard_metrics;
   std::vector<std::unique_ptr<obs::FlightRecorder>> shard_flight;
   net::Network network;
   l4lb::L4Fabric fabric;
   std::vector<std::unique_ptr<kv::KvServer>> kv_servers;
-  std::unique_ptr<kv::ReplicatingClient> kv_client;
   // Control-plane store client (controller_ha): the controllers journal and
   // contend for the lease through their own client into the same KV ring.
   std::unique_ptr<kv::ReplicatingClient> ctl_kv_client;
-  std::unique_ptr<yoda::TcpStore> store;
-  // Placed mode: each instance pipeline gets its own store client + TCPStore
-  // on its owning shard (the shared `kv_client`/`store` above stay on the
-  // controller shard); op messages hop shards via the engine's mailboxes.
+  // Each instance pipeline gets its own store client + TCPStore on its
+  // owning shard; op messages hop shards via the engine's mailboxes.
   std::vector<std::unique_ptr<kv::ReplicatingClient>> instance_kv_clients;
   std::vector<std::unique_ptr<yoda::TcpStore>> instance_stores;
   std::unique_ptr<ObjectCatalog> catalog;

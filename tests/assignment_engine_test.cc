@@ -48,7 +48,7 @@ class AssignmentEngineFleetTest : public ::testing::Test {
     cfg.yoda_instances = instances;
     cfg.build_catalog = false;
     tb = std::make_unique<Testbed>(cfg);
-    state = std::make_unique<ControlState>(&tb->sim);
+    state = std::make_unique<ControlState>(tb->SimFor(0));
   }
 
   std::vector<YodaInstance*> Active() const {

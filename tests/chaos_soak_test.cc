@@ -99,7 +99,7 @@ SoakOutcome RunSoak(std::uint64_t seed) {
   for (auto& c : tb.clients) {
     clients.push_back(c.get());
   }
-  OpenLoopGenerator gen(&tb.sim, clients, seed ^ 0x10adULL, gcfg);
+  OpenLoopGenerator gen(tb.SimFor(0), clients, seed ^ 0x10adULL, gcfg);
   gen.Start();
 
   // Drain: run well past load end + client timeouts + idle GC, so every
@@ -189,23 +189,23 @@ TEST(ChaosRolloutCrash, MidRolloutCrashNeverEmptiesAPool) {
   for (auto& c : tb.clients) {
     clients.push_back(c.get());
   }
-  OpenLoopGenerator gen(&tb.sim, clients, cfg.seed ^ 0x10adULL, gcfg);
+  OpenLoopGenerator gen(tb.SimFor(0), clients, cfg.seed ^ 0x10adULL, gcfg);
   gen.Start();
 
   // Round 1 shrinks the bootstrap all-to-all pool to 2 instances; round 2
   // grows it to 3 — a genuine make/barrier/break rollout whose staggered
   // writes span hundreds of ms. The crash lands 30 ms into round 2.
   std::map<net::IpAddr, yoda::Controller::VipDemand> demand;
-  tb.sim.At(sim::Msec(200), [&] {
+  tb.SimFor(0)->At(sim::Msec(200), [&] {
     demand[tb.vip()] = {0.4, 2, 0};
     ASSERT_TRUE(tb.controller->ApplyManyToMany(demand, 1.0, 2000));
   });
   net::IpAddr victim = 0;
-  tb.sim.At(sim::Msec(400), [&] {
+  tb.SimFor(0)->At(sim::Msec(400), [&] {
     demand[tb.vip()] = {0.6, 3, 0};
     ASSERT_TRUE(tb.controller->ApplyManyToMany(demand, 1.0, 2000));
   });
-  tb.sim.At(sim::Msec(430), [&] {
+  tb.SimFor(0)->At(sim::Msec(430), [&] {
     const auto assigned = tb.controller->AssignedInstances(tb.vip());
     ASSERT_FALSE(assigned.empty());
     victim = assigned[0];
@@ -320,7 +320,7 @@ SoakOutcome RunHaSoak(std::uint64_t seed) {
   for (auto& c : tb.clients) {
     clients.push_back(c.get());
   }
-  OpenLoopGenerator gen(&tb.sim, clients, seed ^ 0x10adULL, gcfg);
+  OpenLoopGenerator gen(tb.SimFor(0), clients, seed ^ 0x10adULL, gcfg);
   gen.Start();
 
   tb.sim.RunUntil(sim::Msec(1000) + sim::Sec(2) * 2 + sim::Sec(4));
@@ -422,7 +422,7 @@ TEST(ChaosHaDoubleKill, BackToBackLeaderKillsNeverSplitTheBrain) {
   for (auto& c : tb.clients) {
     clients.push_back(c.get());
   }
-  OpenLoopGenerator gen(&tb.sim, clients, cfg.seed ^ 0x10adULL, gcfg);
+  OpenLoopGenerator gen(tb.SimFor(0), clients, cfg.seed ^ 0x10adULL, gcfg);
   gen.Start();
 
   // Kill whoever leads at 300 ms; kill the successor at 800 ms (past the
@@ -437,8 +437,8 @@ TEST(ChaosHaDoubleKill, BackToBackLeaderKillsNeverSplitTheBrain) {
     }
     FAIL() << "no acting leader to kill";
   };
-  tb.sim.At(sim::Msec(300), kill_current_leader);
-  tb.sim.At(sim::Msec(800), kill_current_leader);
+  tb.SimFor(0)->At(sim::Msec(300), kill_current_leader);
+  tb.SimFor(0)->At(sim::Msec(800), kill_current_leader);
 
   tb.sim.RunUntil(sim::Msec(1500) + sim::Sec(2) * 2 + sim::Sec(4));
 

@@ -108,7 +108,7 @@ TEST(ControllerHa, LeaderMutationsAreJournaledDurably) {
   EXPECT_GT(leader->journal()->stats().applied_markers, 0u);
 
   // An independent journal client sees the persisted state.
-  yoda::ControlJournal reader(&tb.sim, tb.ctl_kv_client.get(), {});
+  yoda::ControlJournal reader(tb.SimFor(0), tb.ctl_kv_client.get(), {});
   yoda::RestoredControlPlane restored;
   bool done = false;
   reader.Restore([&](yoda::RestoredControlPlane r) {
@@ -118,7 +118,7 @@ TEST(ControllerHa, LeaderMutationsAreJournaledDurably) {
   tb.sim.RunUntil(tb.sim.now() + sim::Msec(200));
   ASSERT_TRUE(done);
   ASSERT_TRUE(restored.found);
-  yoda::ControlState rebuilt(&tb.sim);
+  yoda::ControlState rebuilt(tb.SimFor(0));
   rebuilt.LoadSnapshot(restored.epoch, restored.vips, restored.assignment);
   for (const yoda::DurableChange& c : restored.tail) {
     rebuilt.ApplyDurable(c);
@@ -190,7 +190,7 @@ TEST(ActuatorRetry, StalledStepFailsRoundButDoesNotWedgeIt) {
   cfg.controller.max_step_retries = 2;
   cfg.controller.step_retry_backoff = sim::Msec(5);
   Testbed tb(cfg);
-  tb.instances[2]->Fail();  // Registered with the actuator, currently dead.
+  tb.FailInstance(2);  // Registered with the actuator, currently dead.
 
   tb.controller->DefineVip(tb.vip(), 80, tb.EqualSplitRules(0, 3));
   tb.sim.Run();  // Drain the backoff retries.
@@ -221,8 +221,8 @@ TEST(ActuatorRetry, RecoveryDuringBackoffLetsTheRetrySucceed) {
   cfg.controller.max_step_retries = 3;
   cfg.controller.step_retry_backoff = sim::Msec(5);
   Testbed tb(cfg);
-  tb.instances[2]->Fail();
-  tb.sim.After(sim::Msec(2), [&tb]() { tb.instances[2]->Recover(); });
+  tb.FailInstance(2);
+  tb.SimFor(0)->After(sim::Msec(2), [&tb]() { tb.RecoverInstance(2); });
 
   tb.controller->DefineVip(tb.vip(), 80, tb.EqualSplitRules(0, 3));
   tb.sim.Run();
@@ -331,7 +331,7 @@ TEST(ControllerHa, LeaderCrashMidRolloutIsResumedWithoutDoubleApply) {
   EXPECT_GT(second->fencing_token(), 1u);
 
   // The resumed plan completed durably: a fresh restore finds nothing open.
-  yoda::ControlJournal reader(&tb.sim, tb.ctl_kv_client.get(), {});
+  yoda::ControlJournal reader(tb.SimFor(0), tb.ctl_kv_client.get(), {});
   yoda::RestoredControlPlane restored;
   bool done = false;
   reader.Restore([&](yoda::RestoredControlPlane r) {

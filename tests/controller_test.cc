@@ -368,7 +368,7 @@ TEST_F(ControllerTest, PeriodicAssignmentFollowsMeasuredTraffic) {
     if (when > sim::Sec(25)) {
       return;
     }
-    tb->sim.At(when, [&, vip_idx, rate]() {
+    tb->SimFor(0)->At(when, [&, vip_idx, rate]() {
       tb->clients[0]->FetchObject(tb->vip(vip_idx), 80, tb->catalog->objects()[0].url, {},
                                   [](const workload::FetchResult&) {});
       drive(tb->sim.now() + sim::FromSeconds(rng.Exponential(1.0 / rate)), vip_idx, rate);

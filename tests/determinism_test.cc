@@ -1,13 +1,12 @@
-// Determinism suite for the sharded scenario runners (ctest label
-// "determinism").
+// Determinism suite for the scenario runner (ctest label "determinism").
 //
-// Three properties are pinned:
+// Four properties are pinned:
 //
-//   1. Worker-count invariance, cell-sharded: a `threads N` scenario produces
-//      a trace digest that is byte-identical for any worker count N in
+//   1. Thread-count invariance, cells: a `threads N` scenario produces a
+//      trace digest that is byte-identical for any thread count N in
 //      {1, 2, 4, 8}, across many seeds. The cell partitioning is fixed
-//      (kScenarioCells); N only picks how many OS threads execute the epoch
-//      loop, so the interleaving the workload observes never changes.
+//      (kScenarioCells); N only picks how many plain threads take the cells,
+//      and each cell is exactly a plain run with the cell's derived seed.
 //
 //   2. Worker-count invariance, intra-cell: an `intra-threads N` scenario —
 //      ONE testbed whose components are placed across the engine's shards,
@@ -17,11 +16,11 @@
 //      each other mid-run, so it pins that cross-shard delivery times are a
 //      function of the virtual clocks only, never of the worker schedule.
 //
-//   3. Golden reproduction: the legacy single-simulator path reproduces the
-//      checked-in trace digests for the repo's scenario files. These goldens
-//      were captured from the pre-parallelism build, so they also pin that
-//      the multi-core engine and intra-cell placement work did not perturb
-//      single-threaded traces.
+//   3. Golden reproduction: plain (1-shard) runs reproduce the checked-in
+//      trace digests for the repo's scenario files.
+//
+//   4. One runner: cell c of a `threads N` run reports exactly what a plain
+//      run seeded with CellSeed(seed, c) reports.
 
 #include <fstream>
 #include <map>
@@ -59,9 +58,9 @@ std::uint64_t FullDigest(const ScenarioReport& r) {
   return h;
 }
 
-// A small but non-trivial sharded scenario: open-loop load, an instance and a
-// backend failure with recovery, and a spare activation, all conducted over
-// cross-shard mail.
+// A small but non-trivial `threads N` scenario: open-loop load, an instance
+// and a backend failure with recovery, and a spare activation, replicated
+// into kScenarioCells independent cells.
 std::string ShardedScenarioText(std::uint64_t seed, int threads) {
   std::ostringstream out;
   out << "seed " << seed << "\n"
@@ -206,6 +205,31 @@ TEST(Determinism, IntraCellRepeatRunIsStable) {
   EXPECT_EQ(FullDigest(RunText(text)), FullDigest(RunText(text)));
 }
 
+TEST(Determinism, ThreadsCellEqualsPlainRunWithCellSeed) {
+  // `threads N` is kScenarioCells calls of the one runner: cell c must report
+  // exactly what a plain run of the same scenario reports when seeded with
+  // cell c's derived seed.
+  std::string error;
+  auto sc = ParseScenario(ShardedScenarioText(42, 2), &error);
+  ASSERT_TRUE(sc.has_value()) << error;
+  const ScenarioReport cells = RunScenario(*sc);
+  ASSERT_EQ(cells.cell_reports.size(), static_cast<std::size_t>(workload::kScenarioCells));
+  std::uint64_t ok_sum = 0;
+  for (int c = 0; c < workload::kScenarioCells; ++c) {
+    const ScenarioReport& cell = cells.cell_reports[static_cast<std::size_t>(c)];
+    ok_sum += cell.requests_ok;
+    Scenario plain = *sc;
+    plain.threads = 0;
+    plain.testbed.seed = workload::CellSeed(sc->testbed.seed, c);
+    const ScenarioReport r = RunScenario(plain);
+    EXPECT_GT(r.requests_ok, 0u) << "cell " << c;
+    EXPECT_EQ(cell.requests_ok, r.requests_ok) << "cell " << c;
+    EXPECT_EQ(cell.requests_failed, r.requests_failed) << "cell " << c;
+    EXPECT_EQ(TraceDigest(cell), TraceDigest(r)) << "cell " << c;
+  }
+  EXPECT_EQ(cells.requests_ok, ok_sum);
+}
+
 TEST(Determinism, ShardedRepeatRunIsStable) {
   // Same seed, same worker count, fresh engine: byte-identical output (no
   // leakage of host state — wall clock, thread ids, allocator layout — into
@@ -215,13 +239,15 @@ TEST(Determinism, ShardedRepeatRunIsStable) {
 }
 
 TEST(Determinism, LegacyScenariosReproduceGoldenTraceDigests) {
-  // Captured from the pre-parallelism build (traces were verified
-  // byte-identical before hardcoding). A mismatch means single-threaded
-  // behavior changed: deliberate behavior changes must re-capture these.
+  // Re-captured when plain scenarios moved onto the one runner (per-client
+  // load loops on a 1-shard placed testbed, timeline events landing at the
+  // epoch barrier); EXPERIMENTS.md records the old and new values. A
+  // mismatch means single-shard behavior changed: deliberate behavior changes
+  // must re-capture these.
   const std::map<std::string, std::uint64_t> kGolden = {
-      {"failover.yoda", 0x15ee93c5dac597ddull},
-      {"ha-failover.yoda", 0xa775421462113401ull},
-      {"https.yoda", 0x9b5a6f8f145fdeceull},
+      {"failover.yoda", 0x9fc54a16f0f2c40dull},
+      {"ha-failover.yoda", 0xa8706179e7d08f73ull},
+      {"https.yoda", 0x18a7af5b49a0b116ull},
   };
   for (const auto& [name, want] : kGolden) {
     const std::string path = std::string(YODA_SOURCE_DIR) + "/scenarios/" + name;

@@ -27,12 +27,12 @@ class FleetActuatorTest : public ::testing::Test {
     cfg.yoda_instances = instances;
     cfg.build_catalog = false;
     tb = std::make_unique<Testbed>(cfg);
-    state = std::make_unique<ControlState>(&tb->sim, &tb->flight);
+    state = std::make_unique<ControlState>(tb->SimFor(0), &tb->flight);
     FleetActuatorConfig acfg;
     acfg.mux_stagger = sim::Msec(50);
     acfg.registry = &tb->metrics;
     acfg.recorder = &tb->flight;
-    actuator = std::make_unique<FleetActuator>(&tb->sim, &tb->fabric, state.get(), acfg);
+    actuator = std::make_unique<FleetActuator>(tb->SimFor(0), &tb->fabric, state.get(), acfg);
     for (auto& inst : tb->instances) {
       actuator->RegisterInstance(inst.get());
     }

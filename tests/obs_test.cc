@@ -335,14 +335,42 @@ TEST(ObsE2E, RegistryCountersMatchInstanceStats) {
   }
   EXPECT_EQ(started, 1u);
 
-  // TCPStore counters mirrored into the registry.
-  EXPECT_EQ(tb.metrics.GetCounter("tcpstore.connection_writes").value(),
-            tb.store->stats().connection_writes);
-  EXPECT_GE(tb.store->stats().connection_writes, 1u);
+  // TCPStore counters mirrored into the registry: every instance's store
+  // bumps the one shard-0 counter.
+  std::uint64_t connection_writes = 0;
+  for (auto& store : tb.instance_stores) {
+    connection_writes += store->stats().connection_writes;
+  }
+  EXPECT_EQ(tb.metrics.GetCounter("tcpstore.connection_writes").value(), connection_writes);
+  EXPECT_GE(connection_writes, 1u);
 
   // Simulator gauges are live.
   EXPECT_GT(tb.metrics.GetGauge("sim.events_executed").value(), 0.0);
   EXPECT_GT(tb.metrics.GetGauge("sim.queue_depth_high_water").value(), 0.0);
+}
+
+TEST(ObsE2E, MetricsSnapshotPrintsEveryShardLane) {
+  // Placed over 8 shards, every instrument lives in its shard's lane (lane 0
+  // holds only shard 0's components): the snapshot must print them all.
+  sim::ShardedSim engine(sim::ShardedSim::Config{8, 1});
+  workload::TestbedConfig cfg;
+  cfg.engine = &engine;
+  workload::Testbed tb(cfg);
+  tb.DefineDefaultVipAndStart();
+  int done = 0;
+  for (std::size_t i = 0; i < tb.clients.size(); ++i) {
+    tb.clients[i]->FetchObject(tb.vip(), 80, tb.catalog->objects()[i].url, {},
+                               [&](const workload::FetchResult&) { ++done; });
+  }
+  tb.sim.Run();
+  ASSERT_EQ(done, static_cast<int>(tb.clients.size()));
+
+  testing::internal::CaptureStdout();
+  tb.PrintMetricsSnapshot();
+  const std::string snapshot = testing::internal::GetCapturedStdout();
+  EXPECT_NE(snapshot.find("yoda.flows_started"), std::string::npos) << snapshot;
+  EXPECT_NE(snapshot.find("--- shard 0 ---"), std::string::npos);
+  EXPECT_NE(snapshot.find("--- shard 7 ---"), std::string::npos);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "src/workload/scenario.h"
 
 namespace workload {
@@ -143,6 +148,59 @@ TEST(RunScenario, UpdateRulesMidRun) {
     updated = updated || ev.what.find("update rules") != std::string::npos;
   }
   EXPECT_TRUE(updated);
+}
+
+TEST(RunScenario, EachAddInstanceActivatesTheNextSpare) {
+  // Two spares, two add-instance events: each must activate a DIFFERENT
+  // spare (through the controller's fenced scale-out plan), and each spare
+  // must then serve flows — never before its own activation.
+  auto sc = ParseScenario(R"(
+    seed 3
+    instances 2
+    spares 2
+    backends 3
+    vip 10.200.0.1
+    rule 10.200.0.1 name=r priority=1 url=* split=10.3.0.1,10.3.0.2,10.3.0.3
+    at 0ms load 10.200.0.1 rate 80 duration 4s
+    at 1s add-instance
+    at 2s add-instance
+  )");
+  ASSERT_TRUE(sc.has_value());
+  std::map<net::IpAddr, sim::Time> first_syn;
+  ScenarioReport report = RunScenario(*sc, nullptr, [&first_syn](Testbed& tb) {
+    for (int s = 0; s < tb.lane_count(); ++s) {
+      tb.flight_lane(s).ForEachFlow(
+          [&first_syn](const obs::FlowId&, const std::vector<obs::TraceEvent>& events) {
+            for (const obs::TraceEvent& ev : events) {
+              if (ev.type != obs::EventType::kClientSyn) {
+                continue;
+              }
+              auto [it, fresh] = first_syn.emplace(ev.where, ev.at);
+              if (!fresh) {
+                it->second = std::min(it->second, ev.at);
+              }
+            }
+          });
+    }
+  });
+  EXPECT_EQ(report.requests_failed, 0u);
+
+  std::map<net::IpAddr, sim::Time> activated;
+  for (const yoda::ControllerEvent& ev : report.controller_events) {
+    const std::string prefix = "activated spare instance ";
+    if (ev.what.rfind(prefix, 0) == 0) {
+      auto ip = ParseIp(ev.what.substr(prefix.size()));
+      ASSERT_TRUE(ip.has_value()) << ev.what;
+      activated.emplace(*ip, ev.when);
+    }
+  }
+  for (net::IpAddr ip : {net::MakeIp(10, 1, 0, 3), net::MakeIp(10, 1, 0, 4)}) {
+    EXPECT_EQ(first_syn.count(ip), 1u) << net::IpToString(ip) << " served no flow";
+    EXPECT_EQ(activated.count(ip), 1u) << net::IpToString(ip) << " never activated";
+    if (first_syn.count(ip) == 1 && activated.count(ip) == 1) {
+      EXPECT_GE(first_syn[ip], activated[ip]) << net::IpToString(ip);
+    }
+  }
 }
 
 }  // namespace

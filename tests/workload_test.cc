@@ -186,7 +186,7 @@ TEST(OpenLoop, GeneratesApproximatelyTargetRate) {
   for (auto& c : tb.clients) {
     clients.push_back(c.get());
   }
-  OpenLoopGenerator gen(&tb.sim, clients, 3, gcfg);
+  OpenLoopGenerator gen(tb.SimFor(0), clients, 3, gcfg);
   gen.Start();
   tb.sim.Run();
   EXPECT_NEAR(static_cast<double>(gen.issued()), 1000.0, 120.0);

@@ -349,7 +349,7 @@ TEST_F(YodaE2E, AutoScaleActivatesSparesUnderLoad) {
   for (auto& c : tb->clients) {
     clients.push_back(c.get());
   }
-  workload::OpenLoopGenerator gen(&tb->sim, clients, 7, gcfg);
+  workload::OpenLoopGenerator gen(tb->SimFor(0), clients, 7, gcfg);
   gen.Start();
   tb->sim.Run();
   EXPECT_EQ(tb->controller->ActiveInstances().size(), 4u);

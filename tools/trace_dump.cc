@@ -4,13 +4,14 @@
 //   trace_dump <scenario-file> --json      # raw trace JSON lines
 //   trace_dump <scenario-file> --metrics   # registry snapshot (text table)
 //   trace_dump <scenario-file> --flows N   # limit timeline output to N flows
-//   trace_dump <scenario-file> --shard N   # intra-cell runs: only shard N's lane
+//   trace_dump <scenario-file> --shard N   # only shard N's lane
 //
 // The human-readable view prints each recorded flow's event timeline, the
 // controller's system events, the reconstructed Fig 9 latency decomposition
 // and the takeover timeline — everything derived from obs:: trace events,
-// not from workload-side timers. For placed (`intra-threads`) scenarios the
-// recorder is per-shard: each lane is dumped under a "shard N" heading, every
+// not from workload-side timers. Every testbed is placed, so the recorder is
+// per-shard (one lane for a plain scenario, kScenarioCells for
+// `intra-threads`): each lane is dumped under a "shard N" heading, every
 // event is annotated with the shard that owns its `where` address, and
 // `--shard N` restricts the dump to one lane. See src/workload/scenario.h
 // for the DSL.
@@ -28,8 +29,7 @@
 
 namespace {
 
-// One flight-recorder lane to dump: the shared recorder (shard -1, legacy
-// runs) or a placed testbed's per-shard lane.
+// One flight-recorder lane to dump: a testbed's per-shard recorder.
 struct Lane {
   int shard;
   const obs::FlightRecorder* rec;
@@ -37,10 +37,6 @@ struct Lane {
 
 std::vector<Lane> SelectLanes(workload::Testbed& tb, int only_shard) {
   std::vector<Lane> lanes;
-  if (tb.lane_count() == 0) {
-    lanes.push_back(Lane{-1, &tb.flight});
-    return lanes;
-  }
   for (int s = 0; s < tb.lane_count(); ++s) {
     if (only_shard >= 0 && s != only_shard) {
       continue;
@@ -50,9 +46,9 @@ std::vector<Lane> SelectLanes(workload::Testbed& tb, int only_shard) {
   return lanes;
 }
 
-// " s3" when the testbed is placed and the event names a node, else "".
+// " s3" when the event names a node, else "".
 std::string OwnerTag(const workload::Testbed& tb, const obs::TraceEvent& ev) {
-  if (!tb.placed() || ev.where == 0) {
+  if (ev.where == 0) {
     return "";
   }
   return "  s" + std::to_string(tb.OwnerShardOf(ev.where));
@@ -70,12 +66,9 @@ void PrintFlowTimelines(workload::Testbed& tb, const std::vector<Lane>& lanes,
             return;
           }
           ++shown;
-          std::printf("flow %s:%u -> %s:%u", obs::FormatIp(id.client_ip).c_str(),
-                      id.client_port, obs::FormatIp(id.vip).c_str(), id.vip_port);
-          if (lane.shard >= 0) {
-            std::printf("  [recorded on shard %d]", lane.shard);
-          }
-          std::printf("\n");
+          std::printf("flow %s:%u -> %s:%u  [recorded on shard %d]\n",
+                      obs::FormatIp(id.client_ip).c_str(), id.client_port,
+                      obs::FormatIp(id.vip).c_str(), id.vip_port, lane.shard);
           for (const obs::TraceEvent& ev : events) {
             std::printf("  %10.3f ms  %-18s", sim::ToMillis(ev.at),
                         obs::EventTypeName(ev.type));
@@ -100,11 +93,7 @@ void PrintSystemEvents(workload::Testbed& tb, const std::vector<Lane>& lanes) {
     if (lane.rec->system_events().empty()) {
       continue;
     }
-    if (lane.shard >= 0) {
-      std::printf("\nsystem events (shard %d):\n", lane.shard);
-    } else {
-      std::printf("\nsystem events:\n");
-    }
+    std::printf("\nsystem events (shard %d):\n", lane.shard);
     for (const obs::TraceEvent& ev : lane.rec->system_events()) {
       std::printf("  %10.3f ms  %-18s  @%s%s  detail=%llu\n", sim::ToMillis(ev.at),
                   obs::EventTypeName(ev.type), obs::FormatIp(ev.where).c_str(),
@@ -118,15 +107,9 @@ void PrintAnalysis(const Lane& lane) {
   if (br.flows_seen == 0) {
     return;
   }
-  if (lane.shard >= 0) {
-    std::printf("\nreconstructed breakdown, shard %d (%llu flows, %llu established):\n",
-                lane.shard, static_cast<unsigned long long>(br.flows_seen),
-                static_cast<unsigned long long>(br.flows_established));
-  } else {
-    std::printf("\nreconstructed breakdown (%llu flows, %llu established):\n",
-                static_cast<unsigned long long>(br.flows_seen),
-                static_cast<unsigned long long>(br.flows_established));
-  }
+  std::printf("\nreconstructed breakdown, shard %d (%llu flows, %llu established):\n",
+              lane.shard, static_cast<unsigned long long>(br.flows_seen),
+              static_cast<unsigned long long>(br.flows_established));
   if (!br.connection_ms.empty()) {
     std::printf("  connection: P50 %.2f ms  P99 %.2f ms\n", br.connection_ms.Percentile(50),
                 br.connection_ms.Percentile(99));
@@ -201,13 +184,13 @@ int main(int argc, char** argv) {
   }
 
   // --json with --shard exports one lane; otherwise the report string
-  // carries the full dump (with {"shard":N} markers for placed runs).
+  // carries the full dump (with {"shard":N} markers).
   std::string shard_json;
   workload::ScenarioReport report =
       workload::RunScenario(*scenario, nullptr, [&](workload::Testbed& tb) {
         const std::vector<Lane> lanes = SelectLanes(tb, only_shard);
         if (json) {
-          if (only_shard >= 0 && tb.lane_count() > 0) {
+          if (only_shard >= 0) {
             std::ostringstream out;
             for (const Lane& lane : lanes) {
               lane.rec->ExportJsonLines(out);
@@ -222,13 +205,9 @@ int main(int argc, char** argv) {
           PrintAnalysis(lane);
         }
         if (metrics) {
-          if (tb.lane_count() == 0) {
-            std::printf("\n--- metrics registry ---\n%s", tb.metrics.TextTable().c_str());
-          } else {
-            for (const Lane& lane : lanes) {
-              std::printf("\n--- metrics registry (shard %d) ---\n%s", lane.shard,
-                          tb.metrics_lane(lane.shard).TextTable().c_str());
-            }
+          for (const Lane& lane : lanes) {
+            std::printf("\n--- metrics registry (shard %d) ---\n%s", lane.shard,
+                        tb.metrics_lane(lane.shard).TextTable().c_str());
           }
         }
       });

@@ -29,7 +29,7 @@ at 0ms load 10.200.0.1 rate 150 duration 12s
 at 4s fail-instance 0
 at 8s add-instance
 
-# Uncomment to run as 8 independent cells on 4 worker threads (results are
+# Uncomment to run as 8 independent cells on 4 threads (results are
 # identical for any thread count; see scenarios/sharded-failover.yoda):
 # threads 4
 )";
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n--- report ---\n");
   if (report.cells > 1) {
-    std::printf("cells: %d (aggregated; %d worker thread(s))\n", report.cells,
+    std::printf("cells: %d (aggregated; %d thread(s))\n", report.cells,
                 scenario->threads);
   }
   std::printf("requests: %llu ok, %llu failed\n",
