@@ -17,10 +17,15 @@ http::Request Req(const std::string& url) { return http::MakeGet(url, "mysite.co
 // ---------------------------------------------------------------------------
 
 struct GlobCase {
+  const char* name;
   const char* pattern;
   const char* text;
   bool expect;
 };
+
+// Without this gtest prints the raw bytes of the case, pointers included, so
+// the test names that ctest discovers would change with every load address.
+void PrintTo(const GlobCase& c, std::ostream* os) { *os << c.name; }
 
 class GlobMatchTest : public ::testing::TestWithParam<GlobCase> {};
 
@@ -32,16 +37,26 @@ TEST_P(GlobMatchTest, Matches) {
 
 INSTANTIATE_TEST_SUITE_P(
     Table, GlobMatchTest,
-    ::testing::Values(
-        GlobCase{"*.jpg", "/images/cat.jpg", true}, GlobCase{"*.jpg", "/images/cat.jpeg", false},
-        GlobCase{"*.jpg", ".jpg", true}, GlobCase{"*", "", true}, GlobCase{"*", "anything", true},
-        GlobCase{"", "", true}, GlobCase{"", "x", false}, GlobCase{"abc", "abc", true},
-        GlobCase{"abc", "abd", false}, GlobCase{"a?c", "abc", true},
-        GlobCase{"a?c", "ac", false}, GlobCase{"/news/*", "/news/today", true},
-        GlobCase{"/news/*", "/sports/today", false}, GlobCase{"*news*", "/a/news/b", true},
-        GlobCase{"*.css", "/styles/site.css", true}, GlobCase{"**", "whatever", true},
-        GlobCase{"a*b*c", "aXXbYYc", true}, GlobCase{"a*b*c", "aXXcYYb", false},
-        GlobCase{"*.php", "/index.php", true}, GlobCase{"en-*", "en-GB", true}));
+    ::testing::Values(GlobCase{"suffix_match", "*.jpg", "/images/cat.jpg", true},
+                      GlobCase{"suffix_mismatch", "*.jpg", "/images/cat.jpeg", false},
+                      GlobCase{"star_matches_empty_prefix", "*.jpg", ".jpg", true},
+                      GlobCase{"star_matches_empty", "*", "", true},
+                      GlobCase{"star_matches_any", "*", "anything", true},
+                      GlobCase{"empty_matches_empty", "", "", true},
+                      GlobCase{"empty_rejects_text", "", "x", false},
+                      GlobCase{"literal_equal", "abc", "abc", true},
+                      GlobCase{"literal_differs", "abc", "abd", false},
+                      GlobCase{"question_matches_one_char", "a?c", "abc", true},
+                      GlobCase{"question_needs_a_char", "a?c", "ac", false},
+                      GlobCase{"prefix_match", "/news/*", "/news/today", true},
+                      GlobCase{"prefix_mismatch", "/news/*", "/sports/today", false},
+                      GlobCase{"infix_match", "*news*", "/a/news/b", true},
+                      GlobCase{"css_suffix", "*.css", "/styles/site.css", true},
+                      GlobCase{"double_star", "**", "whatever", true},
+                      GlobCase{"stars_in_order", "a*b*c", "aXXbYYc", true},
+                      GlobCase{"stars_out_of_order", "a*b*c", "aXXcYYb", false},
+                      GlobCase{"php_suffix", "*.php", "/index.php", true},
+                      GlobCase{"language_prefix", "en-*", "en-GB", true}));
 
 // ---------------------------------------------------------------------------
 // Match.
