@@ -53,6 +53,15 @@ std::optional<std::size_t> ContentLength(const HeaderMap& headers) {
   return n;
 }
 
+// Moves a buffer that holds exactly the body out whole, so the message owns
+// the bytes without a copy. Move-constructing (not move-assigning) leaves
+// *buf with no heap buffer; erase() would have kept its capacity.
+std::string TakeBuffer(std::string* buf) {
+  std::string out = std::move(*buf);
+  buf->clear();
+  return out;
+}
+
 }  // namespace
 
 ParseStatus RequestParser::Feed(std::string_view bytes) {
@@ -109,7 +118,11 @@ ParseStatus RequestParser::Advance() {
     have_headers_ = true;
     buf_.erase(0, end + 4);
   }
-  if (buf_.size() >= body_needed_) {
+  if (buf_.size() == body_needed_) {
+    request_.body = TakeBuffer(&buf_);
+    status_ = ParseStatus::kComplete;
+  } else if (buf_.size() > body_needed_) {
+    // Pipelined bytes follow the body; they stay buffered for the next message.
     request_.body = buf_.substr(0, body_needed_);
     buf_.erase(0, body_needed_);
     status_ = ParseStatus::kComplete;
@@ -196,7 +209,11 @@ ParseStatus ResponseParser::Advance() {
     have_headers_ = true;
     buf_.erase(0, end + 4);
   }
-  if (buf_.size() >= body_needed_) {
+  if (buf_.size() == body_needed_) {
+    response_.body = TakeBuffer(&buf_);
+    status_ = ParseStatus::kComplete;
+  } else if (buf_.size() > body_needed_) {
+    // Pipelined bytes follow the body; they stay buffered for the next message.
     response_.body = buf_.substr(0, body_needed_);
     buf_.erase(0, body_needed_);
     status_ = ParseStatus::kComplete;

@@ -90,7 +90,10 @@ void TcpEndpoint::Send(std::string data) {
   if (state_ == TcpState::kClosed || state_ == TcpState::kReset || close_requested_) {
     return;
   }
-  sendq_ += data;
+  if (!data.empty()) {
+    sendq_bytes_ += static_cast<std::uint32_t>(data.size());
+    sendq_.emplace_back(std::move(data));
+  }
   if (state_ == TcpState::kEstablished || state_ == TcpState::kCloseWait) {
     TrySendData();
   }
@@ -178,9 +181,7 @@ void TcpEndpoint::HandleRto() {
     fin.flags = kFin | kAck;
     Emit(std::move(fin));
   } else if (!sendq_.empty()) {
-    const std::uint32_t len =
-        std::min<std::uint32_t>(cfg_.mss, static_cast<std::uint32_t>(sendq_.size()));
-    SendSegment(0, len, /*retransmit=*/true);
+    SendSegment(0, std::min(cfg_.mss, sendq_bytes_), /*retransmit=*/true);
   }
   ArmRto(current_rto_ * 2);
 }
@@ -194,8 +195,8 @@ void TcpEndpoint::SendSegment(std::uint32_t seq_off, std::uint32_t len, bool ret
   p.seq = snd_una_ + seq_off;
   p.ack = rcv_nxt_;
   p.flags = kAck;
-  p.payload = sendq_.substr(seq_off, len);
-  if (seq_off + len >= sendq_.size()) {
+  p.payload = SendqSlice(seq_off, len);
+  if (seq_off + len >= sendq_bytes_) {
     p.flags |= kPsh;
   }
   if (retransmit) {
@@ -204,20 +205,49 @@ void TcpEndpoint::SendSegment(std::uint32_t seq_off, std::uint32_t len, bool ret
   Emit(std::move(p));
 }
 
+Payload TcpEndpoint::SendqSlice(std::uint32_t off, std::uint32_t len) const {
+  auto chunk = sendq_.begin();
+  while (off >= chunk->size()) {
+    off -= static_cast<std::uint32_t>(chunk->size());
+    ++chunk;
+  }
+  if (off + len <= chunk->size()) {
+    return chunk->substr(off, len);  // Shares the chunk's buffer.
+  }
+  // The segment straddles Send boundaries: join its pieces into one buffer.
+  std::string joined;
+  joined.reserve(len);
+  for (; joined.size() < len; ++chunk, off = 0) {
+    joined.append(chunk->view().substr(off, len - joined.size()));
+  }
+  return Payload(std::move(joined));
+}
+
+void TcpEndpoint::DropAcked(std::uint32_t n) {
+  sendq_bytes_ -= n;
+  auto chunk = sendq_.begin();
+  for (; chunk != sendq_.end() && n >= chunk->size(); ++chunk) {
+    n -= static_cast<std::uint32_t>(chunk->size());
+  }
+  if (n > 0) {
+    *chunk = chunk->substr(n);
+  }
+  sendq_.erase(sendq_.begin(), chunk);
+}
+
 void TcpEndpoint::TrySendData() {
   const std::uint64_t window_bytes =
       static_cast<std::uint64_t>(cwnd_) * cfg_.mss;
   while (true) {
     const std::uint32_t in_flight = InFlight();
     const std::uint32_t next_off = in_flight;
-    if (next_off >= sendq_.size()) {
+    if (next_off >= sendq_bytes_) {
       break;
     }
     if (static_cast<std::uint64_t>(in_flight) + cfg_.mss > window_bytes && in_flight > 0) {
       break;
     }
-    const std::uint32_t len =
-        std::min<std::uint32_t>(cfg_.mss, static_cast<std::uint32_t>(sendq_.size()) - next_off);
+    const std::uint32_t len = std::min(cfg_.mss, sendq_bytes_ - next_off);
     SendSegment(next_off, len, /*retransmit=*/false);
     snd_nxt_ += len;
     if (!rto_timer_.pending()) {
@@ -233,7 +263,7 @@ void TcpEndpoint::MaybeSendFin() {
     return;
   }
   // FIN goes out only after all data is in flight (it still may retransmit).
-  if (InFlight() < sendq_.size()) {
+  if (InFlight() < sendq_bytes_) {
     return;
   }
   fin_sent_ = true;
@@ -286,9 +316,12 @@ void TcpEndpoint::ReleaseClosedBuffers() {
   // A terminal endpoint (TIME_WAIT, closed, reset) never transmits or
   // reassembles again, but owners keep it around — server connections linger
   // through TIME_WAIT and browser fetches through the tuple-reuse window. At
-  // high load those windows hold tens of thousands of endpoints, and the send
-  // queue's capacity (a full response; erase() keeps capacity) dominates RSS.
-  std::string().swap(sendq_);
+  // high load those windows hold tens of thousands of endpoints. A fully
+  // acked send queue already holds no bytes; this drops what a reset or a
+  // failed transfer left unacked, the stashed out-of-order segments and the
+  // queue's own slots.
+  std::vector<Payload>().swap(sendq_);
+  sendq_bytes_ = 0;
   ooo_.clear();
 }
 
@@ -318,14 +351,8 @@ void TcpEndpoint::ProcessAck(const Packet& p) {
     return;  // Acks data we never sent; ignore.
   }
   if (SeqGt(ack, snd_una_)) {
-    std::uint32_t newly_acked = ack - snd_una_;
     // The FIN consumes one sequence number not present in sendq_.
-    std::uint32_t data_acked = newly_acked;
-    if (fin_sent_ && SeqGeq(ack, fin_seq_ + 1)) {
-      data_acked = std::min<std::uint32_t>(data_acked, static_cast<std::uint32_t>(sendq_.size()));
-    }
-    data_acked = std::min<std::uint32_t>(data_acked, static_cast<std::uint32_t>(sendq_.size()));
-    sendq_.erase(0, data_acked);
+    DropAcked(std::min(ack - snd_una_, sendq_bytes_));
     snd_una_ = ack;
     dup_acks_ = 0;
     retries_ = 0;
@@ -367,9 +394,7 @@ void TcpEndpoint::ProcessAck(const Packet& p) {
       ++stats_.retransmits;
       ssthresh_ = std::max(cwnd_ / 2.0, 2.0);
       cwnd_ = ssthresh_;
-      const std::uint32_t len =
-          std::min<std::uint32_t>(cfg_.mss, static_cast<std::uint32_t>(sendq_.size()));
-      SendSegment(0, len, /*retransmit=*/true);
+      SendSegment(0, std::min(cfg_.mss, sendq_bytes_), /*retransmit=*/true);
     }
   }
 }

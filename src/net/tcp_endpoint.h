@@ -19,6 +19,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/net/packet.h"
 #include "src/sim/simulator.h"
@@ -84,7 +85,8 @@ class TcpEndpoint {
   void AcceptFrom(const Packet& syn, std::uint32_t isn);
 
   // Queues application bytes for transmission (valid once connected or while
-  // connecting; bytes flow when ESTABLISHED).
+  // connecting; bytes flow when ESTABLISHED). The string is moved into the
+  // send queue and segments are slices of it, so pass it with std::move.
   void Send(std::string data);
 
   // Graceful close: FIN after queued data drains.
@@ -110,7 +112,7 @@ class TcpEndpoint {
   FiveTuple tuple() const { return FiveTuple{self_, peer_, sport_, dport_}; }
   std::uint32_t snd_isn() const { return snd_isn_; }
   std::uint32_t rcv_isn() const { return rcv_isn_; }
-  std::uint32_t bytes_unacked() const { return static_cast<std::uint32_t>(sendq_.size()); }
+  std::uint32_t bytes_unacked() const { return sendq_bytes_; }
   std::uint64_t echoed_cookie() const { return echo_cookie_; }
 
  private:
@@ -118,6 +120,8 @@ class TcpEndpoint {
   void SendAck();
   void TrySendData();
   void SendSegment(std::uint32_t seq_off, std::uint32_t len, bool retransmit);
+  Payload SendqSlice(std::uint32_t off, std::uint32_t len) const;
+  void DropAcked(std::uint32_t n);
   void MaybeSendFin();
   void ArmRto(sim::Duration rto);
   void CancelRto();
@@ -141,12 +145,16 @@ class TcpEndpoint {
   Port sport_ = 0;
   Port dport_ = 0;
 
-  // Send side. sendq_ holds bytes from snd_una_ onward; the first
-  // (snd_nxt_ - snd_una_) of them are in flight.
+  // Send side. sendq_ holds the bytes from snd_una_ onward, one non-empty
+  // chunk per Send call (sendq_bytes_ in all); the first
+  // (snd_nxt_ - snd_una_) of them are in flight. Segments are slices of the
+  // chunks and ACKs drop or slice them, so no byte is copied unless a
+  // segment straddles two chunks.
   std::uint32_t snd_isn_ = 0;
   std::uint32_t snd_una_ = 0;
   std::uint32_t snd_nxt_ = 0;
-  std::string sendq_;
+  std::vector<Payload> sendq_;
+  std::uint32_t sendq_bytes_ = 0;
   bool close_requested_ = false;
   bool fin_sent_ = false;
   std::uint32_t fin_seq_ = 0;

@@ -1,10 +1,18 @@
 #include "src/obs/trace.h"
 
+#include <algorithm>
 #include <ostream>
 
 #include "src/obs/registry.h"
 
 namespace obs {
+namespace {
+
+// A ring's first allocation, which fits a typical flow's whole timeline
+// (14-16 events).
+constexpr std::size_t kFirstRingEvents = 16;
+
+}  // namespace
 
 const char* EventTypeName(EventType type) {
   switch (type) {
@@ -125,7 +133,9 @@ void FlightRecorder::Record(const FlowId& flow, sim::Time at, EventType type,
       return;
     }
     it = flows_.emplace(flow, Ring{}).first;
-    it->second.buf.reserve(cfg_.events_per_flow);
+    // Most flows record far fewer than events_per_flow events; the ring
+    // grows past this on demand.
+    it->second.buf.reserve(std::min(cfg_.events_per_flow, kFirstRingEvents));
     order_.push_back(flow);
   }
   Ring& ring = it->second;

@@ -212,7 +212,7 @@ class FlightRecorder {
 
  private:
   struct Ring {
-    std::vector<TraceEvent> buf;    // Capacity events_per_flow, append-wrap.
+    std::vector<TraceEvent> buf;    // Grows to events_per_flow, then wraps.
     std::uint64_t total = 0;        // Events ever recorded for this flow.
   };
 

@@ -6,6 +6,18 @@
 #include "src/tls/tls.h"
 
 namespace workload {
+namespace {
+
+// Frees everything `obj` holds on the heap. `obj = T()` does not: libstdc++'s
+// move-assignment from a short (SSO) string copies into the target and keeps
+// the target's heap buffer. Swapping hands the buffers to a temporary.
+template <typename T>
+void Release(T& obj) {
+  T fresh;
+  std::swap(obj, fresh);
+}
+
+}  // namespace
 
 // One logical fetch, possibly spanning several connection attempts and (for
 // FetchSequence) several requests on one connection.
@@ -152,7 +164,7 @@ void BrowserClient::StartAttempt(std::shared_ptr<Fetch> fetch) {
       fetch->tls_out_offset += wire.size();
       wire = tls::EncodeRecord({tls::RecordType::kApplicationData, std::move(sealed)});
     }
-    fetch->ep->Send(wire);
+    fetch->ep->Send(std::move(wire));
   };
 
   if (fetch->opts.use_tls) {
@@ -304,22 +316,20 @@ void BrowserClient::FinishFetch(std::shared_ptr<Fetch> fetch, FetchResult result
       demux_.erase(it);
     }
   });
-  // Shed the heavy per-fetch state now rather than at the 3 s reclaim: the
-  // parser's response buffers and URL list dominate client-side RSS at high
-  // load, while the teardown window only needs the endpoint and the tuple.
-  // The endpoint callbacks are all gated on `finished`, so none of this is
-  // reachable again.
+  // Shed the heavy per-fetch state now rather than at the 3 s reclaim: a
+  // fetch that ends mid-response leaves its bytes in the parser, and
+  // thousands of finished fetches sit in that window at high load, while
+  // teardown only needs the endpoint and the tuple. The endpoint callbacks
+  // are all gated on `finished`, so none of this is reachable again.
   std::function<void(std::vector<FetchResult>)> sequence_done =
       std::move(fetch->sequence_done);
   std::vector<FetchResult> sequence_results = std::move(fetch->sequence_results);
   FetchCallback done = std::move(fetch->done);
   const std::size_t url_count = fetch->urls.size();
-  fetch->parser = http::ResponseParser();
-  fetch->tls_reader = tls::RecordReader();
-  fetch->urls.clear();
-  fetch->urls.shrink_to_fit();
-  fetch->tls_certificate.clear();
-  fetch->tls_certificate.shrink_to_fit();
+  Release(fetch->parser);
+  Release(fetch->tls_reader);
+  Release(fetch->urls);
+  Release(fetch->tls_certificate);
   if (sequence_done) {
     if (!result.ok && sequence_results.size() < url_count) {
       sequence_results.push_back(result);

@@ -187,7 +187,7 @@ void HttpServerNode::Serve(net::FiveTuple peer, const http::Request& req) {
       wire = tls::EncodeRecord({tls::RecordType::kApplicationData, std::move(sealed)});
     }
     stats_.bytes_sent += wire.size();
-    ep->Send(wire);
+    ep->Send(std::move(wire));
     if (!keep_alive) {
       ep->Close();
     }

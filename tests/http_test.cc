@@ -148,6 +148,43 @@ TEST(ResponseParser, SplitAcrossSegments) {
   EXPECT_EQ(r.body, "abc");
 }
 
+// Keep-alive pipelining: bytes of the next response follow the first body
+// in one Feed, so the first body is copied out and the rest stays buffered.
+TEST(ResponseParser, PipelinedResponsesQueue) {
+  ResponseParser p;
+  ASSERT_EQ(p.Feed("HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabc"
+                   "HTTP/1.1 404 Not Found\r\nContent-Length: 2\r\n\r\nxy"),
+            ParseStatus::kComplete);
+  Response first = p.TakeResponse();
+  EXPECT_EQ(first.status, 200);
+  EXPECT_EQ(first.body, "abc");
+  EXPECT_EQ(p.status(), ParseStatus::kComplete);  // Second is already parsed.
+  Response second = p.TakeResponse();
+  EXPECT_EQ(second.status, 404);
+  EXPECT_EQ(second.body, "xy");
+  EXPECT_EQ(p.status(), ParseStatus::kNeedMore);
+}
+
+// Keep-alive without pipelining: the buffer holds exactly the first body,
+// which is moved out whole; the parser must then take the next response.
+TEST(ResponseParser, NextResponseAfterBodyMovedOut) {
+  ResponseParser p;
+  const std::string body(5000, 'b');
+  ASSERT_EQ(p.Feed("HTTP/1.1 200 OK\r\nContent-Length: 5000\r\n\r\n" + body),
+            ParseStatus::kComplete);
+  Response first = p.TakeResponse();
+  EXPECT_EQ(first.body, body);
+  EXPECT_EQ(p.status(), ParseStatus::kNeedMore);
+  EXPECT_FALSE(p.HaveHeaders());
+  EXPECT_EQ(p.Feed("HTTP/1.1 304 Not Modified\r\nContent-Le"), ParseStatus::kNeedMore);
+  EXPECT_EQ(p.Feed("ngth: 4\r\n\r\nnext"), ParseStatus::kComplete);
+  Response second = p.TakeResponse();
+  EXPECT_EQ(second.status, 304);
+  EXPECT_EQ(second.body, "next");
+  EXPECT_EQ(first.body, body);
+  EXPECT_EQ(p.status(), ParseStatus::kNeedMore);
+}
+
 TEST(ResponseParser, MalformedStatusCode) {
   ResponseParser p;
   EXPECT_EQ(p.Feed("HTTP/1.1 two-hundred OK\r\n\r\n"), ParseStatus::kError);

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
+#include <ostream>
+#include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/net/network.h"
 #include "src/net/tcp_endpoint.h"
@@ -288,11 +293,20 @@ TEST_F(TcpTest, ReorderingToleratedViaJitter) {
   EXPECT_EQ(server_received, payload);
 }
 
-// Property sweep: the byte stream survives any loss rate / seed combination.
+// Property sweep: the byte stream survives any loss rate / seed combination,
+// whether it is queued by one Send or by many of uneven size. Many pieces make
+// segments straddle Send boundaries and make retransmissions after a partial
+// ACK start in the middle of a queued chunk.
 struct LossCase {
+  const char* name;
   double loss;
   int seed;
+  int pieces;  // Send calls the 40,000-byte payload is split into.
 };
+
+// Without this gtest prints the raw bytes of the case, padding and pointers
+// included, so the test names that ctest discovers would not be stable.
+void PrintTo(const LossCase& c, std::ostream* os) { *os << c.name; }
 
 class TcpLossSweep : public ::testing::TestWithParam<LossCase> {};
 
@@ -331,16 +345,65 @@ TEST_P(TcpLossSweep, StreamIntegrityUnderLoss) {
   for (int i = 0; i < 40'000; ++i) {
     payload.push_back(static_cast<char>('a' + rng.UniformInt(0, 25)));
   }
-  a.Send(payload);
+  // Distinct cut points, so every piece is non-empty and the sizes vary.
+  std::set<std::size_t> cuts{0, payload.size()};
+  while (cuts.size() < static_cast<std::size_t>(c.pieces) + 1) {
+    cuts.insert(static_cast<std::size_t>(
+        rng.UniformInt(1, static_cast<std::int64_t>(payload.size()) - 1)));
+  }
+  for (auto it = cuts.begin(); std::next(it) != cuts.end(); ++it) {
+    a.Send(payload.substr(*it, *std::next(it) - *it));
+  }
   simulator.Run();
-  EXPECT_EQ(received, payload) << "loss=" << c.loss << " seed=" << c.seed;
+  EXPECT_EQ(received, payload) << c.name;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, TcpLossSweep,
-                         ::testing::Values(LossCase{0.01, 1}, LossCase{0.05, 2},
-                                           LossCase{0.10, 3}, LossCase{0.20, 4},
-                                           LossCase{0.30, 5}, LossCase{0.10, 6},
-                                           LossCase{0.10, 7}, LossCase{0.05, 8}));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, TcpLossSweep,
+    ::testing::Values(LossCase{"loss1_seed1", 0.01, 1, 1}, LossCase{"loss5_seed2", 0.05, 2, 1},
+                      LossCase{"loss10_seed3", 0.10, 3, 1}, LossCase{"loss20_seed4", 0.20, 4, 1},
+                      LossCase{"loss30_seed5", 0.30, 5, 1}, LossCase{"loss10_seed6", 0.10, 6, 1},
+                      LossCase{"loss10_seed7", 0.10, 7, 1}, LossCase{"loss5_seed8", 0.05, 8, 1},
+                      LossCase{"loss5_seed9_7pieces", 0.05, 9, 7},
+                      LossCase{"loss10_seed10_37pieces", 0.10, 10, 37},
+                      LossCase{"loss20_seed11_97pieces", 0.20, 11, 97},
+                      LossCase{"loss30_seed12_400pieces", 0.30, 12, 400}));
+
+// One Send of several MSS goes out as slices of that one buffer: the endpoint
+// neither copies the bytes nor allocates a buffer per segment.
+TEST(TcpSendQueue, SegmentsAreSlicesOfTheSendBuffer) {
+  sim::Simulator simulator;
+  std::vector<Packet> sent;
+  TcpEndpoint ep(&simulator, [&sent](Packet p) { sent.push_back(std::move(p)); }, {});
+  ep.Connect(MakeIp(10, 0, 0, 1), 999, MakeIp(10, 0, 0, 2), 80, 5'000);
+  ASSERT_EQ(sent.size(), 1u);
+  ep.HandlePacket(MakeSynAck(sent[0], 9'000));
+  ASSERT_TRUE(ep.established());
+  sent.clear();
+
+  const std::uint32_t mss = TcpConfig{}.mss;
+  std::string data(3 * mss, '\0');
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>('a' + i % 26);
+  }
+  const std::string expected = data;
+  ep.Send(std::move(data));
+
+  std::vector<const Packet*> segments;
+  for (const Packet& p : sent) {
+    if (!p.payload.empty()) {
+      segments.push_back(&p);
+    }
+  }
+  ASSERT_EQ(segments.size(), 3u);
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    EXPECT_EQ(segments[i]->payload, std::string_view(expected).substr(i * mss, mss));
+    EXPECT_EQ(segments[i]->has(kPsh), i + 1 == segments.size());
+  }
+  for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
+    EXPECT_EQ(segments[i + 1]->payload.data(), segments[i]->payload.data() + mss);
+  }
+}
 
 TEST_F(TcpTest, FastRetransmitOnDupAcks) {
   // Lossy enough to trigger dup-acks on a long transfer.
