@@ -15,6 +15,7 @@
 #include "src/kv/replicating_client.h"
 #include "src/obs/registry.h"
 #include "src/sim/random.h"
+#include "src/sim/sharded_sim.h"
 #include "src/sim/simulator.h"
 
 namespace {
@@ -27,7 +28,8 @@ struct RunResult {
 
 RunResult RunLoad(int replicas, double ops_per_server, int servers_n, sim::Duration duration,
                   obs::Registry* registry = nullptr) {
-  sim::Simulator simulator;
+  sim::ShardedSim engine({.shards = 1});
+  sim::Simulator& simulator = engine.shard(0);
   std::vector<std::unique_ptr<kv::KvServer>> servers;
   for (int i = 0; i < servers_n; ++i) {
     servers.push_back(std::make_unique<kv::KvServer>(&simulator, "kv-" + std::to_string(i)));

@@ -251,7 +251,6 @@ CtlFailoverResult RunCtlFailover(bool crash_leader) {
   cfg.yoda_instances = 4;
   cfg.backends = 6;
   cfg.clients = 6;
-  cfg.controller_ha = true;
   cfg.controllers = 3;
   workload::Testbed tb(cfg);
   tb.StartAllControllers();

@@ -20,6 +20,7 @@
 #include "src/fault/fault_plane.h"
 #include "src/kv/kv_server.h"
 #include "src/kv/replicating_client.h"
+#include "src/sim/sharded_sim.h"
 #include "src/workload/testbed.h"
 
 namespace {
@@ -75,7 +76,8 @@ struct ReadResult {
 // `degradation`: 0 = replica 0 dead, otherwise replica 0 answers late by
 // this duration (still within the op timeout).
 ReadResult RunDegradedReads(kv::ReadMode mode, sim::Duration degradation) {
-  sim::Simulator simulator;
+  sim::ShardedSim engine({.shards = 1});
+  sim::Simulator& simulator = engine.shard(0);
   std::vector<std::unique_ptr<kv::KvServer>> servers;
   std::vector<kv::KvServer*> raw;
   for (int i = 0; i < 5; ++i) {

@@ -217,8 +217,9 @@ class Bouncer : public net::Node {
 };
 
 double BenchFabricPps(std::uint64_t total) {
-  sim::Simulator sim;
-  net::Network network(&sim, /*seed=*/1);
+  sim::ShardedSim engine({.shards = 1});
+  sim::Simulator& sim = engine.shard(0);
+  net::Network network(&engine, /*seed=*/1);
   network.SetLatency(net::Region::kDatacenter, net::Region::kDatacenter, sim::Usec(250), 0);
   const net::IpAddr a = net::MakeIp(10, 0, 0, 1);
   const net::IpAddr b = net::MakeIp(10, 0, 0, 2);

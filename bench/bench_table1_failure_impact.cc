@@ -139,7 +139,6 @@ Outcome RunControllerFailure() {
   workload::TestbedConfig cfg;
   cfg.yoda_instances = 2;
   cfg.backends = 3;
-  cfg.controller_ha = true;
   cfg.controllers = 3;
   workload::Testbed tb(cfg);
   tb.StartAllControllers();

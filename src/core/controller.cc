@@ -13,8 +13,6 @@ FleetActuatorConfig Controller::ActuatorConfigFor(Controller* self,
   out.recorder = config.recorder;
   out.max_step_retries = config.max_step_retries;
   out.step_retry_backoff = config.step_retry_backoff;
-  out.run_on_instance = config.run_on_instance;
-  out.instance_down = config.instance_down;
   if (config.ha.enabled) {
     out.token_valid = [self](std::uint64_t token) {
       return !self->crashed_ && self->lease_ != nullptr && self->lease_->is_leader() &&
@@ -45,7 +43,7 @@ Controller::Controller(sim::Simulator* simulator, net::Network* network, l4lb::L
                                             config.readmit_penalty_cap}),
       scaler_(AutoScalerConfig{config.scale_out_cpu, config.scale_out_step,
                                config.scale_out_ticks}),
-      actuator_(simulator, fabric, &state_, ActuatorConfigFor(this, config)) {
+      actuator_(simulator, network, fabric, &state_, ActuatorConfigFor(this, config)) {
   if (cfg_.registry != nullptr) {
     monitor_ticks_ctr_ = &cfg_.registry->GetCounter("controller.monitor_ticks");
     detected_failures_ctr_ = &cfg_.registry->GetCounter("controller.detected_failures");

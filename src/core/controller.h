@@ -94,11 +94,6 @@ struct ControllerConfig {
   obs::Registry* registry = nullptr;
   obs::FlightRecorder* recorder = nullptr;
   ControllerHaConfig ha;
-  // Actuator hooks: route instance-state writes onto the instance's owning
-  // shard, and replace the retry probe's failed() read (see
-  // FleetActuatorConfig).
-  std::function<void(YodaInstance*, std::function<void()>)> run_on_instance;
-  std::function<bool(const YodaInstance*)> instance_down;
 };
 
 struct ControllerEvent {

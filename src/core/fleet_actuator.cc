@@ -1,7 +1,10 @@
 #include "src/core/fleet_actuator.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
+
+#include "src/sim/sharded_sim.h"
 
 namespace yoda {
 
@@ -33,15 +36,11 @@ const char* ExecStepKindName(ExecStepKind kind) {
   return "Unknown";
 }
 
-FleetActuator::FleetActuator(sim::Simulator* simulator, l4lb::L4Fabric* fabric,
-                             const ControlState* state, FleetActuatorConfig config)
-    : sim_(simulator), fabric_(fabric), state_(state), cfg_(config) {
-  if (!cfg_.run_on_instance) {
-    cfg_.run_on_instance = [](YodaInstance*, const std::function<void()>& fn) { fn(); };
-  }
-  if (!cfg_.instance_down) {
-    cfg_.instance_down = [](const YodaInstance* inst) { return inst->failed(); };
-  }
+FleetActuator::FleetActuator(sim::Simulator* simulator, net::Network* network,
+                             l4lb::L4Fabric* fabric, const ControlState* state,
+                             FleetActuatorConfig config)
+    : sim_(simulator), net_(network), fabric_(fabric), state_(state), cfg_(config) {
+  assert(sim_->engine() != nullptr && "FleetActuator must be built on an engine shard");
   if (cfg_.registry != nullptr) {
     plans_ctr_ = &cfg_.registry->GetCounter("controller.reconcile.plans");
     steps_ctr_ = &cfg_.registry->GetCounter("controller.reconcile.steps");
@@ -175,7 +174,7 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
        step.kind == ExecStepKind::kScrubRules ||
        step.kind == ExecStepKind::kSetStoreMode)) {
     YodaInstance* inst = InstanceByIp(step.instance);
-    if (inst != nullptr && cfg_.instance_down(inst)) {
+    if (inst != nullptr && net_->IsDown(inst->ip())) {
       return ApplyResult::kRetry;
     }
   }
@@ -209,10 +208,11 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
         effective = false;  // VIP removed (or instance gone) since planning.
         break;
       }
-      cfg_.run_on_instance(inst, [inst, vip = step.vip, port = desired->port,
-                                  rules = desired->rules, token]() {
-        inst->InstallVip(vip, port, rules, token);
-      });
+      sim_->engine()->RunOn(inst->simulator()->shard_index(),
+                            [inst, vip = step.vip, port = desired->port,
+                             rules = desired->rules, token]() {
+                              inst->InstallVip(vip, port, rules, token);
+                            });
       if (rule_updates_ctr_ != nullptr) {
         rule_updates_ctr_->Inc();
       }
@@ -253,9 +253,10 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
         effective = false;
         break;
       }
-      cfg_.run_on_instance(inst, [inst, backend = step.vip, healthy = step.healthy, token]() {
-        inst->SetBackendHealth(backend, healthy, token);
-      });
+      sim_->engine()->RunOn(inst->simulator()->shard_index(),
+                            [inst, backend = step.vip, healthy = step.healthy, token]() {
+                              inst->SetBackendHealth(backend, healthy, token);
+                            });
       break;
     }
     case ExecStepKind::kAwaitConvergence:
@@ -282,8 +283,8 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
         effective = false;
         break;
       }
-      cfg_.run_on_instance(inst,
-                           [inst, vip = step.vip, token]() { inst->RemoveVip(vip, token); });
+      sim_->engine()->RunOn(inst->simulator()->shard_index(),
+                            [inst, vip = step.vip, token]() { inst->RemoveVip(vip, token); });
       break;
     }
     case ExecStepKind::kDetachVip:
@@ -307,9 +308,10 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
         break;
       }
       const StoreMode mode = stateless ? StoreMode::kStateless : StoreMode::kStateful;
-      cfg_.run_on_instance(inst, [inst, vip = step.vip, mode, epoch = plan.epoch, token]() {
-        inst->SetStoreMode(vip, mode, epoch, token);
-      });
+      sim_->engine()->RunOn(inst->simulator()->shard_index(),
+                            [inst, vip = step.vip, mode, epoch = plan.epoch, token]() {
+                              inst->SetStoreMode(vip, mode, epoch, token);
+                            });
       break;
     }
   }

@@ -38,6 +38,7 @@
 #include "src/core/control_state.h"
 #include "src/core/yoda_instance.h"
 #include "src/l4lb/fabric.h"
+#include "src/net/network.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 
@@ -124,23 +125,18 @@ struct FleetActuatorConfig {
   // for aborted plans: a deposed leader must not journal completion of a
   // plan the new leader now owns.
   std::function<void(const ExecPlan&, bool ok)> on_plan_done;
-  // --- cross-shard hooks (unset = the inline defaults below) ---
-  // Runs an instance-state write (InstallVip / SetBackendHealth / RemoveVip /
-  // SetStoreMode) "on" the instance: the testbed wires this to a cross-shard
-  // CallOn onto the instance's owning shard. The write is fire-and-forget
-  // (lands at the next barrier); ledger/journal/counters stay controller-side
-  // at dispatch time. Default: run inline.
-  std::function<void(YodaInstance*, std::function<void()>)> run_on_instance;
-  // The retry probe's "is the target down" read. The testbed wires it to the
-  // network's shard-replicated down flag for the instance's ip, since
-  // instance->failed() is not safe across shards. Default: failed().
-  std::function<bool(const YodaInstance*)> instance_down;
 };
 
 class FleetActuator {
  public:
-  FleetActuator(sim::Simulator* simulator, l4lb::L4Fabric* fabric, const ControlState* state,
-                FleetActuatorConfig config);
+  // Instance-state writes (InstallVip / SetBackendHealth / RemoveVip /
+  // SetStoreMode) run on the shard of the instance's simulator: from another
+  // shard they are fire-and-forget and land at the next barrier, while the
+  // ledger, journal and counters stay on the actuator's shard at dispatch
+  // time. The retry probe reads `network`'s shard-replicated down flag for
+  // the instance's ip, since instance->failed() is not safe across shards.
+  FleetActuator(sim::Simulator* simulator, net::Network* network, l4lb::L4Fabric* fabric,
+                const ControlState* state, FleetActuatorConfig config);
 
   // Instances the actuator may address (active, suspended and spare).
   void RegisterInstance(YodaInstance* instance);
@@ -169,6 +165,7 @@ class FleetActuator {
   void Record(obs::EventType type, std::uint32_t where, std::uint64_t detail);
 
   sim::Simulator* sim_;
+  net::Network* net_;
   l4lb::L4Fabric* fabric_;
   const ControlState* state_;
   FleetActuatorConfig cfg_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/sim/placement.h"
+
 namespace yoda {
 
 YodaInstance::YodaInstance(sim::Simulator* simulator, net::Network* network,
@@ -190,7 +192,7 @@ bool YodaInstance::StaleControlToken(std::uint64_t token) {
 
 bool YodaInstance::InstallVip(net::IpAddr vip, net::Port vip_port,
                               std::vector<rules::Rule> vip_rules, std::uint64_t token) {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   if (StaleControlToken(token)) {
     return false;
   }
@@ -214,7 +216,7 @@ void YodaInstance::InstallVipTls(net::IpAddr vip, std::string certificate,
 }
 
 bool YodaInstance::RemoveVip(net::IpAddr vip, std::uint64_t token) {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   if (StaleControlToken(token)) {
     return false;
   }
@@ -236,7 +238,7 @@ int YodaInstance::RuleCount(net::IpAddr vip) const {
 }
 
 bool YodaInstance::SetBackendHealth(net::IpAddr backend, bool healthy, std::uint64_t token) {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   if (StaleControlToken(token)) {
     return false;
   }
@@ -246,7 +248,7 @@ bool YodaInstance::SetBackendHealth(net::IpAddr backend, bool healthy, std::uint
 
 bool YodaInstance::SetStoreMode(net::IpAddr vip, StoreMode mode, std::uint64_t epoch,
                                 std::uint64_t token) {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   if (StaleControlToken(token)) {
     return false;
   }
@@ -265,7 +267,7 @@ bool YodaInstance::SetStoreMode(net::IpAddr vip, StoreMode mode, std::uint64_t e
 }
 
 void YodaInstance::Fail() {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   failed_ = true;
   flow_table_.Clear();
   traffic_.clear();
@@ -276,7 +278,7 @@ void YodaInstance::Fail() {
 }
 
 void YodaInstance::Recover() {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   failed_ = false;
 }
 
@@ -302,7 +304,7 @@ std::map<net::IpAddr, VipTraffic> YodaInstance::DrainTrafficCounters() {
 }
 
 void YodaInstance::HandlePacket(const net::Packet& p) {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   if (failed_) {
     return;
   }

@@ -40,7 +40,6 @@
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/rules/rule_table.h"
-#include "src/sim/placement.h"
 #include "src/sim/random.h"
 
 namespace yoda {
@@ -78,6 +77,9 @@ class YodaInstance : public net::Node {
   ~YodaInstance() override;
 
   net::IpAddr ip() const { return cfg_.ip; }
+  // The simulator this instance runs on; its shard is the instance's
+  // placement.
+  sim::Simulator* simulator() const { return sim_; }
 
   // --- controller API ---
   // Every mutating call may carry the leader lease's fencing token (0 =
@@ -133,11 +135,6 @@ class YodaInstance : public net::Node {
   // flow state — exactly a Fail() followed by Recover().
   void OnColdRestart() override;
 
-  // Placed testbeds bind this to the instance's owning shard; the mutation
-  // entry points (controller API, fail/recover, packet delivery) then assert
-  // in debug builds that they execute on that shard.
-  sim::ShardOwnershipAudit& audit() { return audit_; }
-
   CpuModel& cpu() { return cpu_; }
   // Snapshot assembled from the registry counters (labelled with this
   // instance's ip), so the legacy struct view and the exported metrics can
@@ -169,8 +166,6 @@ class YodaInstance : public net::Node {
     obs::Counter* new_connections = nullptr;
     obs::Counter* bytes = nullptr;
   };
-
-  sim::ShardOwnershipAudit audit_;
 
   VipState* FindVip(net::IpAddr vip);
 

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "src/sim/placement.h"
+
 namespace kv {
 
 KvServer::KvServer(sim::Simulator* simulator, std::string id, KvServerConfig config)
@@ -50,7 +52,7 @@ void KvServer::EvictIfNeeded() {
 }
 
 void KvServer::Get(const std::string& key, GetCallback cb) {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   if (failed_) {
     ++stats_.dropped_while_down;
     return;
@@ -74,7 +76,7 @@ void KvServer::Get(const std::string& key, GetCallback cb) {
 }
 
 void KvServer::Set(const std::string& key, std::string value, AckCallback cb) {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   if (failed_) {
     ++stats_.dropped_while_down;
     return;
@@ -100,7 +102,7 @@ void KvServer::Set(const std::string& key, std::string value, AckCallback cb) {
 
 void KvServer::Cas(const std::string& key, std::optional<std::string> expected,
                    std::string value, AckCallback cb) {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   if (failed_) {
     ++stats_.dropped_while_down;
     return;
@@ -133,7 +135,7 @@ void KvServer::Cas(const std::string& key, std::optional<std::string> expected,
 }
 
 void KvServer::Delete(const std::string& key, AckCallback cb) {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   if (failed_) {
     ++stats_.dropped_while_down;
     return;
@@ -156,7 +158,7 @@ void KvServer::Delete(const std::string& key, AckCallback cb) {
 }
 
 void KvServer::Fail() {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   failed_ = true;
   items_.clear();
   lru_.clear();
@@ -164,7 +166,7 @@ void KvServer::Fail() {
 }
 
 void KvServer::Recover() {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   failed_ = false;
 }
 

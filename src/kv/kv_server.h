@@ -17,7 +17,6 @@
 #include <unordered_map>
 
 #include "src/sim/metrics.h"
-#include "src/sim/placement.h"
 #include "src/sim/simulator.h"
 
 namespace kv {
@@ -52,6 +51,8 @@ class KvServer {
   KvServer& operator=(const KvServer&) = delete;
 
   const std::string& id() const { return id_; }
+  // The simulator this server runs on; its shard is the server's placement.
+  sim::Simulator* simulator() const { return sim_; }
 
   // Asynchronous operations: the callback fires after queueing + service
   // time. While the server is down, operations are silently dropped (the
@@ -81,11 +82,6 @@ class KvServer {
   std::size_t item_count() const { return items_.size(); }
   const KvServerStats& stats() const { return stats_; }
 
-  // Placed testbeds bind this to the server's owning shard; the op entry
-  // points (Get/Set/Delete/Cas, fail/recover) then assert in debug builds
-  // that they execute on that shard.
-  sim::ShardOwnershipAudit& audit() { return audit_; }
-
   // CPU accounting for Fig 11.
   double CpuUtilization(sim::Time now) const { return cpu_.Utilization(now); }
   void ResetCpuWindow(sim::Time now) { cpu_.Reset(now); }
@@ -95,8 +91,6 @@ class KvServer {
   sim::Duration QueueDelayNow() const;
 
  private:
-  sim::ShardOwnershipAudit audit_;
-
   // Returns the completion time for an op submitted now.
   sim::Time ScheduleOp();
   // Delivers a response now, or after response_delay_ when gray-slow.

@@ -1,5 +1,6 @@
 #include "src/kv/replicating_client.h"
 
+#include <cassert>
 #include <utility>
 
 #include "src/sim/sharded_sim.h"
@@ -56,7 +57,10 @@ struct ReplicatingClient::GetOp {
 ReplicatingClient::ReplicatingClient(sim::Simulator* simulator, std::vector<KvServer*> servers,
                                      ReplicatingClientConfig config)
     : sim_(simulator), cfg_(config) {
+  assert(sim_->engine() != nullptr && "ReplicatingClient must be built on an engine shard");
   for (KvServer* s : servers) {
+    assert(s->simulator()->engine() == sim_->engine() &&
+           "every replica must run on the client's engine");
     ring_.AddServer(s->id());
     by_id_[s->id()] = s;
   }
@@ -102,29 +106,18 @@ void ReplicatingClient::CountReplicaTimeouts(std::uint64_t n) {
   Bump(ctr_.replica_timeouts, n);
 }
 
-int ReplicatingClient::ShardOf(const KvServer* server) const {
-  return cfg_.shard_of ? cfg_.shard_of(server) : cfg_.home_shard;
-}
-
 void ReplicatingClient::ToServer(KvServer* server, std::function<void()> fn) {
-  if (cfg_.engine == nullptr) {
-    sim_->After(cfg_.network_delay, std::move(fn));
-    return;
-  }
-  // Issued from the home shard; `fn` executes where the replica lives.
-  cfg_.engine->Post(ShardOf(server), sim_->now() + cfg_.network_delay, std::move(fn));
+  // Issued from this client's shard; `fn` executes where the replica lives.
+  sim_->engine()->Post(server->simulator()->shard_index(), sim_->now() + cfg_.network_delay,
+                       std::move(fn));
 }
 
 void ReplicatingClient::ToHome(KvServer* server, std::function<void()> fn) {
-  if (cfg_.engine == nullptr) {
-    sim_->After(cfg_.network_delay, std::move(fn));
-    return;
-  }
   // Issued while executing on the replica's shard, so the departure time is
-  // read off THAT shard's clock — sim_ is the home simulator, whose clock
-  // this thread must not touch mid-epoch.
-  sim::Simulator& at_server = cfg_.engine->shard(ShardOf(server));
-  cfg_.engine->Post(cfg_.home_shard, at_server.now() + cfg_.network_delay, std::move(fn));
+  // read off THAT shard's clock — sim_ is this client's simulator, whose
+  // clock this thread must not touch mid-epoch.
+  sim_->engine()->Post(sim_->shard_index(), server->simulator()->now() + cfg_.network_delay,
+                       std::move(fn));
 }
 
 // --- writes -----------------------------------------------------------------

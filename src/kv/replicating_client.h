@@ -43,10 +43,6 @@
 #include "src/sim/metrics.h"
 #include "src/sim/simulator.h"
 
-namespace sim {
-class ShardedSim;
-}
-
 namespace kv {
 
 // How Get spreads load across the key's replicas.
@@ -77,18 +73,6 @@ struct ReplicatingClientConfig {
   // Optional metrics sink: mirrors op counts and latency histograms into
   // "kv.client.*" instruments.
   obs::Registry* registry = nullptr;
-  // --- intra-cell sharding (all three set together, or none) ---
-  // When `engine` is set, each op message is a cross-shard hop: requests
-  // execute on the replica's owning shard (per `shard_of`) and answers come
-  // back to `home_shard` (the shard that owns this client and the component
-  // embedding it), both timestamped now()+network_delay — which the epoch
-  // window (<= network_delay) guarantees is never clamped. All op
-  // bookkeeping (attempt state, timers, retries, stats) stays home-shard.
-  // Unset, every hop is a plain same-sim After: byte-identical to the
-  // pre-sharding build.
-  sim::ShardedSim* engine = nullptr;
-  int home_shard = 0;
-  std::function<int(const KvServer*)> shard_of;
 };
 
 struct ClientOpStats {
@@ -116,6 +100,8 @@ class ReplicatingClient {
   using GetCallback = std::function<void(std::optional<std::string>)>;
   using AckCallback = std::function<void(bool ok)>;
 
+  // `simulator` and every server's simulator must be shards of one engine:
+  // each op message is an engine hop (see ToServer/ToHome).
   ReplicatingClient(sim::Simulator* simulator, std::vector<KvServer*> servers,
                     ReplicatingClientConfig config = {});
   ReplicatingClient(const ReplicatingClient&) = delete;
@@ -171,14 +157,15 @@ class ReplicatingClient {
   sim::Duration BackoffFor(int attempt) const;
   void CountReplicaTimeouts(std::uint64_t n);
 
-  // One op-message hop. ToServer: home -> the replica's owning shard (fn
-  // then runs where the server lives, typically calling into it). ToHome:
-  // the replica's shard -> home_shard (fn is the answer-side continuation;
-  // must be invoked while executing on `server`'s shard). Legacy (no
-  // engine): both are sim_->After(network_delay, fn).
+  // One op-message hop, timestamped now()+network_delay — which the epoch
+  // window (<= network_delay) guarantees is never clamped. ToServer: this
+  // client's shard -> the shard of `server`'s simulator (fn then runs where
+  // the server lives, typically calling into it). ToHome: back to this
+  // client's shard (fn is the answer-side continuation; must be invoked
+  // while executing on `server`'s shard). All op bookkeeping (attempt state,
+  // timers, retries, stats) stays on this client's shard.
   void ToServer(KvServer* server, std::function<void()> fn);
   void ToHome(KvServer* server, std::function<void()> fn);
-  int ShardOf(const KvServer* server) const;
 
   // Registry mirrors of the stats struct (null without a registry).
   struct StatCounters {

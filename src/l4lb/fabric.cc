@@ -1,5 +1,6 @@
 #include "src/l4lb/fabric.h"
 
+#include <cassert>
 #include <utility>
 
 #include "src/sim/sharded_sim.h"
@@ -8,30 +9,10 @@ namespace l4lb {
 
 L4Fabric::L4Fabric(sim::Simulator* simulator, net::Network* network, int num_muxes)
     : sim_(simulator), net_(network) {
+  assert(sim_->engine() != nullptr && "L4Fabric must be built on an engine shard");
   for (int i = 0; i < num_muxes; ++i) {
     muxes_.push_back(std::make_unique<Mux>(i));
   }
-}
-
-void L4Fabric::BindShard(sim::ShardedSim* engine, int shard) {
-  engine_ = engine;
-  shard_ = shard;
-}
-
-void L4Fabric::OnShard(std::function<void()> fn) {
-  if (engine_ != nullptr) {
-    const int cur = sim::ShardedSim::current_shard();
-    if (cur >= 0 && cur != shard_) {
-      // An instance pipeline (SNAT pin) or an off-shard controller is
-      // writing; the write executes on the fabric's shard at the next
-      // barrier — bounded by the epoch window, i.e. at most one min-latency
-      // link hop late, and always before any packet that could observe it
-      // (a server->VIP return leg needs two DC hops).
-      engine_->CallOn(shard_, std::move(fn));
-      return;
-    }
-  }
-  fn();
 }
 
 void L4Fabric::SetObservability(obs::Registry* registry, obs::FlightRecorder* recorder) {
@@ -47,7 +28,7 @@ void L4Fabric::AttachVip(net::IpAddr vip) { net_->Attach(vip, this); }
 void L4Fabric::DetachVip(net::IpAddr vip) { net_->Detach(vip); }
 
 void L4Fabric::SetVipPool(net::IpAddr vip, const std::vector<net::IpAddr>& instances) {
-  OnShard([this, vip, instances]() {
+  sim_->engine()->RunOn(sim_->shard_index(), [this, vip, instances]() {
     for (auto& mux : muxes_) {
       mux->SetPool(vip, instances);
     }
@@ -56,7 +37,8 @@ void L4Fabric::SetVipPool(net::IpAddr vip, const std::vector<net::IpAddr>& insta
 
 void L4Fabric::SetVipPoolStaggered(net::IpAddr vip, std::vector<net::IpAddr> instances,
                                    sim::Duration per_mux_delay) {
-  OnShard([this, vip, instances = std::move(instances), per_mux_delay]() {
+  sim_->engine()->RunOn(sim_->shard_index(), [this, vip, instances = std::move(instances),
+                                              per_mux_delay]() {
     for (std::size_t i = 0; i < muxes_.size(); ++i) {
       Mux* mux = muxes_[i].get();
       sim_->After(per_mux_delay * static_cast<sim::Duration>(i),
@@ -78,7 +60,8 @@ void L4Fabric::NoteFenced(net::IpAddr vip, std::uint64_t token, const Mux& mux) 
 void L4Fabric::ProgramPool(net::IpAddr vip, std::vector<net::IpAddr> instances,
                            std::uint64_t epoch, sim::Duration per_mux_delay,
                            std::uint64_t token) {
-  OnShard([this, vip, instances = std::move(instances), epoch, per_mux_delay, token]() {
+  sim_->engine()->RunOn(sim_->shard_index(), [this, vip, instances = std::move(instances),
+                                              epoch, per_mux_delay, token]() {
     for (std::size_t i = 0; i < muxes_.size(); ++i) {
       Mux* mux = muxes_[i].get();
       if (per_mux_delay == 0) {
@@ -99,7 +82,8 @@ void L4Fabric::ProgramPool(net::IpAddr vip, std::vector<net::IpAddr> instances,
 
 void L4Fabric::AddPoolMember(net::IpAddr vip, net::IpAddr instance, std::uint64_t epoch,
                              sim::Duration per_mux_delay, std::uint64_t token) {
-  OnShard([this, vip, instance, epoch, per_mux_delay, token]() {
+  sim_->engine()->RunOn(sim_->shard_index(),
+                        [this, vip, instance, epoch, per_mux_delay, token]() {
     for (std::size_t i = 0; i < muxes_.size(); ++i) {
       Mux* mux = muxes_[i].get();
       if (per_mux_delay == 0) {
@@ -120,7 +104,8 @@ void L4Fabric::AddPoolMember(net::IpAddr vip, net::IpAddr instance, std::uint64_
 
 void L4Fabric::RemovePoolMember(net::IpAddr vip, net::IpAddr instance, std::uint64_t epoch,
                                 sim::Duration per_mux_delay, std::uint64_t token) {
-  OnShard([this, vip, instance, epoch, per_mux_delay, token]() {
+  sim_->engine()->RunOn(sim_->shard_index(),
+                        [this, vip, instance, epoch, per_mux_delay, token]() {
     for (std::size_t i = 0; i < muxes_.size(); ++i) {
       Mux* mux = muxes_[i].get();
       if (per_mux_delay == 0) {
@@ -141,7 +126,8 @@ void L4Fabric::RemovePoolMember(net::IpAddr vip, net::IpAddr instance, std::uint
 
 void L4Fabric::SetStoreMode(net::IpAddr vip, bool stateless, std::uint64_t epoch,
                             sim::Duration per_mux_delay, std::uint64_t token) {
-  OnShard([this, vip, stateless, epoch, per_mux_delay, token]() {
+  sim_->engine()->RunOn(sim_->shard_index(),
+                        [this, vip, stateless, epoch, per_mux_delay, token]() {
     for (std::size_t i = 0; i < muxes_.size(); ++i) {
       Mux* mux = muxes_[i].get();
       if (per_mux_delay == 0) {
@@ -161,7 +147,7 @@ void L4Fabric::SetStoreMode(net::IpAddr vip, bool stateless, std::uint64_t epoch
 }
 
 void L4Fabric::RemoveInstanceEverywhere(net::IpAddr instance) {
-  OnShard([this, instance]() {
+  sim_->engine()->RunOn(sim_->shard_index(), [this, instance]() {
     for (auto& mux : muxes_) {
       mux->RemoveInstance(instance);
     }
@@ -178,11 +164,13 @@ void L4Fabric::RemoveInstanceEverywhere(net::IpAddr instance) {
 }
 
 void L4Fabric::RegisterSnat(const net::FiveTuple& server_side, net::IpAddr owner) {
-  OnShard([this, server_side, owner]() { snat_[server_side] = owner; });
+  sim_->engine()->RunOn(sim_->shard_index(),
+                        [this, server_side, owner]() { snat_[server_side] = owner; });
 }
 
 void L4Fabric::UnregisterSnat(const net::FiveTuple& server_side) {
-  OnShard([this, server_side]() { snat_.erase(server_side); });
+  sim_->engine()->RunOn(sim_->shard_index(),
+                        [this, server_side]() { snat_.erase(server_side); });
 }
 
 std::optional<net::IpAddr> L4Fabric::SnatOwner(const net::FiveTuple& server_side) const {

@@ -6,6 +6,14 @@
 // (paper §4.5: "the VIP-to-YODA-instance mapping has to be changed on
 // multiple L4 LB instances, which is not atomic"), which is what creates the
 // transient mixed-traffic window the assignment ILP budgets for.
+//
+// The fabric (one Node: all muxes and the SNAT table) lives on the engine
+// shard of the simulator it is built on. Mutating calls — controller pool
+// writes, SNAT pins — arriving from an event on a *different* shard execute
+// on the fabric's shard at the next epoch barrier (fire-and-forget; all such
+// writes are void): at most one min-latency link hop late, and always before
+// any packet that could observe it (a server->VIP return leg needs two DC
+// hops).
 
 #ifndef SRC_L4LB_FABRIC_H_
 #define SRC_L4LB_FABRIC_H_
@@ -21,10 +29,6 @@
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
 
-namespace sim {
-class ShardedSim;
-}
-
 namespace l4lb {
 
 struct FabricStats {
@@ -34,16 +38,8 @@ struct FabricStats {
 
 class L4Fabric : public net::Node {
  public:
+  // `simulator` must be a shard of an engine (see the header comment).
   L4Fabric(sim::Simulator* simulator, net::Network* network, int num_muxes);
-
-  // Intra-cell sharding: places this fabric (one Node, all muxes and the
-  // SNAT table) on `shard` of `engine`. The construction simulator must be
-  // that shard's. Mutating calls — controller pool writes, SNAT pins —
-  // arriving from an event on a *different* shard are re-routed to execute
-  // on the owning shard at the next epoch barrier (fire-and-forget; all
-  // routed writes are void). Unbound, everything runs inline, unchanged.
-  void BindShard(sim::ShardedSim* engine, int shard);
-  int shard() const { return shard_; }
 
   // Route the VIP through this fabric (attaches this node at `vip`).
   void AttachVip(net::IpAddr vip);
@@ -114,12 +110,7 @@ class L4Fabric : public net::Node {
   // Records kFencedWrite when a rejected write was a fencing (not epoch)
   // rejection: the offered token sits below the mux's watermark.
   void NoteFenced(net::IpAddr vip, std::uint64_t token, const Mux& mux);
-  // Runs `fn` on the owning shard: inline when unbound, idle, or already
-  // executing there; otherwise cross-shard CallOn (lands at the barrier).
-  void OnShard(std::function<void()> fn);
 
-  sim::ShardedSim* engine_ = nullptr;
-  int shard_ = 0;
   sim::Simulator* sim_;
   net::Network* net_;
   std::vector<std::unique_ptr<Mux>> muxes_;

@@ -56,54 +56,32 @@ void Network::EndpointMap::Erase(IpAddr ip) {
   }
 }
 
-Network::Network(sim::Simulator* simulator, std::uint64_t seed) : seed_(seed) {
-  lanes_.push_back(std::make_unique<Lane>(simulator, seed, /*first_trace_id=*/1));
-}
-
-void Network::BindEngine(sim::ShardedSim* engine) {
-  assert(engine != nullptr);
-  assert(lanes_.size() == 1 && "BindEngine must run once, before any traffic");
-  assert(lanes_[0]->sim == &engine->shard(0) &&
-         "lane 0 must be the network's construction simulator");
-  engine_ = engine;
-  for (int s = 1; s < engine->shards(); ++s) {
+Network::Network(sim::ShardedSim* engine, std::uint64_t seed, OwnerFn owner_of)
+    : engine_(engine), owner_of_(std::move(owner_of)) {
+  for (int s = 0; s < engine->shards(); ++s) {
     const std::uint64_t i = static_cast<std::uint64_t>(s);
-    // Derived per-lane RNG stream and a disjoint trace-id space; both are
-    // functions of the lane index only, never the worker count.
-    lanes_.push_back(std::make_unique<Lane>(&engine->shard(s),
-                                            seed_ + 0x9e3779b97f4a7c15ULL * i,
-                                            (i << 48) + 1));
-    lanes_.back()->endpoints = lanes_[0]->endpoints;
+    // Per-lane RNG stream and a disjoint trace-id space; both are functions
+    // of the lane index only, never the worker count.
+    lanes_.push_back(
+        std::make_unique<Lane>(&engine->shard(s), seed + 0x9e3779b97f4a7c15ULL * i, (i << 48) + 1));
   }
-}
-
-void Network::SetShardResolver(std::function<int(IpAddr)> resolver) {
-  shard_resolver_ = std::move(resolver);
 }
 
 int Network::ResolveShard(IpAddr ip) const {
-  if (engine_ == nullptr || !shard_resolver_) {
+  if (!owner_of_) {
     return 0;
   }
-  const int s = shard_resolver_(ip);
+  const int s = owner_of_(ip);
   return (s >= 0 && s < static_cast<int>(lanes_.size())) ? s : 0;
 }
 
-int Network::OwnerShard(IpAddr ip) const {
-  const Endpoint* ep = CurrentLane().endpoints.Find(ip);
-  return ep != nullptr ? ep->owner : 0;
-}
-
 int Network::CurrentLaneIndex() const {
-  if (engine_ == nullptr) {
-    return 0;
-  }
   const int s = sim::ShardedSim::current_shard();
   return s > 0 ? s : 0;
 }
 
 void Network::ApplyLaneWrite(std::function<void(int lane)> fn) {
-  if (engine_ != nullptr && sim::ShardedSim::current_shard() >= 0) {
+  if (sim::ShardedSim::current_shard() >= 0) {
     // Inside the epoch loop other lanes' owners are running concurrently;
     // the write lands on every lane at the next barrier — a worker-count-
     // invariant instant (control-plane propagation, like route withdrawal).
@@ -292,7 +270,7 @@ void Network::Send(Packet&& packet) {
   const Region src_region = p.encap_dst != 0 ? Region::kDatacenter : RegionOf(lane, p.src);
   const sim::Duration latency = DeliveryLatency(lane, src_region, route_dst) + fault.extra_delay;
   const Endpoint* ep = lane.endpoints.Find(route_dst);
-  if (engine_ != nullptr && ep != nullptr && ep->owner != static_cast<int>(lane_idx)) {
+  if (ep != nullptr && ep->owner != static_cast<int>(lane_idx)) {
     // Cross-shard: the packet travels as engine mail timestamped with the
     // full link latency. The epoch window is <= the minimum cross-shard
     // latency, so now()+latency is at or past the next barrier — the mail is
@@ -304,9 +282,8 @@ void Network::Send(Packet&& packet) {
                   [this, owner, copy]() mutable { DeliverCross(owner, std::move(copy)); });
     return;
   }
-  // Same-shard (or unsharded, or unattached — dropped locally at delivery):
-  // the legacy O(1) raw-event path. For lane 0 the packed arg equals the
-  // plain slot index the pre-lane build scheduled, event for event.
+  // Same-shard (or unattached — dropped locally at delivery): one O(1) raw
+  // event carrying (lane, slot).
   lane.sim->AfterRaw(latency, &Network::DeliverTrampoline, this,
                      (static_cast<std::uint64_t>(lane_idx) << 32) | slot);
 }
@@ -339,17 +316,13 @@ void Network::Deliver(std::uint32_t lane_idx, std::uint32_t slot) {
     ReleaseSlot(lane, slot);
     return;
   }
-#ifndef NDEBUG
-  if (engine_ != nullptr) {
-    // Ownership audit: packets mutate node state, so delivery must execute
-    // on the endpoint's owning shard (or outside the epoch loop entirely).
-    const int cur = sim::ShardedSim::current_shard();
-    assert((cur < 0 || cur == static_cast<int>(lane_idx)) &&
-           "packet delivered on a lane foreign to the executing shard");
-    assert(ep->owner == static_cast<int>(lane_idx) &&
-           "packet delivered off the destination's owning shard");
-  }
-#endif
+  // Ownership rule: packets mutate node state, so delivery must execute on
+  // the endpoint's owning shard (or outside the epoch loop entirely).
+  assert((sim::ShardedSim::current_shard() < 0 ||
+          sim::ShardedSim::current_shard() == static_cast<int>(lane_idx)) &&
+         "packet delivered on a lane foreign to the executing shard");
+  assert(ep->owner == static_cast<int>(lane_idx) &&
+         "packet delivered off the destination's owning shard");
   ++lane.stats.delivered;
   if (tap_) {
     tap_(lane.sim->now(), p);

@@ -9,16 +9,14 @@
 // Virtual IPs are attached like any other address (the L4 mux attaches at
 // the VIP), matching how VIP routes point at the L4 LB in a real DC.
 //
-// Shard-aware mode (BindEngine): one Network can span every shard of a
-// sim::ShardedSim. Each shard gets a private Lane — its own RNG stream,
-// trace-id space, stats, packet pool and a replica of the endpoint table —
-// so the per-packet fast path touches no shared mutable state. A Send whose
-// destination lives on the sending shard keeps the legacy O(1) AfterRaw
-// path; a cross-shard Send posts the packet into the engine's SPSC mailboxes
-// at now()+latency, which the epoch-barrier window (<= the minimum
-// cross-shard latency) guarantees is never clamped — delivery lands at a
-// worker-count-invariant instant. Without BindEngine there is exactly one
-// lane and behavior is byte-identical to the pre-shard-aware build.
+// Shards: a Network spans every shard of the sim::ShardedSim it is built on.
+// Each shard gets a private Lane — its own RNG stream, trace-id space, stats,
+// packet pool and a replica of the endpoint table — so the per-packet fast
+// path touches no shared mutable state. A Send whose destination lives on the
+// sending shard is one O(1) AfterRaw event; a cross-shard Send posts the
+// packet into the engine's SPSC mailboxes at now()+latency, which the
+// epoch-barrier window (<= the minimum cross-shard latency) guarantees is
+// never clamped — delivery lands at a worker-count-invariant instant.
 
 #ifndef SRC_NET_NETWORK_H_
 #define SRC_NET_NETWORK_H_
@@ -94,27 +92,19 @@ class FaultObserver {
 
 class Network {
  public:
-  Network(sim::Simulator* simulator, std::uint64_t seed);
+  // Maps an address to the shard that owns the node attached there.
+  using OwnerFn = std::function<int(IpAddr)>;
+
+  // One lane per shard of `engine`. `owner_of` is consulted once per Attach
+  // (and per SetNodeDown upsert) to stamp the endpoint's owning shard; unset,
+  // every address resolves to shard 0.
+  Network(sim::ShardedSim* engine, std::uint64_t seed, OwnerFn owner_of = {});
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // Spreads this network over every shard of `engine`: creates one Lane per
-  // shard (lane 0 takes over this network's existing simulator/RNG/state, so
-  // it must be &engine->shard(0)'s network view). Call before any Attach.
-  void BindEngine(sim::ShardedSim* engine);
-  // Maps an address to its owning shard; consulted once per Attach (and per
-  // SetNodeDown upsert) to stamp Endpoint::owner. Unset resolves to shard 0.
-  // Call before any Attach.
-  void SetShardResolver(std::function<int(IpAddr)> resolver);
-  bool sharded() const { return engine_ != nullptr; }
-  // The owning shard of `ip` per the current endpoint table (lane-local
-  // replica); 0 when unsharded or unattached.
-  int OwnerShard(IpAddr ip) const;
-
   // Attaches `node` at `ip`. Re-attaching replaces the previous binding.
-  // Sharded mode: from inside the epoch loop the write is broadcast and
-  // lands on every lane at the next barrier; idle (setup) writes apply
-  // immediately.
+  // From inside the epoch loop the write is broadcast and lands on every
+  // lane at the next barrier; idle (setup) writes apply immediately.
   void Attach(IpAddr ip, Node* node, Region region = Region::kDatacenter);
   void Detach(IpAddr ip);
   bool IsAttached(IpAddr ip) const {
@@ -140,7 +130,7 @@ class Network {
   // Cold restart: clears the node's volatile state (Node::OnColdRestart),
   // then revives it. The attachment itself survives — a rebooted VM comes
   // back at the same address. No-op if nothing is attached at `ip`.
-  // Sharded mode: OnColdRestart runs only on the owning lane's barrier arm.
+  // OnColdRestart runs only on the owning lane's arm of the write.
   void RestartNode(IpAddr ip);
 
   // Latency model. Delivery latency = one-way base for the (src,dst) region
@@ -159,8 +149,8 @@ class Network {
   // observer). Draws nothing from the network RNG; loss decisions come from
   // the fault plane's own RNG, so probes are deterministic and do not
   // perturb data-path draws. The monitor's health checks are built on this.
-  // Sharded mode: answers from the probing shard's replica of the endpoint
-  // table (down-state propagates at barriers, like real route withdrawal).
+  // Answers from the probing shard's replica of the endpoint table
+  // (down-state propagates at barriers, like real route withdrawal).
   bool ProbePath(IpAddr src, IpAddr dst);
 
   // Sends `packet` toward packet.dst (outer encap header when present).
@@ -172,19 +162,18 @@ class Network {
   void Send(Packet&& packet);
 
   // Observes every delivered packet (for tcpdump-style traces in benches).
-  // Setup-time; unsupported (would race) in sharded mode.
+  // Setup-time; unsupported (would race) on more than one shard.
   using TapFn = std::function<void(sim::Time, const Packet&)>;
   void set_tap(TapFn tap) { tap_ = std::move(tap); }
 
-  // Aggregated over lanes (sharded mode); read only while the engine is
-  // idle. Single-lane (legacy) reads are the lane's live struct.
+  // Aggregated over lanes; read only while the engine is idle. A one-lane
+  // network returns the lane's live struct.
   const NetworkStats& stats() const;
-  sim::Simulator* simulator() { return lanes_[0]->sim; }
 
   // Packet-pool gauges (for tests and leak spotting). A slot is acquired per
   // Send and released on delivery or on any drop — fault, loss, unroutable
   // or down — so in-flight is exactly the number of scheduled deliveries.
-  // Summed over lanes in sharded mode.
+  // Summed over lanes.
   std::size_t packet_pool_slots() const;
   std::size_t packet_pool_free() const;
   std::size_t packets_in_flight() const {
@@ -205,7 +194,7 @@ class Network {
     Node* node = nullptr;
     Region region = Region::kDatacenter;
     bool down = false;
-    int owner = 0;  // Owning shard (always 0 unsharded).
+    int owner = 0;  // Owning shard.
   };
 
   // Open-addressing IpAddr -> Endpoint table with power-of-two buckets and
@@ -254,11 +243,9 @@ class Network {
     std::size_t size_ = 0;
   };
 
-  // Per-shard slice of the fabric. Lane 0 is constructed from the Network's
-  // (simulator, seed) arguments, so an unsharded network — exactly one lane
-  // — executes the identical instruction/draw sequence the pre-lane build
-  // did. Lanes 1..S-1 exist only after BindEngine; their RNG streams and
-  // trace-id spaces are derived from the lane index, never the worker count.
+  // Per-shard slice of the fabric. Each lane's RNG stream and trace-id space
+  // are derived from the lane index, never the worker count; lane 0 draws
+  // from the Network's seed itself.
   struct Lane {
     Lane(sim::Simulator* simulator, std::uint64_t seed, std::uint64_t first_trace_id)
         : sim(simulator), rng(seed), next_trace_id(first_trace_id) {}
@@ -278,14 +265,14 @@ class Network {
     std::size_t releases_since_trim = 0;
   };
 
-  // The executing shard's lane; lane 0 outside the epoch loop or unsharded.
+  // The executing shard's lane; lane 0 outside the epoch loop.
   int CurrentLaneIndex() const;
   Lane& CurrentLane() { return *lanes_[static_cast<std::size_t>(CurrentLaneIndex())]; }
   const Lane& CurrentLane() const { return const_cast<Network*>(this)->CurrentLane(); }
   int ResolveShard(IpAddr ip) const;
   // Applies a lane-replicated endpoint write (`fn(lane_idx)` mutates
-  // lanes_[lane_idx]): immediately on every lane when idle/unsharded, else
-  // broadcast so each lane applies it at the next barrier.
+  // lanes_[lane_idx]): immediately on every lane when the engine is idle,
+  // else broadcast so each lane applies it at the next barrier.
   void ApplyLaneWrite(std::function<void(int lane)> fn);
 
   sim::Duration DeliveryLatency(Lane& lane, Region src_region, IpAddr dst);
@@ -297,10 +284,9 @@ class Network {
   void DeliverCross(int lane_idx, Packet&& packet);
   static void DeliverTrampoline(void* ctx, std::uint64_t arg);
 
-  sim::ShardedSim* engine_ = nullptr;
-  std::function<int(IpAddr)> shard_resolver_;
-  std::uint64_t seed_;
-  std::vector<std::unique_ptr<Lane>> lanes_;  // lanes_[0] always exists.
+  sim::ShardedSim* engine_;
+  OwnerFn owner_of_;
+  std::vector<std::unique_ptr<Lane>> lanes_;  // One per engine shard.
   // Dense (src region, dst region) grid; symmetric, default-initialized so
   // unconfigured pairs keep the 250 us +- 50 us jitter default. Shared by
   // lanes: configured at setup, read-only while running.

@@ -12,9 +12,9 @@
 // digests byte-identical across worker counts.
 //
 // Ownership rule: a component's state may only be mutated by an event
-// executing on its owning shard. ShardOwnershipAudit (below) asserts this in
-// debug builds at the mutation entry points (packet delivery, KV ops,
-// instance config writes).
+// executing on its owning shard — the shard of the simulator it was built on.
+// AssertOnOwnerShard (below) checks this in debug builds at the mutation
+// entry points (packet delivery, KV ops, instance config writes).
 
 #ifndef SRC_SIM_PLACEMENT_H_
 #define SRC_SIM_PLACEMENT_H_
@@ -64,28 +64,15 @@ struct IntraPlacement {
   }
 };
 
-// Debug-build assertion that the executing shard owns the component whose
-// state is being mutated. Bind(shard) during placed construction; every
-// mutation entry point calls Check(). Unbound (owner -1: components built
-// outside a testbed, e.g. by unit tests) and outside-the-epoch-loop (setup,
-// aggregation — current_shard() == -1) checks pass; only a *worker thread on
-// the wrong shard* trips the assert. Release builds compile it away.
-class ShardOwnershipAudit {
- public:
-  void Bind(int shard) { owner_ = shard; }
-  int owner() const { return owner_; }
-
-  void Check() const {
-#ifndef NDEBUG
-    const int cur = ShardedSim::current_shard();
-    assert((cur < 0 || owner_ < 0 || cur == owner_) &&
-           "shard ownership violation: component mutated off its owning shard");
-#endif
-  }
-
- private:
-  int owner_ = -1;
-};
+// Debug-build ownership check for a component built on `owner`: only an
+// event executing on another shard trips it. Outside the epoch loop (setup,
+// aggregation: current_shard() == -1) every check passes. Release builds
+// compile it away.
+inline void AssertOnOwnerShard([[maybe_unused]] const Simulator& owner) {
+  assert((ShardedSim::current_shard() < 0 ||
+          ShardedSim::current_shard() == owner.shard_index()) &&
+         "shard ownership violation: component mutated off its owning shard");
+}
 
 }  // namespace sim
 

@@ -21,6 +21,8 @@ ShardedSim::ShardedSim(Config cfg)
   sims_.reserve(static_cast<std::size_t>(shards_));
   for (int i = 0; i < shards_; ++i) {
     sims_.push_back(std::make_unique<Simulator>());
+    sims_.back()->engine_ = this;
+    sims_.back()->shard_index_ = i;
   }
   mail_.reserve(static_cast<std::size_t>(shards_) * static_cast<std::size_t>(shards_));
   for (int i = 0; i < shards_ * shards_; ++i) {

@@ -39,6 +39,7 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -85,6 +86,19 @@ class ShardedSim {
   // order within each shard's own queue. For replicated-state updates
   // (endpoint maps, link-fault rules).
   void Broadcast(std::function<void(int shard)> fn);
+
+  // Runs `fn` on shard `dst`: inline when the engine is idle or the caller
+  // already executes on `dst`, else CallOn (lands at the next barrier). For
+  // fire-and-forget writes into a component owned by `dst`.
+  template <typename Fn>
+  void RunOn(int dst, Fn&& fn) {
+    const int cur = current_shard();
+    if (cur >= 0 && cur != dst) {
+      CallOn(dst, std::forward<Fn>(fn));
+      return;
+    }
+    fn();
+  }
 
   // Runs until no shard holds a pending non-daemon event and no mail is in
   // flight (the multi-shard analogue of Simulator::Run).

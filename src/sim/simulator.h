@@ -26,6 +26,10 @@
 // This is the substrate that replaces the paper's Azure testbed: every other
 // component (TCP endpoints, the L4 mux, Yoda instances, TCPStore servers,
 // clients) schedules its work through one Simulator instance.
+//
+// Placement: a Simulator created by a ShardedSim is one shard of that engine
+// and knows both (engine(), shard_index()); a component built on it reads its
+// placement from there. A standalone Simulator has neither.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
@@ -41,6 +45,7 @@
 
 namespace sim {
 
+class ShardedSim;
 class Simulator;
 
 // Handle for a scheduled event; allows cancellation before it fires.
@@ -83,6 +88,11 @@ class Simulator {
 
   // Current simulated time.
   Time now() const { return now_; }
+
+  // The engine this simulator is a shard of, and its index there; nullptr
+  // and -1 for a standalone simulator.
+  ShardedSim* engine() const { return engine_; }
+  int shard_index() const { return shard_index_; }
 
   // Schedules `fn` to run at absolute time `when`. `when` must be >= now().
   // Daemon events (background housekeeping like health-monitor ticks) do not
@@ -143,6 +153,7 @@ class Simulator {
 
  private:
   friend class TimerHandle;
+  friend class ShardedSim;  // Sets engine_/shard_index_ on the shards it creates.
 
   static constexpr std::uint32_t kNil = 0xffffffffu;
   static constexpr int kTickShift = 10;  // 1024 ns per tick.
@@ -300,6 +311,9 @@ class Simulator {
   std::vector<DueEntry> due_;
   std::size_t due_head_ = 0;
   bool due_batching_ = false;  // Set inside AdvanceWheel; defers sorting.
+
+  ShardedSim* engine_ = nullptr;
+  int shard_index_ = -1;
 };
 
 }  // namespace sim

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/kv/hash_ring.h"
+#include "src/sim/placement.h"
 #include "src/tls/tls.h"
 
 namespace workload {
@@ -93,7 +94,7 @@ net::Port BrowserClient::NextPort() {
 }
 
 void BrowserClient::HandlePacket(const net::Packet& p) {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   auto it = demux_.find(p.tuple());
   if (it == demux_.end()) {
     return;
@@ -106,7 +107,7 @@ void BrowserClient::HandlePacket(const net::Packet& p) {
 
 void BrowserClient::FetchObject(net::IpAddr target, net::Port port, const std::string& url,
                                 const FetchOptions& options, FetchCallback done) {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   auto fetch = std::make_shared<Fetch>();
   fetch->owner = this;
   fetch->target = target;

@@ -26,7 +26,6 @@
 #include "src/net/network.h"
 #include "src/net/tcp_endpoint.h"
 #include "src/sim/metrics.h"
-#include "src/sim/placement.h"
 #include "src/sim/random.h"
 
 namespace workload {
@@ -82,13 +81,7 @@ class BrowserClient : public net::Node {
 
   net::TcpConfig& tcp_config() { return tcp_; }
 
-  // Placed testbeds bind this to the client's owning shard; FetchObject and
-  // packet delivery assert in debug builds that they execute there.
-  sim::ShardOwnershipAudit& audit() { return audit_; }
-
  private:
-  sim::ShardOwnershipAudit audit_;
-
   struct Fetch;
   struct PageFetch;
 

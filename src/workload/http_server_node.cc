@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "src/sim/placement.h"
+
 namespace workload {
 
 HttpServerNode::HttpServerNode(sim::Simulator* simulator, net::Network* network,
@@ -14,13 +16,13 @@ HttpServerNode::HttpServerNode(sim::Simulator* simulator, net::Network* network,
 HttpServerNode::~HttpServerNode() = default;
 
 void HttpServerNode::Fail() {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   failed_ = true;
   conns_.clear();
 }
 
 void HttpServerNode::Recover() {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   failed_ = false;
 }
 
@@ -36,7 +38,7 @@ std::uint64_t HttpServerNode::DrainRequestCounter() {
 }
 
 void HttpServerNode::HandlePacket(const net::Packet& p) {
-  audit_.Check();
+  sim::AssertOnOwnerShard(*sim_);
   if (failed_ || p.dport != cfg_.port) {
     return;
   }

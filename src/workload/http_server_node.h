@@ -16,7 +16,6 @@
 #include "src/http/parser.h"
 #include "src/net/network.h"
 #include "src/net/tcp_endpoint.h"
-#include "src/sim/placement.h"
 #include "src/sim/random.h"
 #include "src/tls/tls.h"
 #include "src/workload/object_catalog.h"
@@ -59,17 +58,11 @@ class HttpServerNode : public net::Node {
 
   void HandlePacket(const net::Packet& packet) override;
 
-  // Placed testbeds bind this to the backend's owning shard; fail/recover
-  // and packet delivery assert in debug builds that they execute there.
-  sim::ShardOwnershipAudit& audit() { return audit_; }
-
   const HttpServerStats& stats() const { return stats_; }
   // Requests served since the last drain (Fig 14 measures per-server share).
   std::uint64_t DrainRequestCounter();
 
  private:
-  sim::ShardOwnershipAudit audit_;
-
   struct Conn {
     std::unique_ptr<net::TcpEndpoint> ep;
     http::RequestParser parser;

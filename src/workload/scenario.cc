@@ -284,7 +284,6 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
         // >1 controller replicas switches the control plane to HA mode
         // (store-backed leader lease, durable journal).
         sc.testbed.controllers = static_cast<int>(n);
-        sc.testbed.controller_ha = n > 1;
       } else {
         sc.testbed.muxes = static_cast<int>(n);
       }
@@ -474,7 +473,7 @@ std::unique_ptr<PlacedRun> RunPlaced(const Scenario& scenario, int shards, int w
   // Control-plane handle: with HA the mutating APIs must go through whichever
   // replica currently holds the lease (a standby silently ignores them).
   auto ctl = [&tb]() -> yoda::Controller* {
-    if (!tb.cfg.controller_ha) {
+    if (tb.controller_count() == 1) {
       return tb.controller.get();
     }
     yoda::Controller* leader = tb.LeaderController();
@@ -483,7 +482,7 @@ std::unique_ptr<PlacedRun> RunPlaced(const Scenario& scenario, int shards, int w
 
   // Setup runs while the engine is idle, so cross-shard construction and
   // config pushes are race-free.
-  if (tb.cfg.controller_ha) {
+  if (tb.controller_count() > 1) {
     tb.StartAllControllers();
     tb.AwaitLeader();
   }
@@ -501,7 +500,7 @@ std::unique_ptr<PlacedRun> RunPlaced(const Scenario& scenario, int shards, int w
       }
     }
   }
-  if (!tb.cfg.controller_ha) {
+  if (tb.controller_count() == 1) {
     tb.controller->Start();
   }
 

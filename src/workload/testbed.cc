@@ -11,10 +11,10 @@ Testbed::Testbed(TestbedConfig config)
                       : nullptr),
       cfg(std::move(config)),
       sim(cfg.engine != nullptr ? *cfg.engine : *own_engine_),
-      // Network lane 0 must live on shard 0; the fabric is constructed on ITS
-      // owning shard's simulator so its timers and packets run where its
-      // state lives.
-      network(&sim.shard(0), cfg.seed ^ 0x6e6574ULL),
+      // Attach stamps each endpoint with OwnerShardOf(ip); the fabric is
+      // constructed on ITS owning shard's simulator so its timers and packets
+      // run where its state lives.
+      network(&sim, cfg.seed ^ 0x6e6574ULL, [this](net::IpAddr ip) { return OwnerShardOf(ip); }),
       fabric(&sim.shard(cfg.placement.fabric_shard), &network, cfg.muxes) {
   cfg.engine = &sim;
   cfg.placement.shards = sim.shards();
@@ -27,11 +27,6 @@ Testbed::Testbed(TestbedConfig config)
   for (int s = 0; s < sim.shards(); ++s) {
     obs::BindSimulatorGauges(metrics_lane(s), sim.shard(s));
   }
-  // Resolver before any Attach (Attach stamps the endpoint's owner), then
-  // the engine bind (replicates the endpoint map onto one lane per shard).
-  network.SetShardResolver([this](net::IpAddr ip) { return OwnerShardOf(ip); });
-  network.BindEngine(&sim);
-  fabric.BindShard(&sim, cfg.placement.fabric_shard);
   const int ctl_shard = cfg.placement.controller_shard;
   fabric.SetObservability(&metrics_lane(cfg.placement.fabric_shard),
                           &flight_lane(cfg.placement.fabric_shard));
@@ -46,7 +41,6 @@ Testbed::Testbed(TestbedConfig config)
   for (int i = 0; i < cfg.kv_servers; ++i) {
     kv_servers.push_back(std::make_unique<kv::KvServer>(
         SimFor(cfg.placement.KvShard(i)), "kv-" + std::to_string(i), cfg.kv));
-    kv_servers.back()->audit().Bind(cfg.placement.KvShard(i));
   }
   std::vector<kv::KvServer*> kv_ptrs;
   for (auto& s : kv_servers) {
@@ -56,16 +50,6 @@ Testbed::Testbed(TestbedConfig config)
   kv::ReplicatingClientConfig kv_client_cfg = cfg.kv_client;
   kv_client_cfg.replicas = cfg.kv_replicas;
   kv_client_cfg.registry = &metrics_lane(ctl_shard);
-  kv_client_cfg.engine = &sim;
-  kv_client_cfg.home_shard = ctl_shard;
-  kv_client_cfg.shard_of = [this](const kv::KvServer* s) {
-    for (std::size_t i = 0; i < kv_servers.size(); ++i) {
-      if (kv_servers[i].get() == s) {
-        return cfg.placement.KvShard(static_cast<int>(i));
-      }
-    }
-    return cfg.placement.controller_shard;
-  };
 
   if (cfg.build_catalog) {
     sim::Rng catalog_rng(cfg.seed ^ 0x636174ULL);
@@ -83,7 +67,6 @@ Testbed::Testbed(TestbedConfig config)
     icfg.recorder = &flight_lane(shard);
     kv::ReplicatingClientConfig icc = kv_client_cfg;
     icc.registry = &metrics_lane(shard);
-    icc.home_shard = shard;
     instance_kv_clients.push_back(
         std::make_unique<kv::ReplicatingClient>(SimFor(shard), kv_ptrs, icc));
     instance_stores.push_back(std::make_unique<yoda::TcpStore>(
@@ -92,7 +75,6 @@ Testbed::Testbed(TestbedConfig config)
     auto inst = std::make_unique<yoda::YodaInstance>(SimFor(shard), &network, &fabric,
                                                      instance_stores.back().get(),
                                                      cfg.seed ^ (0x1000ULL + i), icfg);
-    inst->audit().Bind(shard);
     if (i < cfg.yoda_instances) {
       instances.push_back(std::move(inst));
     } else {
@@ -117,7 +99,6 @@ Testbed::Testbed(TestbedConfig config)
     servers.push_back(std::make_unique<HttpServerNode>(SimFor(cfg.placement.BackendShard(i)),
                                                        &network, catalog.get(),
                                                        cfg.seed ^ (0x3000ULL + i), scfg));
-    servers.back()->audit().Bind(cfg.placement.BackendShard(i));
   }
 
   // Clients (Internet region).
@@ -125,22 +106,14 @@ Testbed::Testbed(TestbedConfig config)
     clients.push_back(std::make_unique<BrowserClient>(SimFor(cfg.placement.ClientShard(i)),
                                                       &network, client_ip(i),
                                                       cfg.seed ^ (0x4000ULL + i)));
-    clients.back()->audit().Bind(cfg.placement.ClientShard(i));
   }
 
-  // Cross-shard control plane: health probes see only the network's
-  // shard-replicated down flags, and every instance-state write (rules,
-  // backend health, scrubs) is routed onto the instance's owning shard.
+  // Control plane on its shard; the actuator routes every instance-state
+  // write (rules, backend health, scrubs) onto the instance's own shard.
   yoda::ControllerConfig ctl_cfg = cfg.controller;
   ctl_cfg.registry = &metrics_lane(ctl_shard);
   ctl_cfg.recorder = &flight_lane(ctl_shard);
-  ctl_cfg.instance_down = [this](const yoda::YodaInstance* inst) {
-    return network.IsDown(inst->ip());
-  };
-  ctl_cfg.run_on_instance = [this](yoda::YodaInstance* inst, std::function<void()> fn) {
-    RunOnOwner(OwnerShardOf(inst->ip()), std::move(fn));
-  };
-  if (cfg.controller_ha) {
+  if (cfg.controllers > 1) {
     ctl_kv_client = std::make_unique<kv::ReplicatingClient>(SimFor(ctl_shard), kv_ptrs,
                                                             kv_client_cfg);
     ctl_cfg.ha.enabled = true;
@@ -149,8 +122,7 @@ Testbed::Testbed(TestbedConfig config)
       ctl_cfg.max_step_retries = 5;  // HA template default: bounded retries.
     }
   }
-  const int n_controllers = cfg.controller_ha ? std::max(1, cfg.controllers) : 1;
-  for (int r = 0; r < n_controllers; ++r) {
+  for (int r = 0; r < std::max(1, cfg.controllers); ++r) {
     ctl_cfg.ha.self = controller_ip(r);
     auto replica = std::make_unique<yoda::Controller>(SimFor(ctl_shard), &network, &fabric,
                                                       ctl_cfg);
@@ -180,17 +152,16 @@ Testbed::Testbed(TestbedConfig config)
   faults = std::make_unique<fault::FaultPlane>(SimFor(ctl_shard), &network,
                                                cfg.seed ^ 0x66617574ULL,
                                                fault::FaultPlaneConfig{&flight_lane(ctl_shard)});
-  // Component mutations are routed to the component's owning shard
-  // (RunOnOwner); SetNodeDown already replicates to every lane internally.
+  // Component mutations run on the component's owning shard (RunOn);
+  // SetNodeDown already replicates to every lane internally.
   faults->set_crash_handler([this](net::IpAddr ip) {
     if (ControllerByIp(ip) != nullptr) {
       // Controllers live off-network (their store client talks to the KV
       // servers directly); a crash is purely "stop acting + stop renewing".
-      RunOnOwner(cfg.placement.controller_shard,
-                 [this, ip]() { ControllerByIp(ip)->Crash(); });
+      sim.RunOn(cfg.placement.controller_shard, [this, ip]() { ControllerByIp(ip)->Crash(); });
       return;
     }
-    RunOnOwner(OwnerShardOf(ip), [this, ip]() {
+    sim.RunOn(OwnerShardOf(ip), [this, ip]() {
       if (yoda::YodaInstance* inst = InstanceByIp(ip)) {
         inst->Fail();
       }
@@ -209,21 +180,20 @@ Testbed::Testbed(TestbedConfig config)
   faults->set_restart_handler([this](net::IpAddr ip, fault::FaultPlane::RestartMode mode) {
     if (ControllerByIp(ip) != nullptr) {
       // Re-enters the lease contest as a standby.
-      RunOnOwner(cfg.placement.controller_shard,
-                 [this, ip]() { ControllerByIp(ip)->Restart(); });
+      sim.RunOn(cfg.placement.controller_shard, [this, ip]() { ControllerByIp(ip)->Restart(); });
       return;
     }
     if (KvByIp(ip) != nullptr) {
       // KV servers live off-network; both modes amount to Recover (memcached
       // restarts empty either way — RAM contents are gone).
-      RunOnOwner(OwnerShardOf(ip), [this, ip]() { KvByIp(ip)->Recover(); });
+      sim.RunOn(OwnerShardOf(ip), [this, ip]() { KvByIp(ip)->Recover(); });
       return;
     }
     if (mode == fault::FaultPlane::RestartMode::kCold) {
       network.RestartNode(ip);  // OnColdRestart clears endpoint state, revives.
       return;
     }
-    RunOnOwner(OwnerShardOf(ip), [this, ip]() {
+    sim.RunOn(OwnerShardOf(ip), [this, ip]() {
       if (yoda::YodaInstance* inst = InstanceByIp(ip)) {
         inst->Recover();
       }
@@ -237,7 +207,7 @@ Testbed::Testbed(TestbedConfig config)
     network.SetNodeDown(ip, false);
   });
   faults->set_kv_slow_handler([this](net::IpAddr ip, sim::Duration d) {
-    RunOnOwner(OwnerShardOf(ip), [this, ip, d]() {
+    sim.RunOn(OwnerShardOf(ip), [this, ip, d]() {
       if (kv::KvServer* s = KvByIp(ip)) {
         s->set_response_delay(d);
       }
@@ -269,15 +239,6 @@ int Testbed::OwnerShardOf(net::IpAddr ip) const {
     default:
       return pl.controller_shard;
   }
-}
-
-void Testbed::RunOnOwner(int shard, std::function<void()> fn) {
-  const int cur = sim::ShardedSim::current_shard();
-  if (cur >= 0 && cur != shard) {
-    sim.CallOn(shard, std::move(fn));
-    return;
-  }
-  fn();
 }
 
 yoda::Controller* Testbed::ControllerByIp(net::IpAddr ip) {
@@ -388,37 +349,37 @@ void Testbed::PrintMetricsSnapshot(const char* title) {
 
 void Testbed::FailInstance(int i) {
   yoda::YodaInstance* inst = instances[static_cast<std::size_t>(i)].get();
-  RunOnOwner(OwnerShardOf(instance_ip(i)), [inst]() { inst->Fail(); });
+  sim.RunOn(OwnerShardOf(instance_ip(i)), [inst]() { inst->Fail(); });
   network.SetNodeDown(instance_ip(i), true);
 }
 
 void Testbed::RecoverInstance(int i) {
   yoda::YodaInstance* inst = instances[static_cast<std::size_t>(i)].get();
-  RunOnOwner(OwnerShardOf(instance_ip(i)), [inst]() { inst->Recover(); });
+  sim.RunOn(OwnerShardOf(instance_ip(i)), [inst]() { inst->Recover(); });
   network.SetNodeDown(instance_ip(i), false);
 }
 
 void Testbed::FailProxy(int i) {
   baseline::ProxyInstance* p = proxies[static_cast<std::size_t>(i)].get();
-  RunOnOwner(OwnerShardOf(proxy_ip(i)), [p]() { p->Fail(); });
+  sim.RunOn(OwnerShardOf(proxy_ip(i)), [p]() { p->Fail(); });
   network.SetNodeDown(proxy_ip(i), true);
 }
 
 void Testbed::FailBackend(int i) {
   HttpServerNode* srv = servers[static_cast<std::size_t>(i)].get();
-  RunOnOwner(OwnerShardOf(backend_ip(i)), [srv]() { srv->Fail(); });
+  sim.RunOn(OwnerShardOf(backend_ip(i)), [srv]() { srv->Fail(); });
   network.SetNodeDown(backend_ip(i), true);
 }
 
 void Testbed::RecoverBackend(int i) {
   HttpServerNode* srv = servers[static_cast<std::size_t>(i)].get();
-  RunOnOwner(OwnerShardOf(backend_ip(i)), [srv]() { srv->Recover(); });
+  sim.RunOn(OwnerShardOf(backend_ip(i)), [srv]() { srv->Recover(); });
   network.SetNodeDown(backend_ip(i), false);
 }
 
 void Testbed::FailKvServer(int i) {
   kv::KvServer* s = kv_servers[static_cast<std::size_t>(i)].get();
-  RunOnOwner(OwnerShardOf(kv_ip(i)), [s]() { s->Fail(); });
+  sim.RunOn(OwnerShardOf(kv_ip(i)), [s]() { s->Fail(); });
 }
 
 }  // namespace workload

@@ -42,13 +42,13 @@ namespace workload {
 struct TestbedConfig {
   std::uint64_t seed = 42;
   // The engine this testbed is placed on: each instance/backend/kv/client is
-  // constructed on its owning shard's simulator per `placement`, the network
-  // delivers cross-shard packets through the engine's mailboxes, the fabric
-  // and controller get their cross-shard routing hooks, and observability is
-  // per-shard (see metrics_lane/flight_lane). Unset, the testbed owns a
-  // 1-shard, 1-worker engine. The engine must outlive the testbed, and its
-  // epoch window must not exceed the minimum cross-shard latency (dc_latency
-  // and kv network_delay). Unsupported on more than one shard: assignment
+  // constructed on its owning shard's simulator per `placement` — the one
+  // statement of its placement, which the network, fabric, store clients and
+  // actuator read back from that simulator — and observability is per-shard
+  // (see metrics_lane/flight_lane). Unset, the testbed owns a 1-shard,
+  // 1-worker engine. The engine must outlive the testbed, and its epoch
+  // window must not exceed the minimum cross-shard latency (dc_latency and
+  // kv network_delay). Unsupported on more than one shard: assignment
   // rollouts / auto-scale (counter aggregation reads instance state
   // cross-shard) and fault-plane packet overlays (per-packet draws would
   // race).
@@ -73,14 +73,13 @@ struct TestbedConfig {
   yoda::YodaInstanceConfig instance_template;  // ip is overwritten per instance.
   baseline::ProxyConfig proxy_template;        // ip is overwritten per proxy.
   yoda::ControllerConfig controller;
-  // Controller HA: replica count (replica 0 is the `controller` member) and
-  // whether the replicas contend for the store-backed leader lease. Off
-  // (default) builds the single controller, identical to the seed. When on,
+  // Controller replica count (replica 0 is the `controller` member). One
+  // (default) builds the single controller, identical to the seed. More than
+  // one turns on HA: the replicas contend for the store-backed leader lease,
   // the testbed gives the control plane its own ReplicatingClient into the
   // same KV ring, enables bounded step retries (5, unless the template set
   // its own), and leaves every replica stopped until StartAllControllers().
   int controllers = 1;
-  bool controller_ha = false;
   kv::KvServerConfig kv;
   kv::ReplicatingClientConfig kv_client;
   net::TcpConfig server_tcp;
@@ -125,9 +124,6 @@ class Testbed {
   int OwnerShardOf(net::IpAddr ip) const;
   // Simulator that owns `shard`.
   sim::Simulator* SimFor(int shard) const { return &sim.shard(shard); }
-  // Runs `fn` on `shard`: inline when idle or already executing there;
-  // otherwise a cross-shard CallOn landing at the next barrier.
-  void RunOnOwner(int shard, std::function<void()> fn);
   // Per-shard observability lanes, one per engine shard. Components report
   // into their own shard's registry/recorder (no cross-thread writes); report
   // code merges the lanes in shard order. Lane 0 is the `metrics`/`flight`
@@ -159,7 +155,7 @@ class Testbed {
   // KV replica answers, but `d` late (0 clears).
   void SlowKvServer(int i, sim::Duration d) { faults->SlowKv(kv_ip(i), d); }
 
-  // --- controller HA helpers (controller_ha builds) ---
+  // --- controller HA helpers (builds with controllers > 1) ---
   int controller_count() const { return 1 + static_cast<int>(standbys.size()); }
   yoda::Controller* ControllerAt(int i) {
     return i == 0 ? controller.get() : standbys[static_cast<std::size_t>(i - 1)].get();
@@ -196,8 +192,9 @@ class Testbed {
   net::Network network;
   l4lb::L4Fabric fabric;
   std::vector<std::unique_ptr<kv::KvServer>> kv_servers;
-  // Control-plane store client (controller_ha): the controllers journal and
-  // contend for the lease through their own client into the same KV ring.
+  // Control-plane store client (controllers > 1): the controllers journal
+  // and contend for the lease through their own client into the same KV
+  // ring.
   std::unique_ptr<kv::ReplicatingClient> ctl_kv_client;
   // Each instance pipeline gets its own store client + TCPStore on its
   // owning shard; op messages hop shards via the engine's mailboxes.
@@ -210,8 +207,8 @@ class Testbed {
   std::vector<std::unique_ptr<HttpServerNode>> servers;
   std::vector<std::unique_ptr<BrowserClient>> clients;
   std::unique_ptr<yoda::Controller> controller;
-  // HA standby replicas (replicas 1..controllers-1); empty unless
-  // controller_ha. Each sees the same fleet as replica 0.
+  // HA standby replicas (replicas 1..controllers-1). Each sees the same
+  // fleet as replica 0.
   std::vector<std::unique_ptr<yoda::Controller>> standbys;
   // Fault-injection plane: installed as the network's fault hook, seeded from
   // cfg.seed, with crash/restart/kv-slow handlers mapped to the components

@@ -262,7 +262,6 @@ SoakOutcome RunHaSoak(std::uint64_t seed) {
   cfg.yoda_instances = 3;
   cfg.backends = 4;
   cfg.clients = 4;
-  cfg.controller_ha = true;
   cfg.controllers = 3;
   cfg.instance_template.flow_idle_timeout = sim::Msec(400);
   cfg.instance_template.idle_scan_interval = sim::Msec(100);
@@ -390,7 +389,6 @@ TEST(ChaosHaDoubleKill, BackToBackLeaderKillsNeverSplitTheBrain) {
   cfg.yoda_instances = 3;
   cfg.backends = 4;
   cfg.clients = 4;
-  cfg.controller_ha = true;
   cfg.controllers = 3;
   cfg.instance_template.flow_idle_timeout = sim::Msec(400);
   cfg.instance_template.idle_scan_interval = sim::Msec(100);

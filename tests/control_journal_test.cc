@@ -15,6 +15,7 @@
 #include "src/core/control_state.h"
 #include "src/kv/kv_server.h"
 #include "src/kv/replicating_client.h"
+#include "src/sim/sharded_sim.h"
 #include "src/sim/simulator.h"
 
 namespace yoda {
@@ -126,7 +127,8 @@ TEST(JournalSerializers, PlanRoundTripsStepsAndStamps) {
 
 class ControlJournalTest : public ::testing::Test {
  protected:
-  sim::Simulator simulator;
+  sim::ShardedSim engine{{.shards = 1}};
+  sim::Simulator& simulator = engine.shard(0);
   std::vector<std::unique_ptr<kv::KvServer>> servers;
   std::unique_ptr<kv::ReplicatingClient> client;
 

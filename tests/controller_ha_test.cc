@@ -27,7 +27,6 @@ using yoda::ExecStepKind;
 TestbedConfig HaConfig(int controllers = 2) {
   TestbedConfig cfg;
   cfg.build_catalog = false;  // Control-plane tests: no HTTP load.
-  cfg.controller_ha = true;
   cfg.controllers = controllers;
   return cfg;
 }

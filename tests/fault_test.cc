@@ -14,6 +14,7 @@
 #include "src/net/packet.h"
 #include "src/obs/trace.h"
 #include "src/sim/random.h"
+#include "src/sim/sharded_sim.h"
 #include "src/sim/simulator.h"
 
 namespace fault {
@@ -32,8 +33,9 @@ class Sink : public net::Node {
 
 class FaultPlaneTest : public ::testing::Test {
  protected:
-  sim::Simulator simulator;
-  net::Network network{&simulator, 1};
+  sim::ShardedSim engine{{.shards = 1}};
+  sim::Simulator& simulator = engine.shard(0);
+  net::Network network{&engine, 1};
   FaultPlane plane{&simulator, &network, 99};
   Sink a, b, c;
   const net::IpAddr ip_a = net::MakeIp(10, 0, 0, 1);
@@ -158,9 +160,9 @@ TEST_F(FaultPlaneTest, GrayRuleWithProbabilityOneSkipsRngDraw) {
   EXPECT_TRUE(b.received.empty());
   // p >= 1 fires without consuming a draw: the plane's RNG is still at its
   // seed position, in lockstep with a fresh same-seed plane.
-  sim::Simulator sim2;
-  net::Network net2(&sim2, 1);
-  FaultPlane fresh(&sim2, &net2, 99);
+  sim::ShardedSim engine2({.shards = 1});
+  net::Network net2(&engine2, 1);
+  FaultPlane fresh(&engine2.shard(0), &net2, 99);
   EXPECT_EQ(plane.rng().UniformInt(0, 1 << 30), fresh.rng().UniformInt(0, 1 << 30));
 }
 
@@ -266,9 +268,9 @@ ChaosOptions SmallOptions() {
 
 TEST(ChaosSchedule, SameSeedSameTimeline) {
   auto draw = [](std::uint64_t seed) {
-    sim::Simulator simulator;
-    net::Network network(&simulator, 1);
-    FaultPlane plane(&simulator, &network, 1);
+    sim::ShardedSim engine({.shards = 1});
+    net::Network network(&engine, 1);
+    FaultPlane plane(&engine.shard(0), &network, 1);
     sim::Rng rng(seed);
     std::vector<std::string> described;
     for (const ChaosEpisode& ep : RandomSchedule(plane, rng, SmallOptions())) {
@@ -281,9 +283,9 @@ TEST(ChaosSchedule, SameSeedSameTimeline) {
 }
 
 TEST(ChaosSchedule, EpisodesStayInsideWindowAndDurations) {
-  sim::Simulator simulator;
-  net::Network network(&simulator, 1);
-  FaultPlane plane(&simulator, &network, 1);
+  sim::ShardedSim engine({.shards = 1});
+  net::Network network(&engine, 1);
+  FaultPlane plane(&engine.shard(0), &network, 1);
   sim::Rng rng(9);
   ChaosOptions opts = SmallOptions();
   const auto episodes = RandomSchedule(plane, rng, opts);
@@ -301,9 +303,9 @@ TEST(ChaosSchedule, EpisodesStayInsideWindowAndDurations) {
 }
 
 TEST(ChaosSchedule, CrashEpisodesNeverOverlapPerTarget) {
-  sim::Simulator simulator;
-  net::Network network(&simulator, 1);
-  FaultPlane plane(&simulator, &network, 1);
+  sim::ShardedSim engine({.shards = 1});
+  net::Network network(&engine, 1);
+  FaultPlane plane(&engine.shard(0), &network, 1);
   ChaosOptions opts = SmallOptions();
   opts.episodes = 40;  // Plenty of crash draws on two targets.
   sim::Rng rng(77);
@@ -321,9 +323,9 @@ TEST(ChaosSchedule, CrashEpisodesNeverOverlapPerTarget) {
 }
 
 TEST(ChaosSchedule, EmptyCandidateListsYieldNoEpisodes) {
-  sim::Simulator simulator;
-  net::Network network(&simulator, 1);
-  FaultPlane plane(&simulator, &network, 1);
+  sim::ShardedSim engine({.shards = 1});
+  net::Network network(&engine, 1);
+  FaultPlane plane(&engine.shard(0), &network, 1);
   sim::Rng rng(3);
   EXPECT_TRUE(RandomSchedule(plane, rng, ChaosOptions{}).empty());
 }

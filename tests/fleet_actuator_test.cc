@@ -32,7 +32,8 @@ class FleetActuatorTest : public ::testing::Test {
     acfg.mux_stagger = sim::Msec(50);
     acfg.registry = &tb->metrics;
     acfg.recorder = &tb->flight;
-    actuator = std::make_unique<FleetActuator>(tb->SimFor(0), &tb->fabric, state.get(), acfg);
+    actuator = std::make_unique<FleetActuator>(tb->SimFor(0), &tb->network, &tb->fabric,
+                                               state.get(), acfg);
     for (auto& inst : tb->instances) {
       actuator->RegisterInstance(inst.get());
     }

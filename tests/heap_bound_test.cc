@@ -89,8 +89,7 @@ constexpr std::int64_t kBytesPerFinishedFetchBound = 6'000;
 TEST(HeapBound, FinishedFetchesKeepNoResponseBuffers) {
   sim::ShardedSim engine(sim::ShardedSim::Config{.shards = 1, .workers = 1});
   sim::Simulator& simulator = engine.shard(0);
-  net::Network network(&simulator, 1);
-  network.BindEngine(&engine);
+  net::Network network(&engine, 1);
   network.SetLatency(net::Region::kInternet, net::Region::kDatacenter, sim::Msec(1));
 
   sim::Rng rng(1);

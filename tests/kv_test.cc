@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/kv/hash_ring.h"
 #include "src/kv/kv_server.h"
 #include "src/kv/replicating_client.h"
+#include "src/sim/sharded_sim.h"
 
 namespace kv {
 namespace {
@@ -253,7 +256,8 @@ TEST_F(KvServerTest, CpuUtilizationTracksLoad) {
 
 class ReplicatingClientTest : public ::testing::Test {
  protected:
-  sim::Simulator simulator;
+  sim::ShardedSim engine{{.shards = 1}};
+  sim::Simulator& simulator = engine.shard(0);
   std::vector<std::unique_ptr<KvServer>> servers;
   std::unique_ptr<ReplicatingClient> client;
 
@@ -647,6 +651,72 @@ TEST_F(ReplicatingClientTest, CasFailsWithoutMajority) {
   client->Cas("ctl/lease", std::nullopt, "holder=a", [&won](bool ok) { won = ok; });
   simulator.Run();
   EXPECT_FALSE(won);
+}
+
+// ---------------------------------------------------------------------------
+// Client and replicas on different shards of one engine.
+// ---------------------------------------------------------------------------
+
+// Latency, outcome and answering shard of each op in a Set -> Get -> Cas
+// chain issued at 1 ms by a client on shard 0, with every replica on the
+// engine's last shard.
+struct ChainResult {
+  sim::Duration set_latency = -1, get_latency = -1, cas_latency = -1;
+  std::vector<int> answer_shards;
+  bool set_ok = false, cas_ok = false;
+  std::optional<std::string> got;
+};
+
+ChainResult RunChain(int shards, int workers) {
+  sim::ShardedSim engine({.shards = shards, .workers = workers});
+  sim::Simulator& home = engine.shard(0);
+  std::vector<std::unique_ptr<KvServer>> servers;
+  std::vector<KvServer*> ptrs;
+  for (int i = 0; i < 3; ++i) {
+    servers.push_back(
+        std::make_unique<KvServer>(&engine.shard(shards - 1), "kv-" + std::to_string(i)));
+    ptrs.push_back(servers.back().get());
+  }
+  ReplicatingClientConfig cfg;
+  cfg.replicas = 2;
+  ReplicatingClient client(&home, ptrs, cfg);
+  ChainResult r;
+  home.At(sim::Msec(1), [&]() {
+    const sim::Time t0 = home.now();
+    client.Set("flow", "state", [&, t0](bool ok) {
+      r.set_ok = ok;
+      r.set_latency = home.now() - t0;
+      r.answer_shards.push_back(sim::ShardedSim::current_shard());
+      const sim::Time t1 = home.now();
+      client.Get("flow", [&, t1](std::optional<std::string> v) {
+        r.got = std::move(v);
+        r.get_latency = home.now() - t1;
+        r.answer_shards.push_back(sim::ShardedSim::current_shard());
+        const sim::Time t2 = home.now();
+        client.Cas("flow", "state", "state2", [&, t2](bool won) {
+          r.cas_ok = won;
+          r.cas_latency = home.now() - t2;
+          r.answer_shards.push_back(sim::ShardedSim::current_shard());
+        });
+      });
+    });
+  });
+  engine.Run();
+  return r;
+}
+
+TEST(ReplicatingClientTwoShards, OpsCompleteOnClientShardWithOneShardLatencies) {
+  const ChainResult two = RunChain(/*shards=*/2, /*workers=*/2);
+  const ChainResult one = RunChain(/*shards=*/1, /*workers=*/1);
+  EXPECT_TRUE(two.set_ok);
+  EXPECT_EQ(two.got, "state");
+  EXPECT_TRUE(two.cas_ok);
+  EXPECT_EQ(two.answer_shards, (std::vector<int>{0, 0, 0}));
+  // Two network delays plus service time each, the same on one shard.
+  EXPECT_GE(two.set_latency, 2 * ReplicatingClientConfig{}.network_delay);
+  EXPECT_EQ(two.set_latency, one.set_latency);
+  EXPECT_EQ(two.get_latency, one.get_latency);
+  EXPECT_EQ(two.cas_latency, one.cas_latency);
 }
 
 }  // namespace

@@ -5,9 +5,12 @@
 
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/l4lb/fabric.h"
 #include "src/l4lb/mux.h"
+#include "src/sim/sharded_sim.h"
 
 namespace l4lb {
 namespace {
@@ -121,8 +124,9 @@ class FabricTest : public ::testing::Test {
     std::vector<net::Packet> got;
   };
 
-  sim::Simulator simulator;
-  net::Network network{&simulator, 5};
+  sim::ShardedSim engine{{.shards = 1}};
+  sim::Simulator& simulator = engine.shard(0);
+  net::Network network{&engine, 5};
   L4Fabric fabric{&simulator, &network, 4};
   Sink instances[3];
   const net::IpAddr vip = net::MakeIp(10, 200, 0, 1);
@@ -233,6 +237,51 @@ TEST_F(FabricTest, EmptyPoolDropsTraffic) {
   network.Send(ClientPacket(1));
   simulator.Run();
   EXPECT_EQ(fabric.stats().dropped, 1u);
+}
+
+// A fabric on shard 1 of a 2-shard engine: a controller write issued from
+// shard 0 lands on the fabric's shard at the next epoch barrier. One worker
+// runs shard 0's window before shard 1's, so a write applied early would be
+// seen; two workers run them concurrently.
+TEST(FabricTwoShards, ProgramPoolFromAnotherShardLandsAtTheNextBarrier) {
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    sim::ShardedSim engine({.shards = 2, .workers = workers});
+    net::Network network(&engine, 5);
+    L4Fabric fabric(&engine.shard(1), &network, 2);
+    const net::IpAddr vip = net::MakeIp(10, 200, 0, 1);
+    const net::IpAddr instance = net::MakeIp(10, 1, 0, 1);
+    const sim::Time t0 = sim::Msec(1);
+    sim::Time barrier = -1;
+    engine.shard(0).At(t0, [&]() {
+      fabric.ProgramPool(vip, {instance}, /*epoch=*/1);
+      // Mail issued in the same event lands at the same barrier.
+      engine.CallOn(1, [&]() { barrier = engine.shard(1).now(); });
+    });
+    // The fabric's own shard counts the muxes holding the pool every 50 us.
+    std::vector<std::pair<sim::Time, int>> programmed;
+    for (int k = 1; k <= 8; ++k) {
+      const sim::Time at = t0 + k * sim::Usec(50);
+      engine.shard(1).At(at, [&, at]() {
+        int muxes = 0;
+        for (int m = 0; m < fabric.mux_count(); ++m) {
+          const std::vector<net::IpAddr>* pool = fabric.mux(m).PoolFor(vip);
+          muxes += pool != nullptr && *pool == std::vector<net::IpAddr>{instance} ? 1 : 0;
+        }
+        programmed.emplace_back(at, muxes);
+      });
+    }
+    engine.Run();
+
+    ASSERT_GT(barrier, t0);
+    ASSERT_LE(barrier, t0 + engine.window());
+    ASSERT_EQ(programmed.size(), 8u);
+    for (const auto& [at, muxes] : programmed) {
+      if (at != barrier) {
+        EXPECT_EQ(muxes, at > barrier ? 2 : 0) << "at " << at;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/net/network.h"
 #include "src/net/packet.h"
 #include "src/net/wire.h"
 #include "src/sim/random.h"
+#include "src/sim/sharded_sim.h"
 
 namespace net {
 namespace {
@@ -248,8 +251,9 @@ class Collector : public Node {
 
 class NetworkTest : public ::testing::Test {
  protected:
-  sim::Simulator simulator;
-  Network network{&simulator, 99};
+  sim::ShardedSim engine{{.shards = 1}};
+  sim::Simulator& simulator = engine.shard(0);
+  Network network{&engine, 99};
   Collector a, b;
   const IpAddr ip_a = MakeIp(10, 0, 0, 1);
   const IpAddr ip_b = MakeIp(10, 0, 0, 2);
@@ -369,8 +373,9 @@ class NoOpFaultObserver : public FaultObserver {
 // or delays anything must leave a same-seed run's delivery times bit-identical.
 TEST(NetworkDeterminism, NoOpFaultObserverLeavesDeliveryTimesIdentical) {
   auto run = [](bool with_hook) {
-    sim::Simulator simulator;
-    Network network(&simulator, 2024);
+    sim::ShardedSim engine({.shards = 1});
+    sim::Simulator& simulator = engine.shard(0);
+    Network network(&engine, 2024);
     Collector a, b;
     network.Attach(MakeIp(10, 0, 0, 1), &a);
     network.Attach(MakeIp(10, 0, 0, 2), &b);
@@ -410,8 +415,9 @@ class StatefulNode : public Node {
 };
 
 TEST(NetworkRestart, WarmReviveKeepsNodeState) {
-  sim::Simulator simulator;
-  Network network(&simulator, 7);
+  sim::ShardedSim engine({.shards = 1});
+  sim::Simulator& simulator = engine.shard(0);
+  Network network(&engine, 7);
   StatefulNode node;
   Collector peer;
   const IpAddr ip = MakeIp(10, 0, 0, 9);
@@ -438,8 +444,9 @@ TEST(NetworkRestart, WarmReviveKeepsNodeState) {
 }
 
 TEST(NetworkRestart, ColdRestartClearsStateAndRevives) {
-  sim::Simulator simulator;
-  Network network(&simulator, 7);
+  sim::ShardedSim engine({.shards = 1});
+  sim::Simulator& simulator = engine.shard(0);
+  Network network(&engine, 7);
   StatefulNode node;
   Collector peer;
   const IpAddr ip = MakeIp(10, 0, 0, 9);
@@ -465,15 +472,15 @@ TEST(NetworkRestart, ColdRestartClearsStateAndRevives) {
 }
 
 TEST(NetworkRestart, RestartOfUnattachedAddressIsNoOp) {
-  sim::Simulator simulator;
-  Network network(&simulator, 7);
+  sim::ShardedSim engine({.shards = 1});
+  Network network(&engine, 7);
   network.RestartNode(MakeIp(99, 0, 0, 1));  // Must not crash.
   EXPECT_FALSE(network.IsDown(MakeIp(99, 0, 0, 1)));
 }
 
 TEST(NetworkProbe, ProbePathSeesDownAndHookButDrawsNothing) {
-  sim::Simulator simulator;
-  Network network(&simulator, 11);
+  sim::ShardedSim engine({.shards = 1});
+  Network network(&engine, 11);
   Collector a, b;
   const IpAddr ip_a = MakeIp(10, 0, 0, 1);
   const IpAddr ip_b = MakeIp(10, 0, 0, 2);
@@ -575,6 +582,162 @@ TEST_F(NetworkTest, PacketPoolReturnsSlotOnEveryDropPath) {
 
   simulator.Run();
   EXPECT_EQ(network.stats().delivered, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One network over a 2-shard engine.
+// ---------------------------------------------------------------------------
+
+// Two nodes on different shards of one engine: kShard0Ip lives on shard 0,
+// kShard1Ip on shard 1 (the resolver reads the host octet). Each node logs
+// the time and the executing shard of every delivery, and answers every
+// packet whose payload is a positive count with count - 1, so traffic
+// ping-pongs across the shard boundary.
+class TwoShardNet {
+ public:
+  static constexpr IpAddr kShard0Ip = MakeIp(10, 0, 0, 1);
+  static constexpr IpAddr kShard1Ip = MakeIp(10, 0, 0, 2);
+
+  struct Delivery {
+    sim::Time at;
+    int shard;
+    std::string payload;
+    bool operator==(const Delivery&) const = default;
+    friend void PrintTo(const Delivery& d, std::ostream* os) {
+      *os << "{at=" << d.at << " shard=" << d.shard << " payload=" << d.payload << "}";
+    }
+  };
+
+  class PingNode : public Node {
+   public:
+    PingNode(Network* net, sim::Simulator* sim, IpAddr self) : net_(net), sim_(sim), self_(self) {}
+    void HandlePacket(const Packet& p) override {
+      const std::string payload(p.payload);
+      log.push_back({sim_->now(), sim::ShardedSim::current_shard(), payload});
+      const int count = std::stoi(payload);
+      if (count > 0) {
+        net_->Send(Make(self_, p.src, count - 1));
+      }
+    }
+    static Packet Make(IpAddr src, IpAddr dst, int count) {
+      Packet out;
+      out.src = src;
+      out.dst = dst;
+      out.payload = std::to_string(count);
+      return out;
+    }
+    std::vector<Delivery> log;
+
+   private:
+    Network* net_;
+    sim::Simulator* sim_;
+    IpAddr self_;
+  };
+
+  TwoShardNet(int workers, sim::Duration jitter)
+      : engine({.shards = 2, .workers = workers, .window = sim::Usec(200)}),
+        network(&engine, 5, [](IpAddr ip) { return static_cast<int>(ip & 0xff) - 1; }),
+        node0(&network, &engine.shard(0), kShard0Ip),
+        node1(&network, &engine.shard(1), kShard1Ip) {
+    network.SetLatency(Region::kDatacenter, Region::kDatacenter, sim::Usec(250), jitter);
+    network.Attach(kShard0Ip, &node0);
+    network.Attach(kShard1Ip, &node1);
+  }
+
+  sim::ShardedSim engine;
+  Network network;
+  PingNode node0, node1;
+};
+
+TEST(NetworkTwoShards, CrossShardSendLandsOnDestinationLaneAtSendPlusLatency) {
+  TwoShardNet t(/*workers=*/2, /*jitter=*/0);
+  t.engine.shard(0).At(sim::Msec(1), [&t]() {
+    t.network.Send(TwoShardNet::PingNode::Make(TwoShardNet::kShard0Ip, TwoShardNet::kShard1Ip, 1));
+  });
+  t.engine.Run();
+  using D = TwoShardNet::Delivery;
+  // The request runs on shard 1 exactly one latency after it left shard 0;
+  // the answer comes back to shard 0 one latency later.
+  EXPECT_EQ(t.node1.log, (std::vector<D>{{sim::Msec(1) + sim::Usec(250), 1, "1"}}));
+  EXPECT_EQ(t.node0.log, (std::vector<D>{{sim::Msec(1) + sim::Usec(500), 0, "0"}}));
+  EXPECT_EQ(t.network.stats().delivered, 2u);
+  EXPECT_EQ(t.network.packets_in_flight(), 0u);
+}
+
+TEST(NetworkTwoShards, NodeDownIssuedInsideTheEpochLoopReachesEveryLaneAtTheNextBarrier) {
+  // One worker runs shard 0's window before shard 1's, so a write applied
+  // early would be seen; two workers run them concurrently.
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    TwoShardNet t(workers, /*jitter=*/0);
+    const sim::Time t0 = sim::Msec(1);
+    sim::Time barrier = -1;
+    bool down_on_issuing_lane = true;
+    t.engine.shard(0).At(t0, [&]() {
+      t.network.SetNodeDown(TwoShardNet::kShard1Ip, true);
+      down_on_issuing_lane = t.network.IsDown(TwoShardNet::kShard1Ip);
+      // Mail issued in the same event lands at the same barrier.
+      t.engine.CallOn(1, [&]() { barrier = t.engine.shard(1).now(); });
+    });
+    // Each lane reads its own replica of the down flag every 50 us.
+    std::vector<std::pair<sim::Time, bool>> seen[2];
+    for (int s = 0; s < 2; ++s) {
+      for (int k = 1; k <= 8; ++k) {
+        const sim::Time at = t0 + k * sim::Usec(50);
+        t.engine.shard(s).At(at, [&t, &seen, s, at]() {
+          seen[s].emplace_back(at, t.network.IsDown(TwoShardNet::kShard1Ip));
+        });
+      }
+    }
+    t.engine.Run();
+
+    EXPECT_FALSE(down_on_issuing_lane);  // Not even the issuing lane before the barrier.
+    ASSERT_GT(barrier, t0);
+    ASSERT_LE(barrier, t0 + t.engine.window());
+    for (int s = 0; s < 2; ++s) {
+      ASSERT_EQ(seen[s].size(), 8u);
+      for (const auto& [at, down] : seen[s]) {
+        if (at != barrier) {
+          EXPECT_EQ(down, at > barrier) << "shard " << s << " at " << at;
+        }
+      }
+    }
+  }
+}
+
+TEST(NetworkTwoShards, DeliveriesIdenticalOnOneAndTwoWorkers) {
+  using D = TwoShardNet::Delivery;
+  auto run = [](int workers) {
+    // Jitter draws come from each lane's own RNG stream; the down window
+    // drops part of the ping-pong mid-run.
+    TwoShardNet t(workers, /*jitter=*/sim::Usec(40));
+    for (int s = 0; s < 2; ++s) {
+      const IpAddr self = s == 0 ? TwoShardNet::kShard0Ip : TwoShardNet::kShard1Ip;
+      const IpAddr peer = s == 0 ? TwoShardNet::kShard1Ip : TwoShardNet::kShard0Ip;
+      for (int i = 0; i < 5; ++i) {
+        t.engine.shard(s).At(sim::Msec(1) + i * sim::Usec(70), [&t, self, peer]() {
+          t.network.Send(TwoShardNet::PingNode::Make(self, peer, 30));
+        });
+      }
+    }
+    t.engine.shard(0).At(sim::Msec(4), [&t]() { t.network.SetNodeDown(TwoShardNet::kShard1Ip, true); });
+    t.engine.shard(1).At(sim::Msec(6), [&t]() { t.network.SetNodeDown(TwoShardNet::kShard1Ip, false); });
+    t.engine.Run();
+    return std::make_pair(std::make_pair(t.node0.log, t.node1.log),
+                          std::make_pair(t.network.stats().delivered, t.network.stats().dropped_down));
+  };
+  const auto one = run(1);
+  const auto two = run(2);
+  EXPECT_FALSE(one.first.first.empty());
+  EXPECT_FALSE(one.first.second.empty());
+  EXPECT_GT(one.second.second, 0u);  // The down window dropped something.
+  for (const D& d : one.first.first) {
+    EXPECT_EQ(d.shard, 0);
+  }
+  for (const D& d : one.first.second) {
+    EXPECT_EQ(d.shard, 1);
+  }
+  EXPECT_EQ(one, two);
 }
 
 }  // namespace

@@ -16,14 +16,16 @@
 #include "src/l4lb/fabric.h"
 #include "src/net/network.h"
 #include "src/obs/registry.h"
+#include "src/sim/sharded_sim.h"
 
 namespace yoda {
 namespace {
 
 class PipelineTest : public ::testing::Test {
  protected:
-  sim::Simulator simulator;
-  net::Network network{&simulator, /*seed=*/1};
+  sim::ShardedSim engine{{.shards = 1}};
+  sim::Simulator& simulator = engine.shard(0);
+  net::Network network{&engine, /*seed=*/1};
   l4lb::L4Fabric fabric{&simulator, &network, /*num_muxes=*/1};
   std::vector<std::unique_ptr<kv::KvServer>> servers;
   std::unique_ptr<kv::ReplicatingClient> client;

@@ -89,6 +89,35 @@ TEST(ShardedSimTest, CallOnLandsWithinOneWindow) {
   EXPECT_LE(applied_at - sent_at, sim::Usec(200));
 }
 
+TEST(ShardedSimTest, ShardsKnowTheirEngineAndIndex) {
+  sim::ShardedSim ss({.shards = 3, .workers = 1});
+  for (int i = 0; i < ss.shards(); ++i) {
+    EXPECT_EQ(ss.shard(i).engine(), &ss);
+    EXPECT_EQ(ss.shard(i).shard_index(), i);
+  }
+  const sim::Simulator standalone;
+  EXPECT_EQ(standalone.engine(), nullptr);
+  EXPECT_EQ(standalone.shard_index(), -1);
+}
+
+TEST(ShardedSimTest, RunOnIsInlineWhenIdleOrOnTheShardElseAtTheBarrier) {
+  sim::ShardedSim ss({.shards = 2, .workers = 2, .window = sim::Usec(200)});
+  bool idle_ran = false;
+  ss.RunOn(1, [&]() { idle_ran = true; });
+  EXPECT_TRUE(idle_ran);  // Engine idle: runs in the caller, right away.
+
+  sim::Time same = -1;
+  sim::Time cross = -1;
+  ss.shard(0).At(sim::Msec(1), [&]() {
+    ss.RunOn(0, [&]() { same = ss.shard(0).now(); });
+    ss.RunOn(1, [&]() { cross = ss.shard(1).now(); });
+  });
+  ss.Run();
+  EXPECT_EQ(same, sim::Msec(1));  // Already on the shard: inline.
+  EXPECT_GT(cross, sim::Msec(1));  // Another shard: at the next barrier.
+  EXPECT_LE(cross, sim::Msec(1) + ss.window());
+}
+
 TEST(ShardedSimTest, BroadcastReachesEveryShard) {
   sim::ShardedSim ss({.shards = 4, .workers = 4, .window = sim::Usec(200)});
   std::vector<int> hits;

@@ -12,13 +12,15 @@
 #include "src/core/store_session.h"
 #include "src/kv/kv_server.h"
 #include "src/kv/replicating_client.h"
+#include "src/sim/sharded_sim.h"
 
 namespace yoda {
 namespace {
 
 class StoreSessionTest : public ::testing::Test {
  protected:
-  sim::Simulator simulator;
+  sim::ShardedSim engine{{.shards = 1}};
+  sim::Simulator& simulator = engine.shard(0);
   std::vector<std::unique_ptr<kv::KvServer>> servers;
   std::unique_ptr<kv::ReplicatingClient> client;
   std::unique_ptr<TcpStore> store;

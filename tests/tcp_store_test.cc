@@ -9,13 +9,15 @@
 #include "src/core/tcp_store.h"
 #include "src/kv/kv_server.h"
 #include "src/kv/replicating_client.h"
+#include "src/sim/sharded_sim.h"
 
 namespace yoda {
 namespace {
 
 class TcpStoreTest : public ::testing::Test {
  protected:
-  sim::Simulator simulator;
+  sim::ShardedSim engine{{.shards = 1}};
+  sim::Simulator& simulator = engine.shard(0);
   std::vector<std::unique_ptr<kv::KvServer>> servers;
   std::unique_ptr<kv::ReplicatingClient> client;
   std::unique_ptr<TcpStore> store;
