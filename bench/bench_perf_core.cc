@@ -4,65 +4,34 @@
 //   timer_schedule_fire  — self-rescheduling event chains (the dominant
 //                          packet-delivery pattern: schedule from a callback,
 //                          fire, repeat) across mixed near/far horizons;
+//   timer_schedule_fire_fn — the same chains through the std::function path;
 //   timer_cancel_churn   — RTO-style arm/cancel/re-arm where ~90% of timers
 //                          never fire (the TCP retransmit pattern);
 //   fabric_pps           — packet deliveries/sec through Network::Send with a
-//                          512 B payload bouncing between two nodes;
-//   e2e_flows            — full-testbed open-loop HTTP fetches at Fig 13
-//                          scale, wall-clock flows/sec, on a placed testbed
-//                          (1 shard; 8 shards for the _intra keys).
+//                          512 B payload bouncing between two nodes.
 //
-// Results are emitted as machine-readable JSON (BENCH_perf_core.json) so the
-// perf trajectory has data, and `--baseline FILE` turns the binary into a CI
-// regression gate: any throughput metric below 1/2 the checked-in baseline
-// (or peak RSS above 2x) fails the run.
+// End-to-end throughput is perfbench's job (perfbench/run.py). The last line
+// of output is one JSON object with the four figures; bench/perf_gate.py
+// compares it with the "micro" section of BENCH_perfbench.json.
 //
-// Flags:
-//   --out FILE        JSON output path (default BENCH_perf_core.json)
-//   --baseline FILE   compare against a baseline JSON; exit 1 on >2x regression
-//   --scale10         additionally run the ~10x Fig 13 scale-up; also records
-//                     peak_rss_mb_x10 (taken right after the x10 run, which
-//                     dominates the process high-water mark)
-//   --threads N       additionally run the e2e sections as a `threads N`
-//                     scenario (8 independent cells on N threads, same
-//                     aggregate rate) and emit e2e_flows_per_sec_sharded[_x10],
-//                     plus on ONE testbed placed across 8 shards run by N
-//                     workers (every inter-component hop crossing shards) and
-//                     emit e2e_flows_per_sec_intra[_x10]
-
-#include <sys/resource.h>
+// Usage: bench_perf_core (no flags)
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <functional>
-#include <map>
-#include <memory>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/net/network.h"
 #include "src/sim/sharded_sim.h"
 #include "src/sim/simulator.h"
-#include "src/workload/browser_client.h"
-#include "src/workload/scenario.h"
-#include "src/workload/testbed.h"
 
 namespace {
 
 double WallSeconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-double PeakRssMb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KB on Linux.
 }
 
 // Scheduling noise on a shared machine easily swings a sub-second microbench
@@ -241,281 +210,24 @@ double BenchFabricPps(std::uint64_t total) {
   return pps;
 }
 
-// --- e2e_flows --------------------------------------------------------------
-
-workload::TestbedConfig Fig13Config() {
-  workload::TestbedConfig cfg;
-  cfg.yoda_instances = 6;
-  cfg.backends = 10;
-  cfg.clients = 10;
-  cfg.kv_servers = 4;
-  cfg.catalog.objects = 60;
-  cfg.catalog.median_size = 10'000;
-  cfg.catalog.sigma = 0.02;
-  cfg.catalog.min_size = 9'800;
-  cfg.catalog.max_size = 10'200;
-  return cfg;
-}
-
-// Fig 13-shaped testbed placed on `shards` shards run by `workers` threads,
-// under open-loop load; wall-clock flows/sec. `scale` multiplies the request
-// rate (scale=10 is the "10x Fig 13" headroom run). Each client runs its own
-// generator on its own shard with its own RNG (a function of the client
-// index only). On 1 shard this is the plain testbed; on 8 shards (round-
-// robin: instances, backends, KV servers and clients each on their owning
-// shard) every fetch crosses client -> fabric -> instance -> backend shard
-// boundaries, so it measures the cross-shard delivery path under load. Flow
-// totals are worker-count-invariant.
-double BenchE2eFlows(int scale, int shards, int workers, double* out_flows) {
-  sim::ShardedSim::Config ecfg;
-  ecfg.shards = shards;
-  ecfg.workers = workers;
-  sim::ShardedSim engine(ecfg);
-  workload::TestbedConfig cfg = Fig13Config();
-  cfg.engine = &engine;
-  workload::Testbed tb(cfg);
-  tb.DefineDefaultVipAndStart();
-
-  std::vector<std::string> urls;
-  for (const auto& o : tb.catalog->objects()) {
-    urls.push_back(o.url);
-  }
-  struct ClientLoad {
-    explicit ClientLoad(std::uint64_t seed) : rng(seed) {}
-    sim::Rng rng;
-    std::uint64_t ok = 0;
-    std::uint64_t failed = 0;
-    std::vector<std::shared_ptr<std::function<void()>>> loops;
-  };
-  std::vector<std::unique_ptr<ClientLoad>> loads;
-  const double rate = 1500.0 * scale / static_cast<double>(tb.clients.size());
-  const sim::Duration kEnd = sim::Sec(5);
-  for (std::size_t i = 0; i < tb.clients.size(); ++i) {
-    loads.push_back(std::make_unique<ClientLoad>(5 + 0x9e3779b97f4a7c15ULL * i));
-    ClientLoad* cl = loads.back().get();
-    workload::BrowserClient* client = tb.clients[i].get();
-    sim::Simulator* csim = tb.SimFor(tb.OwnerShardOf(client->ip()));
-    auto tick = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak_tick = tick;
-    *tick = [cl, client, csim, &urls, &tb, rate, kEnd, weak_tick]() {
-      if (csim->now() > kEnd) {
-        return;
-      }
-      const std::string& url = urls[static_cast<std::size_t>(
-          cl->rng.UniformInt(0, static_cast<std::int64_t>(urls.size()) - 1))];
-      client->FetchObject(tb.vip(), 80, url, {}, [cl](const workload::FetchResult& r) {
-        if (r.ok) {
-          ++cl->ok;
-        } else {
-          ++cl->failed;
-        }
-      });
-      if (auto self = weak_tick.lock()) {
-        csim->After(sim::FromSeconds(cl->rng.Exponential(1.0 / rate)), *self);
-      }
-    };
-    cl->loops.push_back(tick);
-    csim->At(std::max<sim::Time>(sim::Msec(1), csim->now()), [tick]() { (*tick)(); });
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  engine.Run();
-  const double wall = WallSeconds(t0);
-  std::uint64_t ok = 0;
-  std::uint64_t failed = 0;
-  for (const auto& cl : loads) {
-    ok += cl->ok;
-    failed += cl->failed;
-  }
-  const double flows = static_cast<double>(ok + failed);
-  const double fps = flows / wall;
-  std::printf(
-      "  e2e_flows (x%d, %d shard(s), %d worker(s)): %.0f flows (%llu ok, %llu failed) in "
-      "%.3f s -> %.0f flows/s\n",
-      scale, engine.shards(), engine.workers(), flows, static_cast<unsigned long long>(ok),
-      static_cast<unsigned long long>(failed), wall, fps);
-  if (out_flows != nullptr) {
-    *out_flows = flows;
-  }
-  return fps;
-}
-
-// Same workload as `threads N` scenario cells: workload::kScenarioCells
-// independent single-shard testbeds (derived seeds), each serving 1/8 of the
-// aggregate rate, on `threads` plain threads. Measures cell-level multi-core
-// headroom through the scenario runner; flow totals are thread-count-
-// invariant.
-double BenchE2eFlowsCells(int scale, int threads, double* out_flows) {
-  std::string split;
-  for (int i = 1; i <= Fig13Config().backends; ++i) {
-    split += (i > 1 ? ",10.3.0." : "10.3.0.") + std::to_string(i);
-  }
-  const double cell_rate = 1500.0 * scale / workload::kScenarioCells;
-  std::optional<workload::Scenario> sc = workload::ParseScenario(
-      "threads " + std::to_string(threads) +
-      "\nvip 10.200.0.1\nrule 10.200.0.1 name=r-default priority=1 url=* split=" + split +
-      "\nat 1ms load 10.200.0.1 rate " + std::to_string(cell_rate) + " duration 5s\n");
-  sc->testbed = Fig13Config();
-  const auto t0 = std::chrono::steady_clock::now();
-  const workload::ScenarioReport r = workload::RunScenario(*sc);
-  const double wall = WallSeconds(t0);
-  const double flows = static_cast<double>(r.requests_ok + r.requests_failed);
-  const double fps = flows / wall;
-  std::printf(
-      "  e2e_flows_sharded (x%d, %d cells, %d threads): %.0f flows (%llu ok, %llu failed) in "
-      "%.3f s -> %.0f flows/s\n",
-      scale, r.cells, threads, flows, static_cast<unsigned long long>(r.requests_ok),
-      static_cast<unsigned long long>(r.requests_failed), wall, fps);
-  if (out_flows != nullptr) {
-    *out_flows = flows;
-  }
-  return fps;
-}
-
-// --- JSON plumbing ----------------------------------------------------------
-
-void WriteJson(const std::string& path, const std::map<std::string, double>& metrics) {
-  std::ofstream out(path);
-  out << "{\n";
-  bool first = true;
-  for (const auto& [key, value] : metrics) {
-    if (!first) {
-      out << ",\n";
-    }
-    first = false;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.1f", value);
-    out << "  \"" << key << "\": " << buf;
-  }
-  out << "\n}\n";
-  std::printf("wrote %s\n", path.c_str());
-}
-
-// Minimal flat-JSON reader for our own `"key": number` format.
-std::map<std::string, double> ReadJson(const std::string& path) {
-  std::map<std::string, double> m;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto q1 = line.find('"');
-    if (q1 == std::string::npos) {
-      continue;
-    }
-    const auto q2 = line.find('"', q1 + 1);
-    const auto colon = line.find(':', q2);
-    if (q2 == std::string::npos || colon == std::string::npos) {
-      continue;
-    }
-    m[line.substr(q1 + 1, q2 - q1 - 1)] = std::atof(line.c_str() + colon + 1);
-  }
-  return m;
-}
-
-// Throughput metrics must stay above 1/2 baseline; RSS below 2x baseline.
-int CheckBaseline(const std::map<std::string, double>& now,
-                  const std::map<std::string, double>& base) {
-  int failures = 0;
-  for (const auto& [key, base_value] : base) {
-    auto it = now.find(key);
-    if (it == now.end() || base_value <= 0) {
-      continue;
-    }
-    const bool lower_is_better = key.find("rss") != std::string::npos;
-    const double ratio = lower_is_better ? it->second / base_value : base_value / it->second;
-    if (ratio > 2.0) {
-      std::printf("REGRESSION %s: now %.1f vs baseline %.1f (>2x)\n", key.c_str(), it->second,
-                  base_value);
-      ++failures;
-    }
-  }
-  if (failures == 0) {
-    std::printf("baseline check: OK (no metric regressed >2x)\n");
-  }
-  return failures;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_perf_core.json";
-  std::string baseline_path;
-  bool scale10 = false;
-  int threads = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--scale10") == 0) {
-      scale10 = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else {
-      std::printf("usage: %s [--out FILE] [--baseline FILE] [--scale10] [--threads N]\n",
-                  argv[0]);
-      return 2;
-    }
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s\n", argv[0]);
+    return 2;
   }
-
   std::printf("=== perf_core: event/packet fast-path microbenchmarks ===\n");
-  std::map<std::string, double> metrics;
   // Sizes chosen for a few hundred ms of wall per suite: long enough that
   // scheduler noise stops dominating, short enough for a per-PR CI job.
-  metrics["timer_schedule_fire_events_per_sec"] =
-      BestOf3([] { return BenchTimerScheduleFire(8'000'000); });
-  metrics["timer_schedule_fire_fn_events_per_sec"] =
-      BestOf3([] { return BenchTimerScheduleFireFn(8'000'000); });
-  metrics["timer_cancel_churn_ops_per_sec"] =
-      BestOf3([] { return BenchTimerCancelChurn(4'000'000); });
-  metrics["fabric_packets_per_sec"] = BestOf3([] { return BenchFabricPps(4'000'000); });
-  double flows = 0;
-  metrics["e2e_flows_per_sec"] = BenchE2eFlows(1, 1, 1, &flows);
-  metrics["e2e_flows_completed"] = flows;
-  // Sample before the x10/sharded sections: maxrss is a monotonic high-water
-  // mark, so this is the only point where the reading still means "x1
-  // footprint" when the bigger runs are enabled.
-  metrics["peak_rss_mb"] = PeakRssMb();
-  std::printf("  peak_rss_mb: %.1f\n", metrics["peak_rss_mb"]);
-  if (scale10) {
-    double flows10 = 0;
-    metrics["e2e_flows_per_sec_x10"] = BenchE2eFlows(10, 1, 1, &flows10);
-    metrics["e2e_flows_completed_x10"] = flows10;
-    // The x10 run dominates the process high-water mark, so sampling right
-    // after it attributes the figure to that scale (the x1 peak is ~10x
-    // smaller). This is the footprint-regression gate for the big run.
-    metrics["peak_rss_mb_x10"] = PeakRssMb();
-    std::printf("  peak_rss_mb_x10: %.1f\n", metrics["peak_rss_mb_x10"]);
-  }
-  if (threads > 0) {
-    metrics["threads"] = threads;
-    double sflows = 0;
-    metrics["e2e_flows_per_sec_sharded"] = BenchE2eFlowsCells(1, threads, &sflows);
-    metrics["e2e_flows_completed_sharded"] = sflows;
-    if (scale10) {
-      double sflows10 = 0;
-      metrics["e2e_flows_per_sec_x10_sharded"] = BenchE2eFlowsCells(10, threads, &sflows10);
-      metrics["e2e_flows_completed_x10_sharded"] = sflows10;
-    }
-    double iflows = 0;
-    metrics["e2e_flows_per_sec_intra"] = BenchE2eFlows(1, 8, threads, &iflows);
-    metrics["e2e_flows_completed_intra"] = iflows;
-    if (scale10) {
-      double iflows10 = 0;
-      metrics["e2e_flows_per_sec_x10_intra"] = BenchE2eFlows(10, 8, threads, &iflows10);
-      metrics["e2e_flows_completed_x10_intra"] = iflows10;
-    }
-  }
-
-  WriteJson(out_path, metrics);
-  if (!baseline_path.empty()) {
-    const auto base = ReadJson(baseline_path);
-    if (base.empty()) {
-      std::printf("baseline %s missing or empty\n", baseline_path.c_str());
-      return 1;
-    }
-    if (CheckBaseline(metrics, base) != 0) {
-      return 1;
-    }
-  }
+  const double fire = BestOf3([] { return BenchTimerScheduleFire(8'000'000); });
+  const double fire_fn = BestOf3([] { return BenchTimerScheduleFireFn(8'000'000); });
+  const double churn = BestOf3([] { return BenchTimerCancelChurn(4'000'000); });
+  const double pps = BestOf3([] { return BenchFabricPps(4'000'000); });
+  std::printf(
+      "{\"timer_schedule_fire_events_per_sec\": %.1f, "
+      "\"timer_schedule_fire_fn_events_per_sec\": %.1f, "
+      "\"timer_cancel_churn_ops_per_sec\": %.1f, \"fabric_packets_per_sec\": %.1f}\n",
+      fire, fire_fn, churn, pps);
   return 0;
 }

@@ -1,54 +1,31 @@
 #include "src/core/flow_table.h"
 
-#include <cassert>
 #include <utility>
 
 namespace yoda {
 
-FlowTable::FlowTable(int shards) {
-  assert(shards > 0);
-  shards_.resize(static_cast<std::size_t>(shards));
-}
-
 LocalFlow* FlowTable::Find(const FlowKey& key) {
-  Shard& shard = shards_[static_cast<std::size_t>(ShardOf(key))];
-  auto it = shard.find(key);
-  return it == shard.end() ? nullptr : it->second.get();
+  auto it = flows_.find(key);
+  return it == flows_.end() ? nullptr : it->second.get();
 }
 
 LocalFlow& FlowTable::Insert(const FlowKey& key, std::unique_ptr<LocalFlow> flow) {
-  Shard& shard = shards_[static_cast<std::size_t>(ShardOf(key))];
-  auto [it, inserted] = shard.insert_or_assign(key, std::move(flow));
-  if (inserted) {
-    ++size_;
-  }
-  return *it->second;
+  return *flows_.insert_or_assign(key, std::move(flow)).first->second;
 }
 
-void FlowTable::Erase(const FlowKey& key) {
-  Shard& shard = shards_[static_cast<std::size_t>(ShardOf(key))];
-  if (shard.erase(key) > 0) {
-    --size_;
-  }
-}
-
-std::size_t FlowTable::size() const { return size_; }
+void FlowTable::Erase(const FlowKey& key) { flows_.erase(key); }
 
 void FlowTable::ForEach(const std::function<void(const FlowKey&, LocalFlow&)>& fn) {
-  for (Shard& shard : shards_) {
-    for (auto& [key, flow] : shard) {
-      fn(key, *flow);
-    }
+  for (auto& [key, flow] : flows_) {
+    fn(key, *flow);
   }
 }
 
 std::vector<FlowKey> FlowTable::CollectIdle(sim::Time idle_deadline) const {
   std::vector<FlowKey> out;
-  for (const Shard& shard : shards_) {
-    for (const auto& [key, flow] : shard) {
-      if (!flow->lookup_pending() && flow->last_packet < idle_deadline) {
-        out.push_back(key);
-      }
+  for (const auto& [key, flow] : flows_) {
+    if (!flow->lookup_pending() && flow->last_packet < idle_deadline) {
+      out.push_back(key);
     }
   }
   return out;
@@ -56,11 +33,9 @@ std::vector<FlowKey> FlowTable::CollectIdle(sim::Time idle_deadline) const {
 
 std::vector<FlowKey> FlowTable::CollectVip(net::IpAddr vip) const {
   std::vector<FlowKey> out;
-  for (const Shard& shard : shards_) {
-    for (const auto& [key, flow] : shard) {
-      if (key.vip == vip) {
-        out.push_back(key);
-      }
+  for (const auto& [key, flow] : flows_) {
+    if (key.vip == vip) {
+      out.push_back(key);
     }
   }
   return out;
@@ -82,10 +57,7 @@ bool FlowTable::HasServer(const net::FiveTuple& tuple) const {
 }
 
 void FlowTable::Clear() {
-  for (Shard& shard : shards_) {
-    shard.clear();
-  }
-  size_ = 0;
+  flows_.clear();
   server_index_.clear();
 }
 

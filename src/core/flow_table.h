@@ -2,11 +2,7 @@
 //
 // Owns the LocalFlow lifecycle — lookup, insert, idle collection, erase —
 // keyed by the client-side FlowKey, plus the server-tuple reverse index that
-// classifies return traffic. The key hash partitions flows into N shards:
-// the simulator is single-threaded today, so sharding buys nothing yet, but
-// the ROADMAP's parallel split needs a stable, load-balanced partition
-// function to hand each shard to a worker — ShardOf is that seam, and the
-// shard-distribution unit test is its guard.
+// classifies return traffic.
 
 #ifndef SRC_CORE_FLOW_TABLE_H_
 #define SRC_CORE_FLOW_TABLE_H_
@@ -25,31 +21,19 @@ namespace yoda {
 
 class FlowTable {
  public:
-  static constexpr int kDefaultShards = 8;
-
-  explicit FlowTable(int shards = kDefaultShards);
+  FlowTable() = default;
   FlowTable(const FlowTable&) = delete;
   FlowTable& operator=(const FlowTable&) = delete;
-
-  // The shard a key belongs to: upper hash bits, so shard choice is
-  // independent of each shard map's own bucket indexing (which uses the
-  // lower bits).
-  static int ShardOf(const FlowKey& key, int shard_count) {
-    return static_cast<int>((FlowKeyHash{}(key) >> 17) % static_cast<std::size_t>(shard_count));
-  }
-  int ShardOf(const FlowKey& key) const { return ShardOf(key, shard_count()); }
 
   LocalFlow* Find(const FlowKey& key);
   // Inserts (replacing any existing entry) and returns the stored flow.
   LocalFlow& Insert(const FlowKey& key, std::unique_ptr<LocalFlow> flow);
   void Erase(const FlowKey& key);
 
-  std::size_t size() const;
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-  std::size_t shard_size(int shard) const { return shards_[static_cast<std::size_t>(shard)].size(); }
+  std::size_t size() const { return flows_.size(); }
 
-  // Visits every flow (shard-major, deterministic for a fixed insert
-  // history within one run).
+  // Visits every flow (deterministic for a fixed insert history within one
+  // run).
   void ForEach(const std::function<void(const FlowKey&, LocalFlow&)>& fn);
 
   // Keys with no packets since `idle_deadline` that are not waiting on a
@@ -70,9 +54,7 @@ class FlowTable {
   void Clear();
 
  private:
-  using Shard = std::unordered_map<FlowKey, std::unique_ptr<LocalFlow>, FlowKeyHash>;
-  std::vector<Shard> shards_;
-  std::size_t size_ = 0;
+  std::unordered_map<FlowKey, std::unique_ptr<LocalFlow>, FlowKeyHash> flows_;
   std::unordered_map<net::FiveTuple, FlowKey, net::FiveTupleHash> server_index_;
 };
 

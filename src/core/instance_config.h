@@ -41,12 +41,6 @@ struct YodaInstanceConfig {
   int takeover_retry_limit = 2;
   sim::Duration takeover_retry_backoff = sim::Msec(5);
   std::uint32_t mss = 1400;
-  // Inspect client bytes on HTTP/1.1 connections and re-switch backends
-  // between requests (§5.2).
-  bool http11_reswitch = true;
-  // Flow-table shard count (the partition seam for the future parallel
-  // split; functionally invisible today).
-  int flow_table_shards = 8;
   // Stateless fast path (per-VIP StoreMode::kStateless): fleet-wide key for
   // the signed SYN-cookie MAC — every instance must share it so any adopter
   // can verify a cookie minted elsewhere.

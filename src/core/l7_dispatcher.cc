@@ -211,7 +211,7 @@ void L7Dispatcher::ForwardRequestToServer(const FlowKey& key, LocalFlow& flow) {
 
   // Initialise (or re-arm after a re-switch) HTTP/1.1 inspection state.
   // TLS flows tunnel ciphertext, so re-switch inspection is unavailable.
-  if (ctx_->cfg->http11_reswitch && !flow.tls_active &&
+  if (!flow.tls_active &&
       (flow.inspect_enabled ||
        (flow.parser.HaveHeaders() && WantsInspection(flow.parser.request())))) {
     flow.inspect_enabled = true;

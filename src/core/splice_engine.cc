@@ -10,7 +10,7 @@ namespace yoda {
 
 void SpliceEngine::TunnelFromClient(const FlowKey& key, LocalFlow& flow, VipState& vip,
                                     const net::Packet& p) {
-  if (ctx_->cfg->http11_reswitch && flow.inspect_next_seq != 0 && !p.payload.empty()) {
+  if (flow.inspect_next_seq != 0 && !p.payload.empty()) {
     ctx_->dispatcher->InspectClientStream(key, flow, vip, p);
     // InspectClientStream forwards (possibly re-targeted) bytes itself.
     return;

@@ -16,7 +16,6 @@ YodaInstance::YodaInstance(sim::Simulator* simulator, net::Network* network,
       rng_(seed),
       cfg_(config),
       cpu_(config.cpu_costs, config.cores),
-      flow_table_(std::max(1, config.flow_table_shards)),
       store_session_(store, simulator),
       handshake_(&pipe_),
       dispatcher_(&pipe_),

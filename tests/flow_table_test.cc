@@ -1,7 +1,5 @@
-// FlowTable tests: CRUD + reverse index behavior, the idle/VIP collection
-// sweeps, and — the reason the table is sharded at all — the guarantee that
-// ShardOf spreads realistic 5-tuple populations evenly enough that a future
-// per-shard worker split cannot be pathologically imbalanced.
+// FlowTable tests: CRUD + reverse index behavior and the idle/VIP collection
+// sweeps.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +23,7 @@ FlowKey Key(std::uint32_t client_lo, net::Port client_port = 40'000,
 }
 
 TEST(FlowTable, InsertFindErase) {
-  FlowTable table(4);
+  FlowTable table;
   EXPECT_EQ(table.size(), 0u);
   EXPECT_EQ(table.Find(Key(1)), nullptr);
 
@@ -47,52 +45,8 @@ TEST(FlowTable, InsertFindErase) {
   EXPECT_EQ(table.size(), 0u);
 }
 
-TEST(FlowTable, ShardDistributionWithinTwiceUniform) {
-  // 10k distinct realistic 5-tuples: a block of client IPs, several
-  // ephemeral ports each, two VIPs — every shard must hold between half and
-  // twice the uniform share.
-  const int kShards = 8;
-  FlowTable table(kShards);
-  const int kFlows = 10'000;
-  int inserted = 0;
-  for (std::uint32_t ip = 0; inserted < kFlows; ++ip) {
-    for (net::Port port = 32'768; port < 32'768 + 10 && inserted < kFlows; ++port) {
-      const net::IpAddr vip =
-          net::MakeIp(10, 200, 0, inserted % 2 == 0 ? 1 : 2);
-      table.Insert(Key(ip, port, vip), std::make_unique<LocalFlow>());
-      ++inserted;
-    }
-  }
-  ASSERT_EQ(table.size(), static_cast<std::size_t>(kFlows));
-
-  const double uniform = static_cast<double>(kFlows) / kShards;
-  std::size_t total = 0;
-  for (int s = 0; s < kShards; ++s) {
-    const std::size_t n = table.shard_size(s);
-    total += n;
-    EXPECT_GE(static_cast<double>(n), uniform / 2.0) << "shard " << s << " underloaded";
-    EXPECT_LE(static_cast<double>(n), uniform * 2.0) << "shard " << s << " overloaded";
-  }
-  EXPECT_EQ(total, static_cast<std::size_t>(kFlows));
-}
-
-TEST(FlowTable, ShardOfIsStableAndInRange) {
-  FlowTable table(8);
-  for (std::uint32_t i = 0; i < 1000; ++i) {
-    const int s = table.ShardOf(Key(i));
-    EXPECT_GE(s, 0);
-    EXPECT_LT(s, 8);
-    EXPECT_EQ(s, FlowTable::ShardOf(Key(i), 8));  // Static and member agree.
-  }
-  // One shard degenerates gracefully.
-  FlowTable single(1);
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(single.ShardOf(Key(i)), 0);
-  }
-}
-
 TEST(FlowTable, ForEachVisitsEveryFlow) {
-  FlowTable table(4);
+  FlowTable table;
   for (std::uint32_t i = 0; i < 100; ++i) {
     table.Insert(Key(i), std::make_unique<LocalFlow>());
   }
@@ -102,7 +56,7 @@ TEST(FlowTable, ForEachVisitsEveryFlow) {
 }
 
 TEST(FlowTable, CollectIdleSkipsActiveAndLookupPendingFlows) {
-  FlowTable table(4);
+  FlowTable table;
   LocalFlow& idle = table.Insert(Key(1), std::make_unique<LocalFlow>());
   idle.last_packet = sim::Msec(10);
   LocalFlow& fresh = table.Insert(Key(2), std::make_unique<LocalFlow>());
@@ -118,7 +72,7 @@ TEST(FlowTable, CollectIdleSkipsActiveAndLookupPendingFlows) {
 }
 
 TEST(FlowTable, CollectVipSelectsOnlyThatVip) {
-  FlowTable table(4);
+  FlowTable table;
   const net::IpAddr vip_a = net::MakeIp(10, 200, 0, 1);
   const net::IpAddr vip_b = net::MakeIp(10, 200, 0, 2);
   for (std::uint32_t i = 0; i < 10; ++i) {
@@ -134,7 +88,7 @@ TEST(FlowTable, CollectVipSelectsOnlyThatVip) {
 }
 
 TEST(FlowTable, ServerIndexRoundTrip) {
-  FlowTable table(4);
+  FlowTable table;
   const FlowKey key = Key(7);
   table.Insert(key, std::make_unique<LocalFlow>());
   const net::FiveTuple server_side{net::MakeIp(10, 3, 0, 2), key.vip, 80, key.client_port};
@@ -154,7 +108,7 @@ TEST(FlowTable, ServerIndexRoundTrip) {
 }
 
 TEST(FlowTable, ClearDropsFlowsAndIndex) {
-  FlowTable table(4);
+  FlowTable table;
   for (std::uint32_t i = 0; i < 20; ++i) {
     const FlowKey key = Key(i);
     table.Insert(key, std::make_unique<LocalFlow>());

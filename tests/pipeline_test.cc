@@ -36,7 +36,7 @@ class PipelineTest : public ::testing::Test {
   sim::Rng rng{7};
   CpuModel cpu{CpuCosts{}};
   bool failed = false;
-  FlowTable flows{4};
+  FlowTable flows;
   std::unordered_map<net::IpAddr, VipState> vips;
   std::unordered_map<net::IpAddr, bool> backend_health;
   std::unordered_map<net::IpAddr, int> backend_load;
