@@ -64,7 +64,7 @@ void MonitorIntervalSweep() {
         tb.sim.RunUntil(sim::Msec(180));
         const int owner = FindOwner(tb);
         if (owner >= 0) {
-          tb.FailInstance(owner);
+          tb.CrashInstance(owner);
         }
       }
       tb.sim.Run();
@@ -116,7 +116,7 @@ void ReplicationFactorStudy() {
     }
     const int owner = FindOwner(tb);
     if (owner >= 0) {
-      tb.FailInstance(owner);
+      tb.CrashInstance(owner);
     }
     tb.sim.Run();
     std::printf("%-12d %-34s\n", replicas,

@@ -112,15 +112,15 @@ ScenarioResult RunScenario(bool use_yoda, bool browser_retry, int processes,
   }
 
   tb.SimFor(0)->After(fail_at, [&]() {
+    // Through the fault plane: routes the crash to the component AND the
+    // network, and stamps kFaultInjected into the flight recorder so the
+    // recovery timeline below has an anchor.
     if (use_yoda) {
-      // Through the fault plane: routes the crash to the instance AND the
-      // network, and stamps kFaultInjected into the flight recorder so the
-      // recovery timeline below has an anchor.
       tb.CrashInstance(0);
       tb.CrashInstance(1);
     } else {
-      tb.FailProxy(0);
-      tb.FailProxy(1);
+      tb.faults->CrashNode(tb.proxy_ip(0));
+      tb.faults->CrashNode(tb.proxy_ip(1));
       proxy_dead[0] = proxy_dead[1] = true;  // DNS updated (async in reality).
     }
   });
@@ -165,12 +165,10 @@ void PacketTimelineSection() {
   };
   std::vector<Event> events;
   std::uint32_t max_seq = 0;
-  // Tap server->VIP data packets (the stream the figure plots). Count each
-  // transmission once: at its first hop (before mux encapsulation).
-  tb.network.set_tap([&](sim::Time t, const net::Packet& p) {
-    if (p.encap_dst != 0) {
-      return;
-    }
+  // Watch server->VIP data packets (the stream the figure plots) where they
+  // land on the VIP: each transmission once, at its first hop (before mux
+  // encapsulation). The tap forwards every packet to the fabric.
+  net::TapNode tap(&tb.fabric, [&](const net::Packet& p) {
     bool from_backend = false;
     for (int i = 0; i < tb.cfg.backends; ++i) {
       from_backend = from_backend || p.src == tb.backend_ip(i);
@@ -178,9 +176,10 @@ void PacketTimelineSection() {
     if (from_backend && !p.payload.empty()) {
       const bool rtx = net::SeqLt(p.seq, max_seq);
       max_seq = std::max(max_seq, p.seq);
-      events.push_back({sim::ToMillis(t), p.seq, rtx});
+      events.push_back({sim::ToMillis(tb.sim.now()), p.seq, rtx});
     }
   });
+  tb.network.Attach(tb.vip(), &tap);
 
   bool ok = false;
   sim::Duration latency = 0;

@@ -56,8 +56,8 @@ int main() {
   std::printf("t=%.0f ms: CRASHING instances %s and %s\n", sim::ToMillis(tb.sim.now()),
               net::IpToString(tb.instance_ip(0)).c_str(),
               net::IpToString(tb.instance_ip(1)).c_str());
-  tb.FailInstance(0);
-  tb.FailInstance(1);
+  tb.CrashInstance(0);
+  tb.CrashInstance(1);
 
   tb.sim.Run();
 

@@ -15,6 +15,8 @@ namespace {
 
 void Banner(const char* msg) { std::printf("\n--- %s ---\n", msg); }
 
+constexpr auto kWarm = fault::FaultPlane::RestartMode::kWarm;
+
 }  // namespace
 
 int main() {
@@ -82,13 +84,13 @@ int main() {
   shares();
 
   std::printf("killing the primary backend...\n");
-  tb.FailBackend(3);
+  tb.faults->CrashNode(tb.backend_ip(3));
   tb.sim.RunUntil(tb.sim.now() + sim::Sec(2));  // Monitor marks it down.
   std::printf("completed %d requests (all should fail over to Srv-1)\n", burst(40));
   shares();
 
   Banner("policy 3: sticky sessions on cookie 'sid'");
-  tb.RecoverBackend(3);
+  tb.faults->RestartNode(tb.backend_ip(3), kWarm);
   rules::StickySessionPolicy ss;
   ss.name = "ss";
   ss.cookie = "sid";

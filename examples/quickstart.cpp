@@ -9,8 +9,37 @@
 // Build & run:  ./build/examples/quickstart
 
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <vector>
 
 #include "src/workload/testbed.h"
+
+namespace {
+
+// Puts a net::TapNode in front of every address that receives packets: the
+// VIP, the instances, the backends and the clients.
+std::vector<std::unique_ptr<net::TapNode>> TapEveryNode(
+    workload::Testbed& tb, const std::function<void(const net::Packet&)>& see) {
+  std::vector<std::unique_ptr<net::TapNode>> taps;
+  auto tap = [&](net::IpAddr ip, net::Node* node, net::Region region) {
+    taps.push_back(std::make_unique<net::TapNode>(node, see));
+    tb.network.Attach(ip, taps.back().get(), region);
+  };
+  tap(tb.vip(), &tb.fabric, net::Region::kDatacenter);
+  for (auto& inst : tb.instances) {
+    tap(inst->ip(), inst.get(), net::Region::kDatacenter);
+  }
+  for (auto& srv : tb.servers) {
+    tap(srv->ip(), srv.get(), net::Region::kDatacenter);
+  }
+  for (auto& c : tb.clients) {
+    tap(c->ip(), c.get(), net::Region::kInternet);
+  }
+  return taps;
+}
+
+}  // namespace
 
 int main() {
   workload::TestbedConfig cfg;
@@ -31,12 +60,13 @@ int main() {
               net::IpToString(tb.vip()).c_str(), cfg.yoda_instances, cfg.backends,
               cfg.kv_servers);
 
-  // Print the packet flow (skip bare ACKs to keep it readable).
-  tb.network.set_tap([](sim::Time t, const net::Packet& p) {
+  // Print the packet flow as each packet arrives (skip bare ACKs to keep it
+  // readable).
+  const auto taps = TapEveryNode(tb, [&tb](const net::Packet& p) {
     if (p.flags == net::kAck && p.payload.empty()) {
       return;
     }
-    std::printf("%9.2f ms  %s%s\n", sim::ToMillis(t), p.ToString().c_str(),
+    std::printf("%9.2f ms  %s%s\n", sim::ToMillis(tb.sim.now()), p.ToString().c_str(),
                 p.encap_dst != 0 ? "  [via L4 mux]" : "");
   });
 

@@ -9,8 +9,37 @@
 // Build & run:  ./build/examples/ssl_termination
 
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <vector>
 
 #include "src/workload/testbed.h"
+
+namespace {
+
+// Puts a net::TapNode in front of every address that receives packets: the
+// VIP, the instances, the backends and the clients.
+std::vector<std::unique_ptr<net::TapNode>> TapEveryNode(
+    workload::Testbed& tb, const std::function<void(const net::Packet&)>& see) {
+  std::vector<std::unique_ptr<net::TapNode>> taps;
+  auto tap = [&](net::IpAddr ip, net::Node* node, net::Region region) {
+    taps.push_back(std::make_unique<net::TapNode>(node, see));
+    tb.network.Attach(ip, taps.back().get(), region);
+  };
+  tap(tb.vip(), &tb.fabric, net::Region::kDatacenter);
+  for (auto& inst : tb.instances) {
+    tap(inst->ip(), inst.get(), net::Region::kDatacenter);
+  }
+  for (auto& srv : tb.servers) {
+    tap(srv->ip(), srv.get(), net::Region::kDatacenter);
+  }
+  for (auto& c : tb.clients) {
+    tap(c->ip(), c.get(), net::Region::kInternet);
+  }
+  return taps;
+}
+
+}  // namespace
 
 int main() {
   constexpr std::uint64_t kServiceKey = 0x7ea1;
@@ -29,7 +58,7 @@ int main() {
   // Show that nothing readable crosses the wire after the handshake.
   long encrypted_payloads = 0;
   long plaintext_sightings = 0;
-  tb.network.set_tap([&](sim::Time, const net::Packet& p) {
+  const auto taps = TapEveryNode(tb, [&](const net::Packet& p) {
     if (p.payload.empty() || p.encap_dst != 0) {
       return;
     }
@@ -66,7 +95,7 @@ int main() {
       std::printf("t=%.0f ms: certificate in flight — CRASHING instance %s\n",
                   sim::ToMillis(tb.sim.now()),
                   net::IpToString(tb.instances[i]->ip()).c_str());
-      tb.FailInstance(static_cast<int>(i));
+      tb.CrashInstance(static_cast<int>(i));
       break;
     }
   }

@@ -59,7 +59,7 @@ void FleetActuator::RegisterInstance(YodaInstance* instance) {
   instances_[instance->ip()] = instance;
 }
 
-YodaInstance* FleetActuator::InstanceByIp(net::IpAddr ip) const {
+YodaInstance* FleetActuator::RegisteredInstance(net::IpAddr ip) const {
   auto it = instances_.find(ip);
   return it == instances_.end() ? nullptr : it->second;
 }
@@ -173,7 +173,7 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
        step.kind == ExecStepKind::kSetBackendHealth ||
        step.kind == ExecStepKind::kScrubRules ||
        step.kind == ExecStepKind::kSetStoreMode)) {
-    YodaInstance* inst = InstanceByIp(step.instance);
+    YodaInstance* inst = RegisteredInstance(step.instance);
     if (inst != nullptr && net_->IsDown(inst->ip())) {
       return ApplyResult::kRetry;
     }
@@ -202,7 +202,7 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
       fabric_->AttachVip(step.vip);
       break;
     case ExecStepKind::kInstallRules: {
-      YodaInstance* inst = InstanceByIp(step.instance);
+      YodaInstance* inst = RegisteredInstance(step.instance);
       const ControlState::VipDesired* desired = state_->Desired(step.vip);
       if (inst == nullptr || desired == nullptr) {
         effective = false;  // VIP removed (or instance gone) since planning.
@@ -248,7 +248,7 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
              (plan.epoch << 32) | (step.pool.size() & 0xffffffffULL));
       break;
     case ExecStepKind::kSetBackendHealth: {
-      YodaInstance* inst = InstanceByIp(step.instance);
+      YodaInstance* inst = RegisteredInstance(step.instance);
       if (inst == nullptr) {
         effective = false;
         break;
@@ -278,7 +278,7 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
         effective = false;
         break;
       }
-      YodaInstance* inst = InstanceByIp(step.instance);
+      YodaInstance* inst = RegisteredInstance(step.instance);
       if (inst == nullptr) {
         effective = false;
         break;
@@ -302,7 +302,7 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
         fabric_->SetStoreMode(step.vip, stateless, plan.epoch, stagger, token);
         break;
       }
-      YodaInstance* inst = InstanceByIp(step.instance);
+      YodaInstance* inst = RegisteredInstance(step.instance);
       if (inst == nullptr) {
         effective = false;
         break;

@@ -140,7 +140,7 @@ class FleetActuator {
 
   // Instances the actuator may address (active, suspended and spare).
   void RegisterInstance(YodaInstance* instance);
-  YodaInstance* InstanceByIp(net::IpAddr ip) const;
+  YodaInstance* RegisteredInstance(net::IpAddr ip) const;
 
   // Executes `plan`: make phase now, break phase after mux convergence (for
   // staggered plans with a barrier). Idempotent per (epoch, step).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <sstream>
 
 namespace fault {
@@ -176,8 +177,15 @@ std::vector<ChaosEpisode> RandomSchedule(FaultPlane& plane, sim::Rng& rng,
   return episodes;
 }
 
-SoakReport CheckSoakInvariants(const obs::FlightRecorder& recorder,
-                               const SoakExpectations& expectations) {
+SoakReport CheckSoakInvariants(const obs::FlightRecorder& recorder) {
+  // Every node the fault plane crashed, read from the trace's system log.
+  std::set<net::IpAddr> crashed;
+  for (const obs::TraceEvent& ev : recorder.system_events()) {
+    if (ev.type == obs::EventType::kFaultInjected &&
+        ev.detail == static_cast<std::uint64_t>(FaultKind::kCrash)) {
+      crashed.insert(ev.where);
+    }
+  }
   SoakReport report;
   recorder.ForEachFlow([&](const obs::FlowId& id, const std::vector<obs::TraceEvent>& events) {
     ++report.flows_checked;
@@ -194,7 +202,7 @@ SoakReport CheckSoakInvariants(const obs::FlightRecorder& recorder,
         report.violations.push_back("non-monotone timestamps in flow " + FlowLabel(id));
       }
       prev = ev.at;
-      if (expectations.crashed.contains(ev.where)) {
+      if (crashed.contains(ev.where)) {
         touched_crashed = true;
       }
       switch (ev.type) {
@@ -225,7 +233,7 @@ SoakReport CheckSoakInvariants(const obs::FlightRecorder& recorder,
           // died with the VM before reaching the TCPStore, in which case the
           // adopter legitimately re-runs backend selection.
           const bool crash_repin =
-              takeover_since_pin && expectations.crashed.contains(pin_where);
+              takeover_since_pin && crashed.contains(pin_where);
           if (pin != 0 && ev.detail != pin && !switch_since_pin && !crash_repin) {
             report.violations.push_back("backend pin changed without re-switch in flow " +
                                         FlowLabel(id));

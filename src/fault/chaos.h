@@ -9,10 +9,12 @@
 // bisectable.
 //
 // CheckSoakInvariants replays a FlightRecorder and verifies the properties
-// the chaos soak asserts:
+// the chaos soak asserts. It needs no side input: the set of crashed nodes
+// comes from the trace itself, from the fault plane's kFaultInjected system
+// events whose detail is FaultKind::kCrash.
 //   - event timestamps are monotone within each flow;
 //   - every admitted flow reaches an explicit terminal event (kCleanup or
-//     kFlowReset) — flows whose last-known instance crashed are exempt (their
+//     kFlowReset) — flows that touched a crashed node are exempt (their
 //     state legitimately vanished with the VM);
 //   - a flow's backend pin (kBackendPinned detail) only changes across an
 //     intervening kReSwitch / kMirrorPromote — never silently mid-flow. Two
@@ -25,7 +27,6 @@
 #define SRC_FAULT_CHAOS_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,12 +73,6 @@ struct ChaosEpisode {
 std::vector<ChaosEpisode> RandomSchedule(FaultPlane& plane, sim::Rng& rng,
                                          const ChaosOptions& opts);
 
-struct SoakExpectations {
-  // Instances that crashed during the run; flows last seen there are exempt
-  // from the must-terminate invariant.
-  std::set<net::IpAddr> crashed;
-};
-
 struct SoakReport {
   std::vector<std::string> violations;
   std::size_t flows_checked = 0;
@@ -92,8 +87,7 @@ struct SoakReport {
   bool ok() const { return violations.empty(); }
 };
 
-SoakReport CheckSoakInvariants(const obs::FlightRecorder& recorder,
-                               const SoakExpectations& expectations);
+SoakReport CheckSoakInvariants(const obs::FlightRecorder& recorder);
 
 // Pool-continuity check for make-before-break rollouts: replays the system
 // event log (kPoolUpdate / kPoolMemberAdd / kPoolMemberRemove / kVipRemoved)

@@ -1,5 +1,6 @@
 #include "src/fault/fault_plane.h"
 
+#include <cassert>
 #include <utility>
 
 namespace fault {
@@ -32,8 +33,8 @@ const char* FaultKindName(FaultKind kind) {
 
 FaultPlane::FaultPlane(sim::Simulator* simulator, net::Network* network, std::uint64_t seed,
                        FaultPlaneConfig config)
-    : sim_(simulator), net_(network), cfg_(config), rng_(seed) {
-  net_->set_fault_observer(this);
+    : sim_(simulator), cfg_(config), rng_(seed) {
+  network->set_fault_observer(this);
 }
 
 std::uint64_t FaultPlane::LinkKey(net::IpAddr a, net::IpAddr b) {
@@ -110,30 +111,21 @@ void FaultPlane::ClearGray(const std::string& id) {
 }
 
 void FaultPlane::CrashNode(net::IpAddr ip) {
-  if (crash_handler_) {
-    crash_handler_(ip);
-  } else {
-    net_->SetNodeDown(ip, true);
-  }
+  assert(crash_handler_ && "CrashNode on a plane with no crash handler");
+  crash_handler_(ip);
   Note(ip, FaultKind::kCrash, true);
 }
 
 void FaultPlane::RestartNode(net::IpAddr ip, RestartMode mode) {
-  if (restart_handler_) {
-    restart_handler_(ip, mode);
-  } else if (mode == RestartMode::kCold) {
-    net_->RestartNode(ip);
-  } else {
-    net_->SetNodeDown(ip, false);
-  }
+  assert(restart_handler_ && "RestartNode on a plane with no restart handler");
+  restart_handler_(ip, mode);
   Note(ip, mode == RestartMode::kCold ? FaultKind::kRestartCold : FaultKind::kRestartWarm,
        true);
 }
 
 void FaultPlane::SlowKv(net::IpAddr ip, sim::Duration response_delay) {
-  if (kv_slow_handler_) {
-    kv_slow_handler_(ip, response_delay);
-  }
+  assert(kv_slow_handler_ && "SlowKv on a plane with no kv-slow handler");
+  kv_slow_handler_(ip, response_delay);
   Note(ip, FaultKind::kKvSlow, response_delay > 0);
 }
 

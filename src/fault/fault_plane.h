@@ -18,10 +18,12 @@
 // timeline.
 //
 // Crash / restart / KV-slowness are not packet overlays — they mutate
-// component state — so they route through handlers the testbed wires up
-// (defaulting to bare Network down/up when unwired). Restart distinguishes
-// warm (state intact — a healed partition) from cold (Node::OnColdRestart —
-// a rebooted VM).
+// component state — so they route through handlers the testbed wires up.
+// The handlers are the only crash semantics: the plane has no fallback, and
+// calling CrashNode / RestartNode / SlowKv on a plane without the matching
+// handler is a programming error (asserted). Restart distinguishes warm
+// (state intact — a healed partition) from cold (Node::OnColdRestart — a
+// rebooted VM).
 //
 // Timed fault scripts are built with Schedule(): each event fires at an
 // absolute simulated time as a daemon event (a pending fault never keeps the
@@ -102,7 +104,7 @@ class FaultPlane : public net::FaultObserver {
   void SetGray(const std::string& id, PacketPredicate pred, double p);
   void ClearGray(const std::string& id);
 
-  // --- component faults (routed through testbed-wired handlers) -------------
+  // --- component faults (routed through testbed-wired handlers; required) ---
   using CrashHandler = std::function<void(net::IpAddr)>;
   using RestartHandler = std::function<void(net::IpAddr, RestartMode)>;
   using KvSlowHandler = std::function<void(net::IpAddr, sim::Duration)>;
@@ -151,7 +153,6 @@ class FaultPlane : public net::FaultObserver {
   void Note(net::IpAddr where, FaultKind kind, bool injected);
 
   sim::Simulator* sim_;
-  net::Network* net_;
   FaultPlaneConfig cfg_;
   sim::Rng rng_;
 

@@ -27,24 +27,9 @@ void L4Fabric::AttachVip(net::IpAddr vip) { net_->Attach(vip, this); }
 
 void L4Fabric::DetachVip(net::IpAddr vip) { net_->Detach(vip); }
 
-void L4Fabric::SetVipPool(net::IpAddr vip, const std::vector<net::IpAddr>& instances) {
-  sim_->engine()->RunOn(sim_->shard_index(), [this, vip, instances]() {
-    for (auto& mux : muxes_) {
-      mux->SetPool(vip, instances);
-    }
-  });
-}
-
 void L4Fabric::SetVipPoolStaggered(net::IpAddr vip, std::vector<net::IpAddr> instances,
                                    sim::Duration per_mux_delay) {
-  sim_->engine()->RunOn(sim_->shard_index(), [this, vip, instances = std::move(instances),
-                                              per_mux_delay]() {
-    for (std::size_t i = 0; i < muxes_.size(); ++i) {
-      Mux* mux = muxes_[i].get();
-      sim_->After(per_mux_delay * static_cast<sim::Duration>(i),
-                  [mux, vip, instances]() { mux->SetPool(vip, instances); });
-    }
-  });
+  ProgramPool(vip, std::move(instances), /*epoch=*/0, per_mux_delay);
 }
 
 void L4Fabric::NoteFenced(net::IpAddr vip, std::uint64_t token, const Mux& mux) {
@@ -57,92 +42,53 @@ void L4Fabric::NoteFenced(net::IpAddr vip, std::uint64_t token, const Mux& mux) 
                           (token << 32) | (mux.FenceToken() & 0xffffffffULL));
 }
 
-void L4Fabric::ProgramPool(net::IpAddr vip, std::vector<net::IpAddr> instances,
-                           std::uint64_t epoch, sim::Duration per_mux_delay,
-                           std::uint64_t token) {
-  sim_->engine()->RunOn(sim_->shard_index(), [this, vip, instances = std::move(instances),
-                                              epoch, per_mux_delay, token]() {
+void L4Fabric::WriteMuxes(net::IpAddr vip, std::uint64_t token, sim::Duration per_mux_delay,
+                          std::function<bool(Mux&)> write) {
+  sim_->engine()->RunOn(sim_->shard_index(), [this, vip, token, per_mux_delay,
+                                              write = std::move(write)]() {
     for (std::size_t i = 0; i < muxes_.size(); ++i) {
       Mux* mux = muxes_[i].get();
-      if (per_mux_delay == 0) {
-        if (!mux->SetPool(vip, instances, epoch, token)) {
+      auto apply = [this, mux, vip, token, write]() {
+        if (!write(*mux)) {
           NoteFenced(vip, token, *mux);
         }
-        continue;
+      };
+      if (per_mux_delay == 0) {
+        apply();
+      } else {
+        sim_->After(per_mux_delay * static_cast<sim::Duration>(i), std::move(apply));
       }
-      sim_->After(per_mux_delay * static_cast<sim::Duration>(i),
-                  [this, mux, vip, instances, epoch, token]() {
-                    if (!mux->SetPool(vip, instances, epoch, token)) {
-                      NoteFenced(vip, token, *mux);
-                    }
-                  });
     }
   });
 }
 
+void L4Fabric::ProgramPool(net::IpAddr vip, std::vector<net::IpAddr> instances,
+                           std::uint64_t epoch, sim::Duration per_mux_delay,
+                           std::uint64_t token) {
+  WriteMuxes(vip, token, per_mux_delay,
+             [vip, instances = std::move(instances), epoch, token](Mux& mux) {
+               return mux.SetPool(vip, instances, epoch, token);
+             });
+}
+
 void L4Fabric::AddPoolMember(net::IpAddr vip, net::IpAddr instance, std::uint64_t epoch,
                              sim::Duration per_mux_delay, std::uint64_t token) {
-  sim_->engine()->RunOn(sim_->shard_index(),
-                        [this, vip, instance, epoch, per_mux_delay, token]() {
-    for (std::size_t i = 0; i < muxes_.size(); ++i) {
-      Mux* mux = muxes_[i].get();
-      if (per_mux_delay == 0) {
-        if (!mux->AddMember(vip, instance, epoch, token)) {
-          NoteFenced(vip, token, *mux);
-        }
-        continue;
-      }
-      sim_->After(per_mux_delay * static_cast<sim::Duration>(i),
-                  [this, mux, vip, instance, epoch, token]() {
-                    if (!mux->AddMember(vip, instance, epoch, token)) {
-                      NoteFenced(vip, token, *mux);
-                    }
-                  });
-    }
+  WriteMuxes(vip, token, per_mux_delay, [vip, instance, epoch, token](Mux& mux) {
+    return mux.AddMember(vip, instance, epoch, token);
   });
 }
 
 void L4Fabric::RemovePoolMember(net::IpAddr vip, net::IpAddr instance, std::uint64_t epoch,
                                 sim::Duration per_mux_delay, std::uint64_t token) {
-  sim_->engine()->RunOn(sim_->shard_index(),
-                        [this, vip, instance, epoch, per_mux_delay, token]() {
-    for (std::size_t i = 0; i < muxes_.size(); ++i) {
-      Mux* mux = muxes_[i].get();
-      if (per_mux_delay == 0) {
-        if (!mux->RemoveMember(vip, instance, epoch, token)) {
-          NoteFenced(vip, token, *mux);
-        }
-        continue;
-      }
-      sim_->After(per_mux_delay * static_cast<sim::Duration>(i),
-                  [this, mux, vip, instance, epoch, token]() {
-                    if (!mux->RemoveMember(vip, instance, epoch, token)) {
-                      NoteFenced(vip, token, *mux);
-                    }
-                  });
-    }
+  WriteMuxes(vip, token, per_mux_delay, [vip, instance, epoch, token](Mux& mux) {
+    return mux.RemoveMember(vip, instance, epoch, token);
   });
 }
 
 void L4Fabric::SetStoreMode(net::IpAddr vip, bool stateless, std::uint64_t epoch,
                             sim::Duration per_mux_delay, std::uint64_t token) {
-  sim_->engine()->RunOn(sim_->shard_index(),
-                        [this, vip, stateless, epoch, per_mux_delay, token]() {
-    for (std::size_t i = 0; i < muxes_.size(); ++i) {
-      Mux* mux = muxes_[i].get();
-      if (per_mux_delay == 0) {
-        if (!mux->SetStoreMode(vip, stateless, epoch, token)) {
-          NoteFenced(vip, token, *mux);
-        }
-        continue;
-      }
-      sim_->After(per_mux_delay * static_cast<sim::Duration>(i),
-                  [this, mux, vip, stateless, epoch, token]() {
-                    if (!mux->SetStoreMode(vip, stateless, epoch, token)) {
-                      NoteFenced(vip, token, *mux);
-                    }
-                  });
-    }
+  WriteMuxes(vip, token, per_mux_delay, [vip, stateless, epoch, token](Mux& mux) {
+    return mux.SetStoreMode(vip, stateless, epoch, token);
   });
 }
 

@@ -2,8 +2,8 @@
 //
 // It attaches to the network at each VIP, spreads packets across several Mux
 // instances (router ECMP), and owns the shared SNAT table. Controller-driven
-// mapping changes can be applied atomically (tests) or staggered across muxes
-// (paper §4.5: "the VIP-to-YODA-instance mapping has to be changed on
+// mapping changes can be applied on every mux at once or staggered across
+// muxes (paper §4.5: "the VIP-to-YODA-instance mapping has to be changed on
 // multiple L4 LB instances, which is not atomic"), which is what creates the
 // transient mixed-traffic window the assignment ILP budgets for.
 //
@@ -18,6 +18,7 @@
 #ifndef SRC_L4LB_FABRIC_H_
 #define SRC_L4LB_FABRIC_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -46,10 +47,9 @@ class L4Fabric : public net::Node {
   void DetachVip(net::IpAddr vip);
 
   // --- controller API ---
-  // Applies the pool on all muxes at once.
-  void SetVipPool(net::IpAddr vip, const std::vector<net::IpAddr>& instances);
   // Applies the pool one mux at a time, `per_mux_delay` apart (non-atomic
-  // update; during the window different muxes route differently).
+  // update; during the window different muxes route differently). An
+  // unversioned ProgramPool: epoch 0, unfenced.
   void SetVipPoolStaggered(net::IpAddr vip, std::vector<net::IpAddr> instances,
                            sim::Duration per_mux_delay);
   // Failure path: removes the instance from every pool on every mux and
@@ -110,6 +110,11 @@ class L4Fabric : public net::Node {
   // Records kFencedWrite when a rejected write was a fencing (not epoch)
   // rejection: the offered token sits below the mux's watermark.
   void NoteFenced(net::IpAddr vip, std::uint64_t token, const Mux& mux);
+  // The one pool-write loop: on the fabric's shard, applies `write` to every
+  // mux — inline when `per_mux_delay` is 0, else mux i at i * per_mux_delay —
+  // and notes each rejected write (NoteFenced).
+  void WriteMuxes(net::IpAddr vip, std::uint64_t token, sim::Duration per_mux_delay,
+                  std::function<bool(Mux&)> write);
 
   sim::Simulator* sim_;
   net::Network* net_;

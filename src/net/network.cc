@@ -324,9 +324,6 @@ void Network::Deliver(std::uint32_t lane_idx, std::uint32_t slot) {
   assert(ep->owner == static_cast<int>(lane_idx) &&
          "packet delivered off the destination's owning shard");
   ++lane.stats.delivered;
-  if (tap_) {
-    tap_(lane.sim->now(), p);
-  }
   ep->node->HandlePacket(p);
   ReleaseSlot(lane, slot);
 }

@@ -26,6 +26,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/net/packet.h"
@@ -47,6 +48,28 @@ class Node {
   // restart (rebooted VM) must drop all volatile per-connection state. The
   // default keeps everything (stateless nodes need no action).
   virtual void OnColdRestart() {}
+};
+
+// Forwarding node: shows every packet delivered to it to `see`, then hands
+// the packet to `inner`. Attached at an address in place of `inner`, it
+// observes that address's deliveries at their delivery instants, on the
+// address's owning shard, so it works on any number of shards. The network
+// holds its address, so it is neither copied nor moved.
+class TapNode final : public Node {
+ public:
+  TapNode(Node* inner, std::function<void(const Packet&)> see)
+      : inner_(inner), see_(std::move(see)) {}
+  TapNode(const TapNode&) = delete;
+  TapNode& operator=(const TapNode&) = delete;
+  void HandlePacket(const Packet& packet) override {
+    see_(packet);
+    inner_->HandlePacket(packet);
+  }
+  void OnColdRestart() override { inner_->OnColdRestart(); }
+
+ private:
+  Node* inner_;
+  std::function<void(const Packet&)> see_;
 };
 
 // Coarse placement used by the latency model.
@@ -160,11 +183,6 @@ class Network {
   // slot index) pair — no closure, no allocation. (The cross-shard path is
   // the one exception: the packet is copied into the mailbox closure.)
   void Send(Packet&& packet);
-
-  // Observes every delivered packet (for tcpdump-style traces in benches).
-  // Setup-time; unsupported (would race) on more than one shard.
-  using TapFn = std::function<void(sim::Time, const Packet&)>;
-  void set_tap(TapFn tap) { tap_ = std::move(tap); }
 
   // Aggregated over lanes; read only while the engine is idle. A one-lane
   // network returns the lane's live struct.
@@ -292,7 +310,6 @@ class Network {
   // lanes: configured at setup, read-only while running.
   LatencySpec latency_[2][2];
   double loss_rate_ = 0;
-  TapFn tap_;
   FaultObserver* fault_observer_ = nullptr;
   mutable NetworkStats agg_stats_;  // stats() aggregation cache.
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <functional>
@@ -49,36 +50,39 @@ std::string JoinFrom(const std::vector<std::string>& toks, std::size_t from) {
   return out;
 }
 
+// The index argument of an action ParseScenario has already validated.
+int IndexArg(const ScenarioEvent& ev) {
+  long long idx = 0;
+  ParseInt(ev.args[0], &idx);
+  return static_cast<int>(idx);
+}
+
 // Applies one non-load timeline action to a testbed, on the conductor shard
 // at the scripted instant. `ctl` is the control-plane handle — under HA,
-// whichever replica currently acts as leader.
+// whichever replica currently acts as leader. ParseScenario rejected every
+// malformed action, so this trusts its input. Every fail/recover/crash verb
+// goes through the fault plane, which records it on the trace.
 void ApplyControlEvent(Testbed& tb, const ScenarioEvent& ev, yoda::Controller* ctl,
                        const std::function<void(const std::string&)>& say) {
-  long long idx = 0;
-  if (ev.action == "fail-instance" && !ev.args.empty()) {
-    std::from_chars(ev.args[0].data(), ev.args[0].data() + ev.args[0].size(), idx);
+  constexpr auto kWarm = fault::FaultPlane::RestartMode::kWarm;
+  if (ev.action == "fail-instance") {
     say("FAIL instance " + ev.args[0]);
-    tb.FailInstance(static_cast<int>(idx));
-  } else if (ev.action == "recover-instance" && !ev.args.empty()) {
-    std::from_chars(ev.args[0].data(), ev.args[0].data() + ev.args[0].size(), idx);
+    tb.CrashInstance(IndexArg(ev));
+  } else if (ev.action == "recover-instance") {
     say("recover instance " + ev.args[0]);
-    tb.RecoverInstance(static_cast<int>(idx));
-  } else if (ev.action == "fail-backend" && !ev.args.empty()) {
-    std::from_chars(ev.args[0].data(), ev.args[0].data() + ev.args[0].size(), idx);
+    tb.RestartInstance(IndexArg(ev), kWarm);
+  } else if (ev.action == "fail-backend") {
     say("FAIL backend " + ev.args[0]);
-    tb.FailBackend(static_cast<int>(idx));
-  } else if (ev.action == "recover-backend" && !ev.args.empty()) {
-    std::from_chars(ev.args[0].data(), ev.args[0].data() + ev.args[0].size(), idx);
+    tb.faults->CrashNode(tb.backend_ip(IndexArg(ev)));
+  } else if (ev.action == "recover-backend") {
     say("recover backend " + ev.args[0]);
-    tb.RecoverBackend(static_cast<int>(idx));
-  } else if (ev.action == "fail-kv" && !ev.args.empty()) {
-    std::from_chars(ev.args[0].data(), ev.args[0].data() + ev.args[0].size(), idx);
+    tb.faults->RestartNode(tb.backend_ip(IndexArg(ev)), kWarm);
+  } else if (ev.action == "fail-kv") {
     say("FAIL kv server " + ev.args[0]);
-    tb.FailKvServer(static_cast<int>(idx));
-  } else if (ev.action == "crash-controller" && !ev.args.empty()) {
-    std::from_chars(ev.args[0].data(), ev.args[0].data() + ev.args[0].size(), idx);
+    tb.faults->CrashNode(tb.kv_ip(IndexArg(ev)));
+  } else if (ev.action == "crash-controller") {
     say("CRASH controller " + ev.args[0]);
-    tb.CrashController(static_cast<int>(idx));
+    tb.CrashController(IndexArg(ev));
   } else if (ev.action == "crash-leader") {
     for (int i = 0; i < tb.controller_count(); ++i) {
       yoda::Controller* c = tb.ControllerAt(i);
@@ -88,10 +92,9 @@ void ApplyControlEvent(Testbed& tb, const ScenarioEvent& ev, yoda::Controller* c
         break;
       }
     }
-  } else if (ev.action == "restart-controller" && !ev.args.empty()) {
-    std::from_chars(ev.args[0].data(), ev.args[0].data() + ev.args[0].size(), idx);
+  } else if (ev.action == "restart-controller") {
     say("restart controller " + ev.args[0]);
-    tb.RestartController(static_cast<int>(idx));
+    tb.RestartController(IndexArg(ev));
   } else if (ev.action == "add-instance") {
     // The next unused spare: caught up, then pooled by a fenced plan.
     if (ctl->ActivateSpares(1) == 1) {
@@ -100,22 +103,78 @@ void ApplyControlEvent(Testbed& tb, const ScenarioEvent& ev, yoda::Controller* c
   } else if (ev.action == "assign") {
     say("running many-to-many assignment round");
     ctl->RunAssignmentRoundNow();
-  } else if (ev.action == "update-rules" && ev.args.size() >= 2) {
-    auto vip = ParseIp(ev.args[0]);
-    auto rule = rules::ParseRule(JoinFrom(ev.args, 1));
-    if (vip && rule) {
-      say("update rules for " + ev.args[0]);
-      ctl->UpdateVipRules(*vip, {*rule});
-    }
-  } else if (ev.action == "store-mode" && ev.args.size() >= 2) {
-    auto vip = ParseIp(ev.args[0]);
+  } else if (ev.action == "update-rules") {
+    say("update rules for " + ev.args[0]);
+    ctl->UpdateVipRules(*ParseIp(ev.args[0]), {*rules::ParseRule(JoinFrom(ev.args, 1))});
+  } else if (ev.action == "store-mode") {
     const std::string& mode = ev.args[1];
-    if (vip && (mode == "stateful" || mode == "stateless")) {
-      say("store mode " + mode + " for " + ev.args[0]);
-      ctl->SetStoreMode(*vip, mode == "stateless" ? yoda::StoreMode::kStateless
-                                                  : yoda::StoreMode::kStateful);
-    }
+    say("store mode " + mode + " for " + ev.args[0]);
+    ctl->SetStoreMode(*ParseIp(ev.args[0]), mode == "stateless" ? yoda::StoreMode::kStateless
+                                                                 : yoda::StoreMode::kStateful);
   }
+}
+
+// Checks one `at` action against the whole parsed scenario (component counts
+// may be declared after the action). Returns an error message, or nullopt
+// when the action is well formed: a known verb with the arguments it needs,
+// and an index that names a component the testbed builds.
+std::optional<std::string> CheckAction(const Scenario& sc, const ScenarioEvent& ev) {
+  const TestbedConfig& tb = sc.testbed;
+  // Index verbs: how many components the index ranges over.
+  const std::map<std::string, int> indexed = {
+      {"fail-instance", tb.yoda_instances + tb.spare_instances},
+      {"recover-instance", tb.yoda_instances + tb.spare_instances},
+      {"fail-backend", tb.backends},
+      {"recover-backend", tb.backends},
+      {"fail-kv", tb.kv_servers},
+      {"crash-controller", std::max(1, tb.controllers)},
+      {"restart-controller", std::max(1, tb.controllers)},
+  };
+  const std::string& a = ev.action;
+  if (auto it = indexed.find(a); it != indexed.end()) {
+    long long idx = 0;
+    if (ev.args.size() != 1 || !ParseInt(ev.args[0], &idx)) {
+      return a + " needs one numeric index";
+    }
+    if (idx < 0 || idx >= it->second) {
+      return a + " index " + ev.args[0] + " names no component (have " +
+             std::to_string(it->second) + ")";
+    }
+    return std::nullopt;
+  }
+  if (a == "crash-leader" || a == "add-instance" || a == "assign") {
+    return ev.args.empty() ? std::nullopt : std::optional<std::string>(a + " takes no argument");
+  }
+  if (a == "load") {
+    // load <vip> rate <r> duration <d> [tls]
+    const std::size_t n = ev.args.size();
+    char* end = nullptr;
+    const double rate = n >= 5 ? std::strtod(ev.args[2].c_str(), &end) : 0;
+    if (n < 5 || n > 6 || !ParseIp(ev.args[0]) || ev.args[1] != "rate" || *end != '\0' ||
+        !(rate > 0 && std::isfinite(rate)) || ev.args[3] != "duration" ||
+        !ParseDuration(ev.args[4]) || (n == 6 && ev.args[5] != "tls")) {
+      return "usage: load <vip> rate <r> duration <d> [tls]";
+    }
+    return std::nullopt;
+  }
+  if (a == "update-rules") {
+    std::string rule_err;
+    if (ev.args.size() < 2 || !ParseIp(ev.args[0])) {
+      return "usage: update-rules <vip> <rule>";
+    }
+    if (!rules::ParseRule(JoinFrom(ev.args, 1), &rule_err)) {
+      return "bad rule: " + rule_err;
+    }
+    return std::nullopt;
+  }
+  if (a == "store-mode") {
+    if (ev.args.size() != 2 || !ParseIp(ev.args[0]) ||
+        (ev.args[1] != "stateful" && ev.args[1] != "stateless")) {
+      return "usage: store-mode <vip> <stateful|stateless>";
+    }
+    return std::nullopt;
+  }
+  return "unknown action: " + a;
 }
 
 }  // namespace
@@ -189,6 +248,7 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
   std::stringstream ss(text);
   std::string line;
   int line_no = 0;
+  std::vector<int> event_lines;  // Source line of each sc.events entry.
   while (std::getline(ss, line)) {
     ++line_no;
     const std::size_t hash = line.find('#');
@@ -374,6 +434,7 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
       ev.args.assign(toks.begin() + 3, toks.end());
       ev.raw = JoinFrom(toks, 3);
       sc.events.push_back(std::move(ev));
+      event_lines.push_back(line_no);
     } else if (cmd == "run-until") {
       if (!need(1)) {
         return std::nullopt;
@@ -397,14 +458,16 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
     Fail(error, 0, "threads and intra-threads are mutually exclusive");
     return std::nullopt;
   }
-  if (sc.intra_threads > 0) {
-    for (const ScenarioEvent& ev : sc.events) {
-      // Assignment rollouts aggregate per-instance counters with direct
-      // cross-shard reads; unsupported placed (see TestbedConfig::engine).
-      if (ev.action == "assign") {
-        Fail(error, 0, "assign is not supported with intra-threads");
-        return std::nullopt;
-      }
+  for (std::size_t i = 0; i < sc.events.size(); ++i) {
+    std::optional<std::string> bad = CheckAction(sc, sc.events[i]);
+    // Assignment rollouts aggregate per-instance counters with direct
+    // cross-shard reads; unsupported placed (see TestbedConfig::engine).
+    if (!bad && sc.intra_threads > 0 && sc.events[i].action == "assign") {
+      bad = "assign is not supported with intra-threads";
+    }
+    if (bad) {
+      Fail(error, event_lines[i], *bad);
+      return std::nullopt;
     }
   }
   return sc;
@@ -556,13 +619,10 @@ std::unique_ptr<PlacedRun> RunPlaced(const Scenario& scenario, int shards, int w
                    [&tb, ctl, say, ev]() { ApplyControlEvent(tb, ev, ctl(), say); });
       continue;
     }
-    const auto vip = ev.args.size() >= 5 ? ParseIp(ev.args[0]) : std::nullopt;
-    const auto duration = ev.args.size() >= 5 ? ParseDuration(ev.args[4]) : std::nullopt;
-    const double rate = ev.args.size() >= 5 ? std::strtod(ev.args[2].c_str(), nullptr) : 0;
-    const bool use_tls = ev.args.size() > 5 && ev.args[5] == "tls";
-    if (!vip || !duration || rate <= 0) {
-      continue;
-    }
+    const net::IpAddr vip = *ParseIp(ev.args[0]);
+    const sim::Duration duration = *ParseDuration(ev.args[4]);
+    const double rate = std::strtod(ev.args[2].c_str(), nullptr);
+    const bool use_tls = ev.args.size() > 5;
     conductor.At(std::max(ev.at, conductor.now()), [say, ev]() {
       say("load " + ev.args[0] + " @" + ev.args[2] + "/s for " + ev.args[4]);
     });
@@ -574,8 +634,7 @@ std::unique_ptr<PlacedRun> RunPlaced(const Scenario& scenario, int shards, int w
       BrowserClient* client = tb.clients[i].get();
       sim::Simulator* csim = tb.SimFor(tb.OwnerShardOf(client->ip()));
       csim->At(std::max(ev.at, csim->now()),
-               [cl, client, vip = *vip, per_client, duration = *duration, use_tls,
-                start_client_load]() {
+               [cl, client, vip, per_client, duration, use_tls, start_client_load]() {
                  start_client_load(cl, client, vip, per_client, duration, use_tls);
                });
     }

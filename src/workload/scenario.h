@@ -38,6 +38,14 @@
 //   at 11s assign                        # many-to-many assignment round
 //
 // Backend i is 10.3.0.(i+1); instance i is 10.1.0.(i+1) (the Testbed plan).
+//
+// Fault verbs (fail-*, recover-*, crash-*, restart-controller) go through the
+// testbed's fault plane, so each one lands on the trace as a kFaultInjected
+// system event; a recover is a warm restart. ParseScenario rejects, with the
+// line number, any `at` action it could not apply: an unknown verb, a missing
+// or malformed argument, or an index that names no instance (spares
+// included), backend, KV server or controller of the testbed the whole file
+// declares.
 
 #ifndef SRC_WORKLOAD_SCENARIO_H_
 #define SRC_WORKLOAD_SCENARIO_H_
@@ -135,7 +143,8 @@ struct ScenarioReport {
 std::uint64_t CellSeed(std::uint64_t seed, int cell);
 
 // Builds the testbed, schedules the events, runs the simulation and returns
-// the aggregate report. `log` (optional) receives progress lines. `after_run`
+// the aggregate report. `scenario` is one ParseScenario returned, so every
+// action is well formed. `log` (optional) receives progress lines. `after_run`
 // (optional) is invoked on the calling thread on each testbed (in cell order)
 // after the simulation finishes but before teardown — tools use it to
 // inspect the flight recorder and metrics registry directly.

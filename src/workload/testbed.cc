@@ -4,6 +4,15 @@
 #include <cstdio>
 
 namespace workload {
+namespace {
+
+// std::visit over a set of lambdas.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
+}  // namespace
 
 Testbed::Testbed(TestbedConfig config)
     : own_engine_(config.engine == nullptr
@@ -152,66 +161,47 @@ Testbed::Testbed(TestbedConfig config)
   faults = std::make_unique<fault::FaultPlane>(SimFor(ctl_shard), &network,
                                                cfg.seed ^ 0x66617574ULL,
                                                fault::FaultPlaneConfig{&flight_lane(ctl_shard)});
-  // Component mutations run on the component's owning shard (RunOn);
-  // SetNodeDown already replicates to every lane internally.
+  // The handlers are the one place an address becomes a component (the
+  // ComponentAt decode). Component mutations run on the component's owning
+  // shard (RunOn); SetNodeDown already replicates to every lane internally.
+  // Controllers and KV servers live off-network (their store clients talk to
+  // the KV servers directly), so their crash and restart touch no endpoint.
+  // An address that names no component is a no-op.
   faults->set_crash_handler([this](net::IpAddr ip) {
-    if (ControllerByIp(ip) != nullptr) {
-      // Controllers live off-network (their store client talks to the KV
-      // servers directly); a crash is purely "stop acting + stop renewing".
-      sim.RunOn(cfg.placement.controller_shard, [this, ip]() { ControllerByIp(ip)->Crash(); });
-      return;
-    }
-    sim.RunOn(OwnerShardOf(ip), [this, ip]() {
-      if (yoda::YodaInstance* inst = InstanceByIp(ip)) {
-        inst->Fail();
-      }
-      if (HttpServerNode* srv = ServerByIp(ip)) {
-        srv->Fail();
-      }
-      if (kv::KvServer* s = KvByIp(ip)) {
-        s->Fail();
-      }
-      if (baseline::ProxyInstance* p = ProxyByIp(ip)) {
-        p->Fail();
-      }
-    });
-    network.SetNodeDown(ip, true);
+    const int shard = OwnerShardOf(ip);
+    std::visit(Overloaded{[](std::monostate) {},
+                          // Stop acting and stop renewing the lease.
+                          [&](yoda::Controller* c) { sim.RunOn(shard, [c]() { c->Crash(); }); },
+                          [&](kv::KvServer* s) { sim.RunOn(shard, [s]() { s->Fail(); }); },
+                          // Instance, backend or proxy: state gone, address blackholed.
+                          [&](auto* node) {
+                            sim.RunOn(shard, [node]() { node->Fail(); });
+                            network.SetNodeDown(ip, true);
+                          }},
+               ComponentAt(ip));
   });
   faults->set_restart_handler([this](net::IpAddr ip, fault::FaultPlane::RestartMode mode) {
-    if (ControllerByIp(ip) != nullptr) {
-      // Re-enters the lease contest as a standby.
-      sim.RunOn(cfg.placement.controller_shard, [this, ip]() { ControllerByIp(ip)->Restart(); });
-      return;
-    }
-    if (KvByIp(ip) != nullptr) {
-      // KV servers live off-network; both modes amount to Recover (memcached
-      // restarts empty either way — RAM contents are gone).
-      sim.RunOn(OwnerShardOf(ip), [this, ip]() { KvByIp(ip)->Recover(); });
-      return;
-    }
-    if (mode == fault::FaultPlane::RestartMode::kCold) {
-      network.RestartNode(ip);  // OnColdRestart clears endpoint state, revives.
-      return;
-    }
-    sim.RunOn(OwnerShardOf(ip), [this, ip]() {
-      if (yoda::YodaInstance* inst = InstanceByIp(ip)) {
-        inst->Recover();
-      }
-      if (HttpServerNode* srv = ServerByIp(ip)) {
-        srv->Recover();
-      }
-      if (baseline::ProxyInstance* p = ProxyByIp(ip)) {
-        p->Recover();
-      }
-    });
-    network.SetNodeDown(ip, false);
+    const int shard = OwnerShardOf(ip);
+    std::visit(Overloaded{[](std::monostate) {},
+                          // Re-enters the lease contest as a standby.
+                          [&](yoda::Controller* c) { sim.RunOn(shard, [c]() { c->Restart(); }); },
+                          // memcached comes back empty in both modes: RAM is gone.
+                          [&](kv::KvServer* s) { sim.RunOn(shard, [s]() { s->Recover(); }); },
+                          [&](auto* node) {
+                            if (mode == fault::FaultPlane::RestartMode::kCold) {
+                              network.RestartNode(ip);  // OnColdRestart clears state, revives.
+                              return;
+                            }
+                            sim.RunOn(shard, [node]() { node->Recover(); });
+                            network.SetNodeDown(ip, false);
+                          }},
+               ComponentAt(ip));
   });
   faults->set_kv_slow_handler([this](net::IpAddr ip, sim::Duration d) {
-    sim.RunOn(OwnerShardOf(ip), [this, ip, d]() {
-      if (kv::KvServer* s = KvByIp(ip)) {
-        s->set_response_delay(d);
-      }
-    });
+    const Component c = ComponentAt(ip);
+    if (kv::KvServer* const* s = std::get_if<kv::KvServer*>(&c)) {
+      sim.RunOn(OwnerShardOf(ip), [s = *s, d]() { s->set_response_delay(d); });
+    }
   });
 }
 
@@ -241,13 +231,35 @@ int Testbed::OwnerShardOf(net::IpAddr ip) const {
   }
 }
 
-yoda::Controller* Testbed::ControllerByIp(net::IpAddr ip) {
-  for (int i = 0; i < controller_count(); ++i) {
-    if (controller_ip(i) == ip) {
-      return ControllerAt(i);
-    }
+Testbed::Component Testbed::ComponentAt(net::IpAddr ip) {
+  // Same decode as OwnerShardOf: the second octet names the kind, the host
+  // octet the index. The address must be exactly the plan's address for
+  // that index, and the index must name a built component.
+  const int subnet = static_cast<int>((ip >> 16) & 0xff);
+  const int idx = static_cast<int>(ip & 0xff) - 1;
+  if (idx < 0 || ip != net::MakeIp(10, static_cast<std::uint8_t>(subnet), 0,
+                                    static_cast<std::uint8_t>(idx + 1))) {
+    return {};
   }
-  return nullptr;
+  const auto i = static_cast<std::size_t>(idx);
+  // Element k of a component list, or monostate past its end.
+  auto at = [](const auto& list, std::size_t k) {
+    return k < list.size() ? Component(list[k].get()) : Component();
+  };
+  switch (subnet) {
+    case 0:
+      return idx < controller_count() ? Component(ControllerAt(idx)) : Component();
+    case 1:  // Instances, then spares.
+      return i < instances.size() ? at(instances, i) : at(spares, i - instances.size());
+    case 2:
+      return at(kv_servers, i);
+    case 3:
+      return at(servers, i);
+    case 4:
+      return at(proxies, i);
+    default:
+      return {};
+  }
 }
 
 void Testbed::StartAllControllers() {
@@ -272,47 +284,6 @@ yoda::Controller* Testbed::AwaitLeader(sim::Duration max_wait) {
     sim.RunUntil(std::min(deadline, sim.now() + sim::Msec(10)));
   }
   return LeaderController();
-}
-
-yoda::YodaInstance* Testbed::InstanceByIp(net::IpAddr ip) {
-  for (auto& inst : instances) {
-    if (inst->ip() == ip) {
-      return inst.get();
-    }
-  }
-  for (auto& inst : spares) {
-    if (inst->ip() == ip) {
-      return inst.get();
-    }
-  }
-  return nullptr;
-}
-
-HttpServerNode* Testbed::ServerByIp(net::IpAddr ip) {
-  for (auto& srv : servers) {
-    if (srv->ip() == ip) {
-      return srv.get();
-    }
-  }
-  return nullptr;
-}
-
-kv::KvServer* Testbed::KvByIp(net::IpAddr ip) {
-  for (int i = 0; i < cfg.kv_servers; ++i) {
-    if (kv_ip(i) == ip) {
-      return kv_servers[static_cast<std::size_t>(i)].get();
-    }
-  }
-  return nullptr;
-}
-
-baseline::ProxyInstance* Testbed::ProxyByIp(net::IpAddr ip) {
-  for (auto& p : proxies) {
-    if (p->ip() == ip) {
-      return p.get();
-    }
-  }
-  return nullptr;
 }
 
 std::vector<rules::Rule> Testbed::EqualSplitRules(int first_backend, int count,
@@ -345,41 +316,6 @@ void Testbed::PrintMetricsSnapshot(const char* title) {
   for (int s = 0; s < lane_count(); ++s) {
     std::printf("--- shard %d ---\n%s", s, metrics_lane(s).TextTable().c_str());
   }
-}
-
-void Testbed::FailInstance(int i) {
-  yoda::YodaInstance* inst = instances[static_cast<std::size_t>(i)].get();
-  sim.RunOn(OwnerShardOf(instance_ip(i)), [inst]() { inst->Fail(); });
-  network.SetNodeDown(instance_ip(i), true);
-}
-
-void Testbed::RecoverInstance(int i) {
-  yoda::YodaInstance* inst = instances[static_cast<std::size_t>(i)].get();
-  sim.RunOn(OwnerShardOf(instance_ip(i)), [inst]() { inst->Recover(); });
-  network.SetNodeDown(instance_ip(i), false);
-}
-
-void Testbed::FailProxy(int i) {
-  baseline::ProxyInstance* p = proxies[static_cast<std::size_t>(i)].get();
-  sim.RunOn(OwnerShardOf(proxy_ip(i)), [p]() { p->Fail(); });
-  network.SetNodeDown(proxy_ip(i), true);
-}
-
-void Testbed::FailBackend(int i) {
-  HttpServerNode* srv = servers[static_cast<std::size_t>(i)].get();
-  sim.RunOn(OwnerShardOf(backend_ip(i)), [srv]() { srv->Fail(); });
-  network.SetNodeDown(backend_ip(i), true);
-}
-
-void Testbed::RecoverBackend(int i) {
-  HttpServerNode* srv = servers[static_cast<std::size_t>(i)].get();
-  sim.RunOn(OwnerShardOf(backend_ip(i)), [srv]() { srv->Recover(); });
-  network.SetNodeDown(backend_ip(i), false);
-}
-
-void Testbed::FailKvServer(int i) {
-  kv::KvServer* s = kv_servers[static_cast<std::size_t>(i)].get();
-  sim.RunOn(OwnerShardOf(kv_ip(i)), [s]() { s->Fail(); });
 }
 
 }  // namespace workload

@@ -17,6 +17,7 @@
 #define SRC_WORKLOAD_TESTBED_H_
 
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "src/baseline/proxy_instance.h"
@@ -136,17 +137,13 @@ class Testbed {
     return shard == 0 ? flight : *shard_flight[static_cast<std::size_t>(shard - 1)];
   }
 
-  // Crash helpers (instance/proxy/kv/backend): mark down + drop state.
-  void FailInstance(int i);
-  void RecoverInstance(int i);
-  void FailProxy(int i);
-  void FailBackend(int i);
-  void RecoverBackend(int i);
-  void FailKvServer(int i);
-
-  // Fault-plane crash/restart routed through the wired handlers: CrashInstance
-  // drops state and blackholes the address; RestartInstance brings it back
-  // warm (revive only) or cold (Network::RestartNode -> OnColdRestart).
+  // Crash and restart go through the fault plane and nowhere else, so every
+  // one lands on the trace as a kFaultInjected system event. These wrappers
+  // name an instance by index; any other component is crashed by address,
+  // e.g. `faults->CrashNode(backend_ip(i))`. CrashInstance drops the
+  // instance's state and blackholes its address; RestartInstance brings it
+  // back warm (revive with state intact) or cold (Network::RestartNode ->
+  // OnColdRestart).
   void CrashInstance(int i) { faults->CrashNode(instance_ip(i)); }
   void RestartInstance(int i, fault::FaultPlane::RestartMode mode =
                                   fault::FaultPlane::RestartMode::kCold) {
@@ -166,8 +163,9 @@ class Testbed {
   yoda::Controller* LeaderController();
   // Runs the simulation until some replica holds the lease (or max_wait).
   yoda::Controller* AwaitLeader(sim::Duration max_wait = sim::Sec(2));
-  // Crash/restart through the fault plane so the flight recorder sees the
-  // kNodeCrash / kNodeRestart events the failover benches measure from.
+  // Crash/restart through the fault plane, so the flight recorder sees the
+  // kFaultInjected events (FaultKind kCrash / kRestartWarm) the failover
+  // benches measure from.
   void CrashController(int i) { faults->CrashNode(controller_ip(i)); }
   void RestartController(int i) {
     faults->RestartNode(controller_ip(i), fault::FaultPlane::RestartMode::kWarm);
@@ -217,11 +215,11 @@ class Testbed {
   std::unique_ptr<fault::FaultPlane> faults;
 
  private:
-  yoda::Controller* ControllerByIp(net::IpAddr ip);
-  yoda::YodaInstance* InstanceByIp(net::IpAddr ip);
-  HttpServerNode* ServerByIp(net::IpAddr ip);
-  kv::KvServer* KvByIp(net::IpAddr ip);
-  baseline::ProxyInstance* ProxyByIp(net::IpAddr ip);
+  // The component an address names under the address plan, or monostate
+  // when it names none. The fault plane's handlers are the only callers.
+  using Component = std::variant<std::monostate, yoda::Controller*, kv::KvServer*,
+                                 yoda::YodaInstance*, HttpServerNode*, baseline::ProxyInstance*>;
+  Component ComponentAt(net::IpAddr ip);
 };
 
 }  // namespace workload

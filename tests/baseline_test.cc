@@ -88,7 +88,7 @@ TEST_F(BaselineTest, CrashBreaksInFlightFlowWithoutRetry) {
                                 done = true;
                               });
   tb->sim.RunUntil(sim::Msec(150));  // Mid-transfer.
-  tb->FailProxy(0);
+  tb->faults->CrashNode(tb->proxy_ip(0));
   tb->sim.Run();
   ASSERT_TRUE(done);
   EXPECT_FALSE(result.ok);  // The flow broke: the paper's Problem 1.
@@ -117,14 +117,13 @@ TEST_F(BaselineTest, RetryModeRecoversAfterHttpTimeout) {
                                 done = true;
                               });
   tb->sim.RunUntil(sim::Msec(150));
-  tb->FailProxy(1);
+  tb->faults->CrashNode(tb->proxy_ip(1));
   // "DNS"/L4 is updated: the retry goes to a live proxy. Emulate by
   // recovering the address onto proxy 2's handler? Simpler: the retry
   // targets the same address, so bring the address back up, backed by a
   // fresh (state-less) proxy process.
   tb->sim.RunUntil(sim::Sec(2));
-  tb->proxies[1]->Recover();
-  tb->network.SetNodeDown(tb->proxy_ip(1), false);
+  tb->faults->RestartNode(tb->proxy_ip(1), fault::FaultPlane::RestartMode::kWarm);
   tb->sim.Run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.ok);

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -106,13 +105,7 @@ SoakOutcome RunSoak(std::uint64_t seed) {
   // still-open flow either terminates or counts as stuck.
   tb.sim.RunUntil(sim::Msec(1000) + sim::Sec(2) * 2 + sim::Sec(4));
 
-  fault::SoakExpectations expect;
-  for (const fault::ChaosEpisode& ep : out.episodes) {
-    if (ep.kind == fault::FaultKind::kCrash) {
-      expect.crashed.insert(ep.target);
-    }
-  }
-  out.report = fault::CheckSoakInvariants(tb.flight, expect);
+  out.report = fault::CheckSoakInvariants(tb.flight);
   std::ostringstream os;
   tb.flight.ExportJsonLines(os);
   out.jsonl = os.str();
@@ -223,9 +216,7 @@ TEST(ChaosRolloutCrash, MidRolloutCrashNeverEmptiesAPool) {
   EXPECT_EQ(settled.size(), 3u);
   EXPECT_EQ(tb.controller->detected_failures(), 1);
 
-  fault::SoakExpectations expect;
-  expect.crashed.insert(victim);
-  const fault::SoakReport report = fault::CheckSoakInvariants(tb.flight, expect);
+  const fault::SoakReport report = fault::CheckSoakInvariants(tb.flight);
   std::string violations;
   for (const auto& v : report.violations) {
     violations += "  " + v + "\n";
@@ -324,13 +315,7 @@ SoakOutcome RunHaSoak(std::uint64_t seed) {
 
   tb.sim.RunUntil(sim::Msec(1000) + sim::Sec(2) * 2 + sim::Sec(4));
 
-  fault::SoakExpectations expect;
-  for (const fault::ChaosEpisode& ep : out.episodes) {
-    if (ep.kind == fault::FaultKind::kCrash) {
-      expect.crashed.insert(ep.target);
-    }
-  }
-  out.report = fault::CheckSoakInvariants(tb.flight, expect);
+  out.report = fault::CheckSoakInvariants(tb.flight);
   std::ostringstream os;
   tb.flight.ExportJsonLines(os);
   out.jsonl = os.str();
@@ -441,8 +426,7 @@ TEST(ChaosHaDoubleKill, BackToBackLeaderKillsNeverSplitTheBrain) {
   tb.sim.RunUntil(sim::Msec(1500) + sim::Sec(2) * 2 + sim::Sec(4));
 
   // Three acquisitions (boot + two failovers), tokens strictly increasing.
-  fault::SoakExpectations expect;
-  const fault::SoakReport report = fault::CheckSoakInvariants(tb.flight, expect);
+  const fault::SoakReport report = fault::CheckSoakInvariants(tb.flight);
   EXPECT_GE(report.lease_acquisitions, 3u);
   std::string violations;
   for (const auto& v : report.violations) {

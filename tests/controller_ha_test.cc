@@ -24,6 +24,8 @@ using yoda::ChangeKind;
 using yoda::Controller;
 using yoda::ExecStepKind;
 
+constexpr auto kWarm = fault::FaultPlane::RestartMode::kWarm;
+
 TestbedConfig HaConfig(int controllers = 2) {
   TestbedConfig cfg;
   cfg.build_catalog = false;  // Control-plane tests: no HTTP load.
@@ -189,7 +191,7 @@ TEST(ActuatorRetry, StalledStepFailsRoundButDoesNotWedgeIt) {
   cfg.controller.max_step_retries = 2;
   cfg.controller.step_retry_backoff = sim::Msec(5);
   Testbed tb(cfg);
-  tb.FailInstance(2);  // Registered with the actuator, currently dead.
+  tb.CrashInstance(2);  // Registered with the actuator, currently dead.
 
   tb.controller->DefineVip(tb.vip(), 80, tb.EqualSplitRules(0, 3));
   tb.sim.Run();  // Drain the backoff retries.
@@ -220,8 +222,8 @@ TEST(ActuatorRetry, RecoveryDuringBackoffLetsTheRetrySucceed) {
   cfg.controller.max_step_retries = 3;
   cfg.controller.step_retry_backoff = sim::Msec(5);
   Testbed tb(cfg);
-  tb.FailInstance(2);
-  tb.SimFor(0)->After(sim::Msec(2), [&tb]() { tb.RecoverInstance(2); });
+  tb.CrashInstance(2);
+  tb.SimFor(0)->After(sim::Msec(2), [&tb]() { tb.RestartInstance(2, kWarm); });
 
   tb.controller->DefineVip(tb.vip(), 80, tb.EqualSplitRules(0, 3));
   tb.sim.Run();

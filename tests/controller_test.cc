@@ -14,6 +14,8 @@ namespace {
 using workload::Testbed;
 using workload::TestbedConfig;
 
+constexpr auto kWarm = fault::FaultPlane::RestartMode::kWarm;
+
 class ControllerTest : public ::testing::Test {
  protected:
   std::unique_ptr<Testbed> tb;
@@ -69,7 +71,7 @@ TEST_F(ControllerTest, UpdateRulesForUnknownVipIsNoop) {
 TEST_F(ControllerTest, MonitorDetectsInstanceFailureWithin600ms) {
   Build();
   tb->DefineDefaultVipAndStart();
-  tb->FailInstance(1);
+  tb->CrashInstance(1);
   tb->sim.RunUntil(tb->sim.now() + sim::Msec(650));
   EXPECT_EQ(tb->controller->detected_failures(), 1);
   EXPECT_EQ(tb->controller->ActiveInstances().size(), tb->instances.size() - 1);
@@ -82,7 +84,7 @@ TEST_F(ControllerTest, MonitorDetectsInstanceFailureWithin600ms) {
 TEST_F(ControllerTest, MonitorTickIsIdempotentForSameFailure) {
   Build();
   tb->DefineDefaultVipAndStart();
-  tb->FailInstance(0);
+  tb->CrashInstance(0);
   tb->controller->MonitorTick();
   tb->controller->MonitorTick();
   EXPECT_EQ(tb->controller->detected_failures(), 1);
@@ -91,7 +93,7 @@ TEST_F(ControllerTest, MonitorTickIsIdempotentForSameFailure) {
 TEST_F(ControllerTest, BackendHealthPropagatesDownAndUp) {
   Build();
   tb->DefineDefaultVipAndStart();
-  tb->FailBackend(2);
+  tb->faults->CrashNode(tb->backend_ip(2));
   tb->controller->MonitorTick();
   // Health is pushed into every instance's selection oracle: verify via a
   // selection that skips the dead backend (probabilistically exercised in
@@ -101,7 +103,7 @@ TEST_F(ControllerTest, BackendHealthPropagatesDownAndUp) {
     logged_fail = logged_fail || ev.what.find("failed") != std::string::npos;
   }
   EXPECT_TRUE(logged_fail);
-  tb->RecoverBackend(2);
+  tb->faults->RestartNode(tb->backend_ip(2), kWarm);
   tb->controller->MonitorTick();
   bool logged_recover = false;
   for (const auto& ev : tb->controller->events()) {
@@ -230,7 +232,7 @@ TEST_F(ControllerTest, FailureInManyToManyModeShrinksOnlyAffectedPools) {
   }
   ASSERT_GE(victim, 0);
   const net::IpAddr dead = assigned[0];
-  tb->FailInstance(victim);
+  tb->CrashInstance(victim);
   tb->controller->MonitorTick();
   // The dead instance is scrubbed from the assignment immediately, and the
   // repair reconcile tops the pool back up to its n_v = 2 replicas from the
@@ -262,7 +264,7 @@ TEST_F(ControllerTest, InstanceKilledMidRolloutIsScrubbedAndRepaired) {
     }
   }
   ASSERT_GE(victim, 0);
-  tb->FailInstance(victim);
+  tb->CrashInstance(victim);
   tb->controller->MonitorTick();
 
   // The failure scrubs the dead instance from the desired assignment at once:
@@ -298,7 +300,7 @@ TEST_F(ControllerTest, LiveReconfigurationFlowsThroughEpochedPlans) {
   demand[tb->vip(0)] = {0.4, 2, 0};
   ASSERT_TRUE(tb->controller->ApplyManyToMany(demand, 1.0, 2000));
   tb->sim.RunUntil(tb->sim.now() + sim::Sec(1));
-  tb->FailInstance(0);
+  tb->CrashInstance(0);
   tb->controller->MonitorTick();
   tb->sim.RunUntil(tb->sim.now() + sim::Sec(1));
   tb->controller->RemoveVip(tb->vip(0));

@@ -239,15 +239,16 @@ TEST(Determinism, ShardedRepeatRunIsStable) {
 }
 
 TEST(Determinism, LegacyScenariosReproduceGoldenTraceDigests) {
-  // Re-captured when plain scenarios moved onto the one runner (per-client
-  // load loops on a 1-shard placed testbed, timeline events landing at the
-  // epoch barrier); EXPERIMENTS.md records the old and new values. A
-  // mismatch means single-shard behavior changed: deliberate behavior changes
-  // must re-capture these.
+  // Re-captured when scripted fail/recover verbs moved onto the fault plane:
+  // each now adds one kFaultInjected system event to the trace (every flow
+  // line is unchanged; ha-failover scripts only controller faults, which
+  // already went through the plane). EXPERIMENTS.md records the old and new
+  // values. A mismatch means single-shard behavior changed: deliberate
+  // behavior changes must re-capture these.
   const std::map<std::string, std::uint64_t> kGolden = {
-      {"failover.yoda", 0x9fc54a16f0f2c40dull},
+      {"failover.yoda", 0x50b6355e493fb426ull},
       {"ha-failover.yoda", 0xa8706179e7d08f73ull},
-      {"https.yoda", 0x18a7af5b49a0b116ull},
+      {"https.yoda", 0x0b778158b0f67c70ull},
   };
   for (const auto& [name, want] : kGolden) {
     const std::string path = std::string(YODA_SOURCE_DIR) + "/scenarios/" + name;

@@ -1,6 +1,8 @@
 // Unit tests for the fault-injection plane: overlay verdicts, partitions,
 // gray failures, crash/restart routing, timed scripts and the seeded-RNG
-// determinism of randomized chaos schedules.
+// determinism of randomized chaos schedules. Warm/cold restart semantics are
+// covered by net_test's NetworkRestart.* and workload_test's testbed restart
+// test, since the plane has no crash semantics of its own.
 
 #include <gtest/gtest.h>
 
@@ -22,13 +24,16 @@ namespace {
 
 class Sink : public net::Node {
  public:
-  void HandlePacket(const net::Packet& p) override { received.push_back(p); }
-  void OnColdRestart() override {
-    received.clear();
-    ++cold_restarts;
+  explicit Sink(const sim::Simulator* clock) : clock_(clock) {}
+  void HandlePacket(const net::Packet& p) override {
+    received.push_back(p);
+    last_at = clock_->now();
   }
   std::vector<net::Packet> received;
-  int cold_restarts = 0;
+  sim::Time last_at = -1;  // Delivery instant of the latest packet.
+
+ private:
+  const sim::Simulator* clock_;
 };
 
 class FaultPlaneTest : public ::testing::Test {
@@ -37,7 +42,7 @@ class FaultPlaneTest : public ::testing::Test {
   sim::Simulator& simulator = engine.shard(0);
   net::Network network{&engine, 1};
   FaultPlane plane{&simulator, &network, 99};
-  Sink a, b, c;
+  Sink a{&simulator}, b{&simulator}, c{&simulator};
   const net::IpAddr ip_a = net::MakeIp(10, 0, 0, 1);
   const net::IpAddr ip_b = net::MakeIp(10, 0, 0, 2);
   const net::IpAddr ip_c = net::MakeIp(10, 0, 0, 3);
@@ -95,10 +100,8 @@ TEST_F(FaultPlaneTest, LinkLossIsApproximatelyBernoulli) {
 
 TEST_F(FaultPlaneTest, LinkDelaySpikesDeliveryTime) {
   plane.SetLinkDelay(ip_a, ip_b, sim::Msec(20));
-  sim::Time at = -1;
-  network.set_tap([&at](sim::Time t, const net::Packet&) { at = t; });
   SendAndRun(ip_a, ip_b);
-  EXPECT_EQ(at, sim::Msec(20) + sim::Usec(100));
+  EXPECT_EQ(b.last_at, sim::Msec(20) + sim::Usec(100));
   EXPECT_EQ(plane.stats().delayed, 1u);
 }
 
@@ -148,10 +151,8 @@ TEST_F(FaultPlaneTest, NodeLossAppliesToAndFromTheNode) {
 
 TEST_F(FaultPlaneTest, NodeDelayChargedOncePerPacket) {
   plane.SetNodeDelay(ip_b, sim::Msec(3));
-  sim::Time at = -1;
-  network.set_tap([&at](sim::Time t, const net::Packet&) { at = t; });
   SendAndRun(ip_a, ip_b);
-  EXPECT_EQ(at, sim::Msec(3) + sim::Usec(100));
+  EXPECT_EQ(b.last_at, sim::Msec(3) + sim::Usec(100));
 }
 
 TEST_F(FaultPlaneTest, GrayRuleWithProbabilityOneSkipsRngDraw) {
@@ -177,27 +178,6 @@ TEST_F(FaultPlaneTest, ClearGrayRemovesOnlyThatRule) {
   EXPECT_EQ(c.received.size(), 1u);       // "syns" gone.
 }
 
-TEST_F(FaultPlaneTest, CrashDefaultsToNodeDownAndRestartModesDiffer) {
-  SendAndRun(ip_a, ip_b);
-  ASSERT_EQ(b.received.size(), 1u);
-
-  plane.CrashNode(ip_b);
-  EXPECT_TRUE(network.IsDown(ip_b));
-  SendAndRun(ip_a, ip_b);
-  EXPECT_EQ(b.received.size(), 1u);  // Blackholed.
-
-  plane.RestartNode(ip_b, FaultPlane::RestartMode::kWarm);
-  EXPECT_FALSE(network.IsDown(ip_b));
-  EXPECT_EQ(b.received.size(), 1u);  // Warm: state intact.
-  EXPECT_EQ(b.cold_restarts, 0);
-
-  plane.CrashNode(ip_b);
-  plane.RestartNode(ip_b, FaultPlane::RestartMode::kCold);
-  EXPECT_FALSE(network.IsDown(ip_b));
-  EXPECT_TRUE(b.received.empty());  // Cold: volatile state gone.
-  EXPECT_EQ(b.cold_restarts, 1);
-}
-
 TEST_F(FaultPlaneTest, HandlersOverrideDefaultCrashRouting) {
   net::IpAddr crashed = 0;
   net::IpAddr restarted = 0;
@@ -212,7 +192,7 @@ TEST_F(FaultPlaneTest, HandlersOverrideDefaultCrashRouting) {
   EXPECT_EQ(crashed, ip_c);
   EXPECT_EQ(restarted, ip_c);
   EXPECT_TRUE(cold);
-  EXPECT_FALSE(network.IsDown(ip_c));  // Handler replaced the default.
+  EXPECT_FALSE(network.IsDown(ip_c));  // The handler is the whole crash.
 }
 
 TEST_F(FaultPlaneTest, ScheduleFiresAtAbsoluteTimeAsDaemon) {
@@ -344,7 +324,7 @@ TEST(SoakInvariants, CleanTraceHasNoViolations) {
   rec.Record(f, sim::Msec(1), obs::EventType::kClientSyn, 1);
   rec.Record(f, sim::Msec(2), obs::EventType::kBackendPinned, 1, 42);
   rec.Record(f, sim::Msec(3), obs::EventType::kCleanup, 1);
-  const SoakReport report = CheckSoakInvariants(rec, {});
+  const SoakReport report = CheckSoakInvariants(rec);
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.flows_checked, 1u);
   EXPECT_EQ(report.terminated, 1u);
@@ -353,7 +333,10 @@ TEST(SoakInvariants, CleanTraceHasNoViolations) {
 TEST(SoakInvariants, FlagsUnterminatedFlow) {
   obs::FlightRecorder rec;
   rec.Record(FlowN(1), sim::Msec(1), obs::EventType::kClientSyn, 1);
-  const SoakReport report = CheckSoakInvariants(rec, {});
+  // Only a crash exempts a flow; another injected fault at its node does not.
+  rec.RecordSystem(sim::Msec(2), obs::EventType::kFaultInjected, 1,
+                   static_cast<std::uint64_t>(FaultKind::kRestartWarm));
+  const SoakReport report = CheckSoakInvariants(rec);
   ASSERT_EQ(report.violations.size(), 1u);
   EXPECT_NE(report.violations[0].find("never terminated"), std::string::npos);
 }
@@ -362,9 +345,10 @@ TEST(SoakInvariants, CrashExemptsUnterminatedFlow) {
   obs::FlightRecorder rec;
   const std::uint32_t inst = net::MakeIp(10, 1, 0, 2);
   rec.Record(FlowN(1), sim::Msec(1), obs::EventType::kClientSyn, inst);
-  SoakExpectations expect;
-  expect.crashed.insert(inst);
-  const SoakReport report = CheckSoakInvariants(rec, expect);
+  // The crash is read from the trace: the fault plane's kFaultInjected event.
+  rec.RecordSystem(sim::Msec(2), obs::EventType::kFaultInjected, inst,
+                   static_cast<std::uint64_t>(FaultKind::kCrash));
+  const SoakReport report = CheckSoakInvariants(rec);
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.exempted, 1u);
 }
@@ -375,7 +359,7 @@ TEST(SoakInvariants, FlagsSilentPinChange) {
   rec.Record(f, sim::Msec(1), obs::EventType::kBackendPinned, 1, 42);
   rec.Record(f, sim::Msec(2), obs::EventType::kBackendPinned, 1, 43);  // No ReSwitch!
   rec.Record(f, sim::Msec(3), obs::EventType::kCleanup, 1);
-  const SoakReport report = CheckSoakInvariants(rec, {});
+  const SoakReport report = CheckSoakInvariants(rec);
   ASSERT_EQ(report.violations.size(), 1u);
   EXPECT_NE(report.violations[0].find("pin changed"), std::string::npos);
 }
@@ -387,7 +371,7 @@ TEST(SoakInvariants, PinChangeAfterReSwitchIsLegal) {
   rec.Record(f, sim::Msec(2), obs::EventType::kReSwitch, 1, 43);
   rec.Record(f, sim::Msec(3), obs::EventType::kBackendPinned, 1, 43);
   rec.Record(f, sim::Msec(4), obs::EventType::kCleanup, 1);
-  EXPECT_TRUE(CheckSoakInvariants(rec, {}).ok());
+  EXPECT_TRUE(CheckSoakInvariants(rec).ok());
 }
 
 }  // namespace

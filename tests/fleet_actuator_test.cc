@@ -105,7 +105,7 @@ TEST_F(FleetActuatorTest, StaggeredPlanDefersBreakPhaseUntilConvergence) {
   state->DefineVip(vip, 80, tb->EqualSplitRules(0, 2));
   tb->fabric.AttachVip(vip);
   tb->instances[0]->InstallVip(vip, 80, tb->EqualSplitRules(0, 2));
-  tb->fabric.SetVipPool(vip, {old_member});
+  tb->fabric.ProgramPool(vip, {old_member}, /*epoch=*/0);
   const std::uint64_t epoch = state->SetAssignments({{vip, {new_member}}});
 
   ExecPlan plan{epoch, "swap member", /*staggered=*/true, {}};
@@ -157,7 +157,7 @@ TEST_F(FleetActuatorTest, StaleScrubGuardSparesReaddedInstance) {
   state->DefineVip(vip, 80, tb->EqualSplitRules(0, 2));
   tb->fabric.AttachVip(vip);
   tb->instances[0]->InstallVip(vip, 80, tb->EqualSplitRules(0, 2));
-  tb->fabric.SetVipPool(vip, {x, y});
+  tb->fabric.ProgramPool(vip, {x, y}, /*epoch=*/0);
 
   // Epoch E: move the VIP off instance X (staggered, so the scrub waits).
   const std::uint64_t epoch = state->SetAssignments({{vip, {y}}});

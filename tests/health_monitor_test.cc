@@ -16,6 +16,8 @@ namespace {
 using workload::Testbed;
 using workload::TestbedConfig;
 
+constexpr auto kWarm = fault::FaultPlane::RestartMode::kWarm;
+
 class HealthMonitorTest : public ::testing::Test {
  protected:
   void Build(HealthMonitorConfig mcfg, int instances = 3) {
@@ -45,7 +47,7 @@ class HealthMonitorTest : public ::testing::Test {
 
 TEST_F(HealthMonitorTest, HysteresisSuspectsBeforeDeclaringDead) {
   Build({.fail_after_misses = 3});
-  tb->FailInstance(0);
+  tb->CrashInstance(0);
 
   auto suspected = TickKinds(HealthTransition::Kind::kInstanceSuspected);
   ASSERT_EQ(suspected.size(), 1u);
@@ -64,11 +66,11 @@ TEST_F(HealthMonitorTest, HysteresisSuspectsBeforeDeclaringDead) {
 
 TEST_F(HealthMonitorTest, RecoveryBetweenMissesResetsTheStreak) {
   Build({.fail_after_misses = 2});
-  tb->FailInstance(0);
+  tb->CrashInstance(0);
   EXPECT_EQ(TickKinds(HealthTransition::Kind::kInstanceSuspected).size(), 1u);
-  tb->RecoverInstance(0);
+  tb->RestartInstance(0, kWarm);
   EXPECT_TRUE(monitor->Tick().empty());
-  tb->FailInstance(0);
+  tb->CrashInstance(0);
   // The earlier miss no longer counts: suspected again, not failed.
   EXPECT_EQ(TickKinds(HealthTransition::Kind::kInstanceFailed).size(), 0u);
   EXPECT_EQ(monitor->active().size(), 3u);
@@ -76,11 +78,11 @@ TEST_F(HealthMonitorTest, RecoveryBetweenMissesResetsTheStreak) {
 
 TEST_F(HealthMonitorTest, ReadmissionAfterHealthyStreak) {
   Build({.fail_after_misses = 1, .readmit_instances = true, .readmit_after_successes = 2});
-  tb->FailInstance(0);
+  tb->CrashInstance(0);
   ASSERT_EQ(TickKinds(HealthTransition::Kind::kInstanceFailed).size(), 1u);
   EXPECT_EQ(monitor->suspended().size(), 1u);
 
-  tb->RecoverInstance(0);
+  tb->RestartInstance(0, kWarm);
   EXPECT_TRUE(monitor->Tick().empty());  // Streak 1 of 2.
   auto readmitted = TickKinds(HealthTransition::Kind::kInstanceReadmitted);
   ASSERT_EQ(readmitted.size(), 1u);
@@ -96,16 +98,16 @@ TEST_F(HealthMonitorTest, FlapSuppressionDoublesRequiredStreakUpToCap) {
          .readmit_after_successes = 2,
          .readmit_penalty_cap = 4});
   // First failure: 2 healthy probes readmit.
-  tb->FailInstance(0);
+  tb->CrashInstance(0);
   monitor->Tick();
-  tb->RecoverInstance(0);
+  tb->RestartInstance(0, kWarm);
   monitor->Tick();
   ASSERT_EQ(TickKinds(HealthTransition::Kind::kInstanceReadmitted).size(), 1u);
 
   // Second failure (a flap): the requirement doubles to 4 = the cap.
-  tb->FailInstance(0);
+  tb->CrashInstance(0);
   monitor->Tick();
-  tb->RecoverInstance(0);
+  tb->RestartInstance(0, kWarm);
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(TickKinds(HealthTransition::Kind::kInstanceReadmitted).empty()) << i;
   }

@@ -136,7 +136,7 @@ class FabricTest : public ::testing::Test {
       network.Attach(net::MakeIp(10, 1, 0, static_cast<std::uint8_t>(i + 1)), &instances[i]);
     }
     fabric.AttachVip(vip);
-    fabric.SetVipPool(vip, Pool(3));
+    fabric.ProgramPool(vip, Pool(3), /*epoch=*/0);
   }
 
   net::Packet ClientPacket(int flow) {
@@ -233,7 +233,7 @@ TEST_F(FabricTest, StaggeredUpdateConvergesOverTime) {
 }
 
 TEST_F(FabricTest, EmptyPoolDropsTraffic) {
-  fabric.SetVipPool(vip, {});
+  fabric.ProgramPool(vip, {}, /*epoch=*/0);
   network.Send(ClientPacket(1));
   simulator.Run();
   EXPECT_EQ(fabric.stats().dropped, 1u);

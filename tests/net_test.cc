@@ -245,8 +245,18 @@ TEST(Wire, ByteWriterReaderRoundTrip) {
 
 class Collector : public Node {
  public:
-  void HandlePacket(const Packet& p) override { received.push_back(p); }
+  explicit Collector(const sim::Simulator* clock = nullptr) : clock_(clock) {}
+  void HandlePacket(const Packet& p) override {
+    received.push_back(p);
+    if (clock_ != nullptr) {
+      arrived_at.push_back(clock_->now());
+    }
+  }
   std::vector<Packet> received;
+  std::vector<sim::Time> arrived_at;  // Delivery instants, when given a clock.
+
+ private:
+  const sim::Simulator* clock_;
 };
 
 class NetworkTest : public ::testing::Test {
@@ -254,7 +264,7 @@ class NetworkTest : public ::testing::Test {
   sim::ShardedSim engine{{.shards = 1}};
   sim::Simulator& simulator = engine.shard(0);
   Network network{&engine, 99};
-  Collector a, b;
+  Collector a{&simulator}, b{&simulator};
   const IpAddr ip_a = MakeIp(10, 0, 0, 1);
   const IpAddr ip_b = MakeIp(10, 0, 0, 2);
 
@@ -282,11 +292,10 @@ TEST_F(NetworkTest, DeliversToAttachedNode) {
 
 TEST_F(NetworkTest, AppliesRegionLatency) {
   network.SetLatency(Region::kDatacenter, Region::kDatacenter, sim::Msec(5), 0);
-  sim::Time delivered_at = -1;
-  network.set_tap([&delivered_at](sim::Time t, const Packet&) { delivered_at = t; });
   network.Send(PacketAB());
   simulator.Run();
-  EXPECT_EQ(delivered_at, sim::Msec(5));
+  ASSERT_EQ(b.arrived_at.size(), 1u);
+  EXPECT_EQ(b.arrived_at[0], sim::Msec(5));
 }
 
 TEST_F(NetworkTest, CrossRegionLatencyDiffers) {
@@ -376,7 +385,7 @@ TEST(NetworkDeterminism, NoOpFaultObserverLeavesDeliveryTimesIdentical) {
     sim::ShardedSim engine({.shards = 1});
     sim::Simulator& simulator = engine.shard(0);
     Network network(&engine, 2024);
-    Collector a, b;
+    Collector a, b(&simulator);
     network.Attach(MakeIp(10, 0, 0, 1), &a);
     network.Attach(MakeIp(10, 0, 0, 2), &b);
     // Jitter > 0 and loss > 0: both conditional draws are live.
@@ -387,8 +396,6 @@ TEST(NetworkDeterminism, NoOpFaultObserverLeavesDeliveryTimesIdentical) {
     if (with_hook) {
       network.set_fault_observer(&noop);
     }
-    std::vector<sim::Time> times;
-    network.set_tap([&times](sim::Time t, const Packet&) { times.push_back(t); });
     for (int i = 0; i < 200; ++i) {
       Packet p;
       p.src = MakeIp(10, 0, 0, 1);
@@ -397,7 +404,7 @@ TEST(NetworkDeterminism, NoOpFaultObserverLeavesDeliveryTimesIdentical) {
       network.Send(std::move(p));
     }
     simulator.Run();
-    return times;
+    return b.arrived_at;  // Every packet goes a -> b.
   };
   EXPECT_EQ(run(false), run(true));
 }

@@ -274,7 +274,7 @@ TEST(ObsE2E, TakeoverFlowTraceIsCoherent) {
   }
   ASSERT_GE(owner, 0);
   const std::uint32_t failed_ip = tb.instance_ip(owner);
-  tb.FailInstance(owner);
+  tb.CrashInstance(owner);
   tb.sim.Run();
   ASSERT_TRUE(done);
   ASSERT_TRUE(ok);

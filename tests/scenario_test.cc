@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/workload/scenario.h"
@@ -81,6 +82,50 @@ TEST(ParseScenario, ErrorsCarryLineNumbers) {
   EXPECT_FALSE(ParseScenario("# only comments\n", &error).has_value());  // No vip.
 }
 
+TEST(ParseScenario, RejectsTimelineActionsItCannotApply) {
+  // Every action sits on line 3, after two lines that define the testbed.
+  const std::string head = "instances 2\nvip 10.200.0.1\n";
+  const std::vector<std::string> bad = {
+      "at 1s fail-instance 40",         // Names no instance.
+      "at 1s fail-instance 2",          // One past the last (no spares).
+      "at 1s fail-backend -1",          // Negative index.
+      "at 1s crash-controller 1",       // One controller.
+      "at 1s fail-kv 3",                // Three KV servers: 0..2.
+      "at 1s fial-instance 0",          // Unknown action.
+      "at 1s recover-backend",          // Missing index.
+      "at 1s fail-kv one",              // Non-numeric index.
+      "at 1s recover-instance 0 1",     // One index only.
+      "at 1s assign now",               // Takes no argument.
+      "at 0ms load 10.200.0.1 rate 50",                     // Malformed load.
+      "at 0ms load 10.200.0.1 rate fast duration 2s",
+      "at 0ms load 10.200.0.1 rate inf duration 2s",
+      "at 0ms load 10.200.0.1 rate 50 duration soon",
+      "at 0ms load 10.200.0.1 rate 50 duration 2s udp",
+      "at 1s update-rules 10.200.0.1 nonsense",
+      "at 1s update-rules 10.200.0.1",
+      "at 1s store-mode 10.200.0.1 sideways",
+  };
+  for (const std::string& action : bad) {
+    std::string error;
+    EXPECT_FALSE(ParseScenario(head + action + "\n", &error).has_value()) << action;
+    EXPECT_NE(error.find("line 3"), std::string::npos) << action << " -> " << error;
+  }
+}
+
+TEST(ParseScenario, ActionIndicesRangeOverTheWholeFile) {
+  // Counts may follow the action that uses them, and spares are instances.
+  std::string error;
+  EXPECT_TRUE(ParseScenario("vip 10.200.0.1\n"
+                            "at 1s fail-instance 3\n"
+                            "at 2s recover-instance 3\n"
+                            "at 3s fail-kv 4\n"
+                            "at 4s restart-controller 2\n"
+                            "instances 2\nspares 2\nkv-servers 5\ncontrollers 3\n",
+                            &error)
+                  .has_value())
+      << error;
+}
+
 TEST(RunScenario, PlainLoadCompletes) {
   auto sc = ParseScenario(R"(
     seed 5
@@ -112,6 +157,45 @@ TEST(RunScenario, FailureEventIsTransparent) {
   EXPECT_EQ(report.requests_failed, 0u);
   EXPECT_EQ(report.failures_detected, 1);
   EXPECT_FALSE(report.controller_events.empty());
+}
+
+TEST(ScenarioTest, EveryScriptedFaultIsOnTheTimeline) {
+  // Each fail/recover verb goes through the fault plane, so the trace's
+  // system log holds exactly one kFaultInjected per verb, at its scripted
+  // time, naming the component's address and the kind of fault.
+  auto sc = ParseScenario(R"(
+    seed 4
+    instances 3
+    backends 3
+    vip 10.200.0.1
+    rule 10.200.0.1 name=r priority=1 url=* split=10.3.0.1,10.3.0.2,10.3.0.3
+    at 0ms load 10.200.0.1 rate 40 duration 2s
+    at 500ms fail-instance 1
+    at 900ms recover-instance 1
+    at 1000ms fail-backend 2
+    at 1300ms recover-backend 2
+    at 1500ms fail-kv 0
+  )");
+  ASSERT_TRUE(sc.has_value());
+  using Fault = std::tuple<sim::Time, net::IpAddr, fault::FaultKind>;
+  std::vector<Fault> faults;
+  RunScenario(*sc, nullptr, [&faults](Testbed& tb) {
+    for (int s = 0; s < tb.lane_count(); ++s) {
+      for (const obs::TraceEvent& ev : tb.flight_lane(s).system_events()) {
+        if (ev.type == obs::EventType::kFaultInjected) {
+          faults.emplace_back(ev.at, ev.where, static_cast<fault::FaultKind>(ev.detail));
+        }
+      }
+    }
+  });
+  const std::vector<Fault> want = {
+      {sim::Msec(500), net::MakeIp(10, 1, 0, 2), fault::FaultKind::kCrash},
+      {sim::Msec(900), net::MakeIp(10, 1, 0, 2), fault::FaultKind::kRestartWarm},
+      {sim::Msec(1000), net::MakeIp(10, 3, 0, 3), fault::FaultKind::kCrash},
+      {sim::Msec(1300), net::MakeIp(10, 3, 0, 3), fault::FaultKind::kRestartWarm},
+      {sim::Msec(1500), net::MakeIp(10, 2, 0, 1), fault::FaultKind::kCrash},
+  };
+  EXPECT_EQ(faults, want);
 }
 
 TEST(RunScenario, TlsLoadWorks) {

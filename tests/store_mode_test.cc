@@ -230,7 +230,7 @@ TEST_P(StoreModeE2E, FlowSurvivesInstanceFailureDuringTunneling) {
   tb->sim.RunUntil(tb->sim.now() + sim::Msec(160));
   const int owner = OwnerWithActiveFlows();
   ASSERT_GE(owner, 0);
-  tb->FailInstance(owner);
+  tb->CrashInstance(owner);
   tb->sim.Run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.ok) << "timed_out=" << result.timed_out << " reset=" << result.reset;
@@ -259,7 +259,7 @@ TEST_P(StoreModeE2E, FlowSurvivesFailureInConnectionPhase) {
   tb->sim.RunUntil(tb->sim.now() + sim::Msec(170));
   const int owner = OwnerWithActiveFlows();
   ASSERT_GE(owner, 0);
-  tb->FailInstance(owner);
+  tb->CrashInstance(owner);
   tb->sim.Run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.ok);
@@ -281,8 +281,8 @@ TEST_P(StoreModeE2E, SimultaneousDoubleFailureStillRecovers) {
     done = true;
   });
   tb->sim.RunUntil(tb->sim.now() + sim::Msec(160));
-  tb->FailInstance(0);
-  tb->FailInstance(1);
+  tb->CrashInstance(0);
+  tb->CrashInstance(1);
   tb->sim.Run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.ok);
@@ -427,7 +427,7 @@ TEST_F(StoreWriteContract, MidRunFlipKeepsInFlightFlowsAlive) {
     }
   }
   ASSERT_GE(owner, 0);
-  tb->FailInstance(owner);
+  tb->CrashInstance(owner);
   tb->sim.Run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.ok) << "timed_out=" << result.timed_out << " reset=" << result.reset;

@@ -159,7 +159,8 @@ TEST_F(TlsE2E, RequestIsEncryptedOnTheWire) {
   Build();
   bool saw_plaintext_request = false;
   bool saw_client_payload = false;
-  tb->network.set_tap([&](sim::Time, const net::Packet& p) {
+  // Every client packet enters through the VIP: watch the fabric there.
+  net::TapNode tap(&tb->fabric, [&](const net::Packet& p) {
     if (p.src == tb->client_ip(0) && !p.payload.empty()) {
       saw_client_payload = true;
       if (p.payload.find("GET /") != std::string::npos) {
@@ -167,6 +168,7 @@ TEST_F(TlsE2E, RequestIsEncryptedOnTheWire) {
       }
     }
   });
+  tb->network.Attach(tb->vip(), &tap);
   workload::FetchOptions opts;
   opts.use_tls = true;
   bool done = false;
@@ -205,7 +207,7 @@ TEST_F(TlsE2E, FailureDuringCertificateTransferResendsFlight) {
     }
   }
   ASSERT_GE(owner, 0);
-  tb->FailInstance(owner);
+  tb->CrashInstance(owner);
   tb->sim.Run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.ok) << "timed_out=" << result.timed_out;
@@ -240,7 +242,7 @@ TEST_F(TlsE2E, FailureDuringEncryptedTransferIsTransparent) {
     }
   }
   ASSERT_GE(owner, 0);
-  tb->FailInstance(owner);
+  tb->CrashInstance(owner);
   tb->sim.Run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.ok);

@@ -13,6 +13,8 @@
 namespace workload {
 namespace {
 
+constexpr auto kWarm = fault::FaultPlane::RestartMode::kWarm;
+
 TEST(ObjectCatalog, MatchesPaperSetup) {
   sim::Rng rng(1);
   ObjectCatalog catalog(rng);
@@ -103,7 +105,7 @@ TEST_F(DirectFetchTest, UnknownUrlIs404) {
 }
 
 TEST_F(DirectFetchTest, TimeoutWhenServerDown) {
-  tb->FailBackend(0);
+  tb->faults->CrashNode(tb->backend_ip(0));
   FetchResult result;
   bool done = false;
   FetchOptions opts;
@@ -120,7 +122,7 @@ TEST_F(DirectFetchTest, TimeoutWhenServerDown) {
 }
 
 TEST_F(DirectFetchTest, RetrySucceedsAfterServerRecovers) {
-  tb->FailBackend(0);
+  tb->faults->CrashNode(tb->backend_ip(0));
   FetchResult result;
   bool done = false;
   FetchOptions opts;
@@ -132,7 +134,7 @@ TEST_F(DirectFetchTest, RetrySucceedsAfterServerRecovers) {
                                 done = true;
                               });
   tb->sim.RunUntil(sim::Sec(2));
-  tb->RecoverBackend(0);
+  tb->faults->RestartNode(tb->backend_ip(0), kWarm);
   tb->sim.Run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.ok);
@@ -170,6 +172,61 @@ TEST_F(DirectFetchTest, DrainRequestCounterResets) {
   tb->sim.Run();
   EXPECT_EQ(tb->servers[0]->DrainRequestCounter(), 1u);
   EXPECT_EQ(tb->servers[0]->DrainRequestCounter(), 0u);
+}
+
+// Crash and restart through the fault plane, at the testbed level: a warm
+// restart keeps an instance's flow table and a cold one empties it; a KV
+// server lives off-network, so its crash and restart touch no endpoint; and
+// an address that names no component is a no-op.
+TEST(TestbedFaults, RestartModesAndOffNetworkComponents) {
+  TestbedConfig cfg;
+  cfg.yoda_instances = 2;
+  cfg.backends = 2;
+  cfg.clients = 1;
+  Testbed tb(cfg);
+  tb.DefineDefaultVipAndStart();
+  const WebObject* big = nullptr;
+  for (const WebObject& o : tb.catalog->objects()) {
+    if (o.size > 150'000) {
+      big = &o;
+      break;
+    }
+  }
+  ASSERT_NE(big, nullptr);
+  tb.clients[0]->FetchObject(tb.vip(), 80, big->url, {}, [](const FetchResult&) {});
+  tb.sim.RunUntil(sim::Msec(150));  // Mid-transfer.
+  int owner = -1;
+  for (int i = 0; i < cfg.yoda_instances; ++i) {
+    if (tb.instances[static_cast<std::size_t>(i)]->active_flows() > 0) {
+      owner = i;
+    }
+  }
+  ASSERT_GE(owner, 0);
+  yoda::YodaInstance& inst = *tb.instances[static_cast<std::size_t>(owner)];
+  const std::size_t flows = inst.active_flows();
+
+  tb.RestartInstance(owner, kWarm);
+  EXPECT_EQ(inst.active_flows(), flows);  // Warm: state intact.
+  tb.RestartInstance(owner, fault::FaultPlane::RestartMode::kCold);
+  EXPECT_EQ(inst.active_flows(), 0u);  // Cold: the flow table is gone.
+  EXPECT_FALSE(tb.network.IsDown(tb.instance_ip(owner)));
+
+  tb.faults->CrashNode(tb.kv_ip(0));
+  EXPECT_TRUE(tb.kv_servers[0]->failed());
+  EXPECT_FALSE(tb.network.IsDown(tb.kv_ip(0)));
+  tb.faults->RestartNode(tb.kv_ip(0), kWarm);
+  EXPECT_FALSE(tb.kv_servers[0]->failed());
+  EXPECT_FALSE(tb.network.IsDown(tb.kv_ip(0)));
+
+  // Past the last instance, off the address plan, a client, the VIP.
+  for (const net::IpAddr nobody : {net::MakeIp(10, 1, 0, 9), net::MakeIp(10, 1, 7, 1),
+                                   tb.client_ip(0), tb.vip()}) {
+    tb.faults->CrashNode(nobody);
+    EXPECT_FALSE(tb.network.IsDown(nobody)) << net::IpToString(nobody);
+  }
+  for (const auto& i : tb.instances) {
+    EXPECT_FALSE(i->failed());
+  }
 }
 
 TEST(OpenLoop, GeneratesApproximatelyTargetRate) {

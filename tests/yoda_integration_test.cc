@@ -73,15 +73,16 @@ TEST_F(YodaE2E, ResponseBodyIsByteExact) {
 TEST_F(YodaE2E, ServerOnlySeesVipAsPeer) {
   Build();
   bool server_side_checked = false;
-  tb->network.set_tap([&](sim::Time, const net::Packet& p) {
-    // Any packet arriving at a backend must come from the VIP.
-    for (int i = 0; i < tb->cfg.backends; ++i) {
-      if (p.encap_dst == 0 && p.dst == tb->backend_ip(i)) {
-        EXPECT_EQ(p.src, tb->vip()) << p.ToString();
-        server_side_checked = true;
-      }
-    }
-  });
+  // Any packet arriving at a backend must come from the VIP.
+  std::vector<std::unique_ptr<net::TapNode>> taps;
+  for (int i = 0; i < tb->cfg.backends; ++i) {
+    taps.push_back(std::make_unique<net::TapNode>(
+        tb->servers[static_cast<std::size_t>(i)].get(), [&](const net::Packet& p) {
+          EXPECT_EQ(p.src, tb->vip()) << p.ToString();
+          server_side_checked = true;
+        }));
+    tb->network.Attach(tb->backend_ip(i), taps.back().get());
+  }
   FetchAndRun(AnyUrl());
   EXPECT_TRUE(server_side_checked);
 }
@@ -89,12 +90,11 @@ TEST_F(YodaE2E, ServerOnlySeesVipAsPeer) {
 TEST_F(YodaE2E, ClientOnlySeesVipAsPeer) {
   Build();
   bool client_side_checked = false;
-  tb->network.set_tap([&](sim::Time, const net::Packet& p) {
-    if (p.dst == tb->client_ip(0)) {
-      EXPECT_EQ(p.src, tb->vip()) << p.ToString();
-      client_side_checked = true;
-    }
+  net::TapNode tap(tb->clients[0].get(), [&](const net::Packet& p) {
+    EXPECT_EQ(p.src, tb->vip()) << p.ToString();
+    client_side_checked = true;
   });
+  tb->network.Attach(tb->client_ip(0), &tap, net::Region::kInternet);
   FetchAndRun(AnyUrl());
   EXPECT_TRUE(client_side_checked);
 }
@@ -170,7 +170,7 @@ TEST_F(YodaE2E, FlowSurvivesInstanceFailureDuringTunneling) {
     }
   }
   ASSERT_GE(owner, 0);
-  tb->FailInstance(owner);
+  tb->CrashInstance(owner);
   tb->sim.Run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.ok) << "timed_out=" << result.timed_out << " reset=" << result.reset;
@@ -210,7 +210,7 @@ TEST_F(YodaE2E, FlowSurvivesFailureInConnectionPhase) {
   }
   ASSERT_GE(owner, 0);
   EXPECT_EQ(tb->instances[static_cast<std::size_t>(owner)]->stats().flows_completed, 0u);
-  tb->FailInstance(owner);
+  tb->CrashInstance(owner);
   tb->sim.Run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.ok);
@@ -243,7 +243,7 @@ TEST_F(YodaE2E, SynBeforeStorageFailureFallsBackToNewFlow) {
     }
   }
   if (owner >= 0) {
-    tb->FailInstance(owner);
+    tb->CrashInstance(owner);
   }
   tb->sim.Run();
   ASSERT_TRUE(done);
@@ -273,8 +273,8 @@ TEST_F(YodaE2E, SimultaneousDoubleFailureStillRecovers) {
         });
   }
   tb->sim.RunUntil(sim::Msec(200));
-  tb->FailInstance(0);
-  tb->FailInstance(1);
+  tb->CrashInstance(0);
+  tb->CrashInstance(1);
   tb->sim.Run();
   EXPECT_EQ(done, 12);
   EXPECT_EQ(ok, 12);
@@ -282,7 +282,7 @@ TEST_F(YodaE2E, SimultaneousDoubleFailureStillRecovers) {
 
 TEST_F(YodaE2E, ControllerDetectsFailureWithinMonitorInterval) {
   Build();
-  tb->FailInstance(2);
+  tb->CrashInstance(2);
   tb->sim.RunUntil(tb->sim.now() + sim::Msec(1300));
   EXPECT_EQ(tb->controller->detected_failures(), 1);
   EXPECT_EQ(tb->controller->ActiveInstances().size(), 3u);
@@ -473,7 +473,7 @@ TEST_F(YodaE2E, PrimaryBackupFailsOverOnBackendDeath) {
   EXPECT_TRUE(r1.ok);
   EXPECT_EQ(tb->servers[0]->stats().requests, 1u);
   // Kill the primary; after the monitor notices, traffic goes to the backup.
-  tb->FailBackend(0);
+  tb->faults->CrashNode(tb->backend_ip(0));
   tb->sim.RunUntil(tb->sim.now() + sim::Sec(2));
   FetchResult r2 = FetchAndRun(AnyUrl());
   EXPECT_TRUE(r2.ok);
@@ -588,7 +588,7 @@ TEST_F(YodaE2E, PipelinedResponsesStayInOrderAcrossFailure) {
     }
   }
   ASSERT_GE(owner, 0);
-  tb->FailInstance(owner);
+  tb->CrashInstance(owner);
   tb->sim.Run();
   ASSERT_TRUE(done);
   ASSERT_EQ(results.size(), 3u);
@@ -802,7 +802,7 @@ TEST_F(YodaE2E, IdleFlowsAreGarbageCollected) {
                               [&done](const FetchResult&) { done = true; });
   tb->sim.RunUntil(sim::Msec(120));
   for (int i = 0; i < tb->cfg.backends; ++i) {
-    tb->FailBackend(i);
+    tb->faults->CrashNode(tb->backend_ip(i));
   }
   tb->sim.RunUntil(tb->sim.now() + sim::Sec(30));
   EXPECT_TRUE(done);
@@ -915,7 +915,7 @@ TEST_P(FailureTimingSweep, FlowSurvivesFailureAtAnyPoint) {
     }
   }
   if (owner >= 0 && !done) {
-    tb.FailInstance(owner);
+    tb.CrashInstance(owner);
   }
   tb.sim.Run();
   ASSERT_TRUE(done);
@@ -1012,7 +1012,7 @@ TEST_F(YodaE2E, TakeoverRefetchRidesOutTransientKvSlowness) {
     }
   }
   ASSERT_GE(owner, 0);
-  tb->FailInstance(owner);
+  tb->CrashInstance(owner);
   for (int i = 0; i < tb->cfg.kv_servers; ++i) {
     tb->SlowKvServer(i, sim::Msec(100));  // Late answers: every Get times out.
   }
@@ -1078,7 +1078,7 @@ TEST_F(YodaE2E, TakeoverFinalMissResetsFlowInsteadOfBlackholing) {
     }
   }
   ASSERT_GE(owner, 0);
-  tb->FailInstance(owner);
+  tb->CrashInstance(owner);
   for (auto& s : tb->kv_servers) {
     s->Fail();  // Wipes contents; lookups now miss for good.
   }
