@@ -7,19 +7,24 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/kv/kv_server.h"
 #include "src/kv/replicating_client.h"
-#include "src/obs/registry.h"
 #include "src/sim/random.h"
 #include "src/sim/sharded_sim.h"
 #include "src/sim/simulator.h"
 
 namespace {
 
-double RunAndMeasureCpu(int replicas, double ops_per_server, int servers_n,
-                        sim::Duration duration, obs::Registry* registry = nullptr) {
+struct CpuRun {
+  double cpu_pct = 0;   // Mean server CPU utilization.
+  std::string metrics;  // The run's registry as a text table.
+};
+
+CpuRun RunAndMeasureCpu(int replicas, double ops_per_server, int servers_n,
+                        sim::Duration duration) {
   sim::ShardedSim engine({.shards = 1});
   sim::Simulator& simulator = engine.shard(0);
   std::vector<std::unique_ptr<kv::KvServer>> servers;
@@ -32,7 +37,6 @@ double RunAndMeasureCpu(int replicas, double ops_per_server, int servers_n,
   }
   kv::ReplicatingClientConfig cfg;
   cfg.replicas = replicas;
-  cfg.registry = registry;
   kv::ReplicatingClient client(&simulator, ptrs, cfg);
   sim::Rng rng(99);
 
@@ -55,7 +59,7 @@ double RunAndMeasureCpu(int replicas, double ops_per_server, int servers_n,
   for (auto& s : servers) {
     total_util += s->CpuUtilization(duration);
   }
-  return 100.0 * total_util / servers_n;
+  return {100.0 * total_util / servers_n, simulator.registry().TextTable()};
 }
 
 }  // namespace
@@ -69,16 +73,17 @@ int main() {
 
   std::printf("%-18s %-16s %-16s %-10s\n", "client ops/s/srv", "cpu%% default",
               "cpu%% 2-replica", "ratio");
-  obs::Registry metrics;  // Captures the 2-replica run at the top rate.
+  std::string metrics;  // The 2-replica run at the top rate.
   for (double rate : {4'000.0, 20'000.0, 40'000.0}) {
-    const double one = RunAndMeasureCpu(1, rate, kServers, kDuration);
-    const double two = RunAndMeasureCpu(2, rate, kServers, kDuration,
-                                        rate == 40'000.0 ? &metrics : nullptr);
-    std::printf("%-18.0f %-16.2f %-16.2f %-10.2f\n", rate, one, two, two / one);
+    const double one = RunAndMeasureCpu(1, rate, kServers, kDuration).cpu_pct;
+    CpuRun two = RunAndMeasureCpu(2, rate, kServers, kDuration);
+    std::printf("%-18.0f %-16.2f %-16.2f %-10.2f\n", rate, one, two.cpu_pct,
+                two.cpu_pct / one);
+    metrics = std::move(two.metrics);
   }
 
   // Saturation check: at what per-server rate does CPU hit ~90%?
-  const double util_80k = RunAndMeasureCpu(1, 80'000.0, kServers, sim::Sec(1));
+  const double util_80k = RunAndMeasureCpu(1, 80'000.0, kServers, sim::Sec(1)).cpu_pct;
   std::printf("\n%-44s %-10s %-10s\n", "metric", "paper", "measured");
   std::printf("%-44s %-10s %-10.1f\n", "CPU at 80K ops/s/server, default (%)", "~90",
               util_80k);
@@ -86,6 +91,6 @@ int main() {
   std::printf("%-44s %-10s %-10.1f\n", "Yoda instances per TCPStore server",
               "6.6", 80'000.0 / 12'000.0);
   std::printf("\n--- metrics registry snapshot (2-replica run at 40K ops/s/server) ---\n%s",
-              metrics.TextTable().c_str());
+              metrics.c_str());
   return 0;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/assign/validator.h"
@@ -122,17 +123,10 @@ struct State {
   }
 };
 
-}  // namespace
-
-SolveResult GreedySolver::SolveOnce(const Problem& problem, const SolveOptions& options,
-                                    double migration_limit) const {
-  State st;
-  st.Init(problem, options, migration_limit);
-
-  SolveResult result;
-  result.assignment.vip_instances.assign(problem.vips.size(), {});
-
-  // Hardest VIPs first: decreasing post-failure share, rules as tie-break.
+// Greedy pass: hardest VIPs first (decreasing post-failure share, rules as
+// tie-break), each replica on the best-fitting instance. False, with `note`
+// set, when some VIP cannot be placed under this budget.
+bool PlaceGreedy(const Problem& problem, State& st, Assignment& assignment, std::string* note) {
   std::vector<std::size_t> order(problem.vips.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&problem](std::size_t a, std::size_t b) {
@@ -147,12 +141,12 @@ SolveResult GreedySolver::SolveOnce(const Problem& problem, const SolveOptions& 
   for (std::size_t v : order) {
     const VipSpec& vip = problem.vips[v];
     if (vip.failures >= vip.replicas) {
-      result.note = "vip " + std::to_string(vip.id) + ": f_v >= n_v";
-      return result;
+      *note = "vip " + std::to_string(vip.id) + ": f_v >= n_v";
+      return false;
     }
     const double fail_share = vip.ShareAfterFailures();
     const double new_share = vip.traffic / static_cast<double>(vip.replicas);
-    std::vector<int>& chosen = result.assignment.vip_instances[v];
+    std::vector<int>& chosen = assignment.vip_instances[v];
 
     for (int slot = 0; slot < vip.replicas; ++slot) {
       int best = -1;
@@ -182,17 +176,17 @@ SolveResult GreedySolver::SolveOnce(const Problem& problem, const SolveOptions& 
         }
       }
       if (best < 0) {
-        result.note = "vip " + std::to_string(vip.id) + ": no feasible instance for replica " +
-                      std::to_string(slot);
-        return result;  // Infeasible under this budget.
+        *note = "vip " + std::to_string(vip.id) + ": no feasible instance for replica " +
+                std::to_string(slot);
+        return false;  // Infeasible under this budget.
       }
       // Migration accounting: a replica placed off the old set migrates
       // old_share worth of connections (if the VIP had an old footprint).
       if (!best_is_old && !st.old_sets[v].empty()) {
         if (st.limit_migration &&
             st.migrated + st.old_share[v] > st.migration_limit * st.total_traffic + kEps) {
-          result.note = "migration budget exhausted at vip " + std::to_string(vip.id);
-          return result;
+          *note = "migration budget exhausted at vip " + std::to_string(vip.id);
+          return false;
         }
         st.migrated += st.old_share[v];
       }
@@ -201,116 +195,143 @@ SolveResult GreedySolver::SolveOnce(const Problem& problem, const SolveOptions& 
     }
     std::sort(chosen.begin(), chosen.end());
   }
+  return true;
+}
 
-  // Local search: repeatedly try to evacuate the least-loaded used instance.
-  if (options.local_search) {
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      // Collect used instances ordered by ascending load.
-      std::vector<int> by_load;
-      for (std::size_t y = 0; y < st.used.size(); ++y) {
-        if (st.used[y]) {
-          by_load.push_back(static_cast<int>(y));
-        }
+// Moves every tenant VIP of `victim` onto another used instance. True when
+// all of them moved; otherwise every move is rolled back.
+bool TryEvacuate(const Problem& problem, State& st, Assignment& assignment, int victim,
+                 const std::vector<std::size_t>& tenants) {
+  struct Move {
+    std::size_t v;
+    int to;
+    double fail_share;
+    double new_share;
+    bool migrates;
+  };
+  std::vector<Move> moves;
+  bool all_moved = true;
+  for (std::size_t v : tenants) {
+    const VipSpec& vip = problem.vips[v];
+    const double fail_share = vip.ShareAfterFailures();
+    const double new_share = vip.traffic / static_cast<double>(vip.replicas);
+    st.Unplace(v, victim, fail_share, new_share);
+    auto& insts = assignment.vip_instances[v];
+    insts.erase(std::find(insts.begin(), insts.end(), victim));
+
+    int target = -1;
+    double best_key = -1;
+    for (std::size_t y = 0; y < st.used.size(); ++y) {
+      const int yi = static_cast<int>(y);
+      if (yi == victim || !st.used[y]) {
+        continue;
       }
-      std::sort(by_load.begin(), by_load.end(), [&st](int a, int b) {
-        return st.load[static_cast<std::size_t>(a)] < st.load[static_cast<std::size_t>(b)];
-      });
-      for (int victim : by_load) {
-        // Tenants of the victim: (vip, slot) pairs.
-        std::vector<std::size_t> tenants;
-        for (std::size_t v = 0; v < result.assignment.vip_instances.size(); ++v) {
-          const auto& insts = result.assignment.vip_instances[v];
-          if (std::find(insts.begin(), insts.end(), victim) != insts.end()) {
-            tenants.push_back(v);
-          }
-        }
-        if (tenants.empty()) {
-          st.used[static_cast<std::size_t>(victim)] = false;
-          continue;
-        }
-        // Tentatively move every tenant elsewhere.
-        struct Move {
-          std::size_t v;
-          int to;
-          double fail_share;
-          double new_share;
-          bool migrates;
-        };
-        std::vector<Move> moves;
-        bool all_moved = true;
-        for (std::size_t v : tenants) {
-          const VipSpec& vip = problem.vips[v];
-          const double fail_share = vip.ShareAfterFailures();
-          const double new_share = vip.traffic / static_cast<double>(vip.replicas);
-          st.Unplace(v, victim, fail_share, new_share);
-          auto& insts = result.assignment.vip_instances[v];
-          insts.erase(std::find(insts.begin(), insts.end(), victim));
-
-          int target = -1;
-          double best_key = -1;
-          for (std::size_t y = 0; y < st.used.size(); ++y) {
-            const int yi = static_cast<int>(y);
-            if (yi == victim || !st.used[y]) {
-              continue;
-            }
-            if (std::find(insts.begin(), insts.end(), yi) != insts.end()) {
-              continue;
-            }
-            if (!st.Fits(v, yi, fail_share, new_share)) {
-              continue;
-            }
-            const bool migrates = !st.old_sets[v].contains(yi) && !st.old_sets[v].empty() &&
-                                  st.old_sets[v].contains(victim);
-            if (migrates && st.limit_migration &&
-                st.migrated + st.old_share[v] > st.migration_limit * st.total_traffic + kEps) {
-              continue;
-            }
-            double key = st.load[y];
-            if (key > best_key) {
-              best_key = key;
-              target = yi;
-            }
-          }
-          if (target < 0) {
-            // Undo this tenant and abort the eviction.
-            st.Place(v, victim, fail_share, new_share);
-            insts.push_back(victim);
-            std::sort(insts.begin(), insts.end());
-            all_moved = false;
-            break;
-          }
-          const bool migrates = !st.old_sets[v].contains(target) && !st.old_sets[v].empty() &&
-                                st.old_sets[v].contains(victim);
-          if (migrates) {
-            st.migrated += st.old_share[v];
-          }
-          st.Place(v, target, fail_share, new_share);
-          insts.push_back(target);
-          std::sort(insts.begin(), insts.end());
-          moves.push_back(Move{v, target, fail_share, new_share, migrates});
-        }
-        if (!all_moved) {
-          // Roll back the successful moves of this eviction attempt.
-          for (auto it = moves.rbegin(); it != moves.rend(); ++it) {
-            st.Unplace(it->v, it->to, it->fail_share, it->new_share);
-            if (it->migrates) {
-              st.migrated -= st.old_share[it->v];
-            }
-            auto& insts = result.assignment.vip_instances[it->v];
-            insts.erase(std::find(insts.begin(), insts.end(), it->to));
-            st.Place(it->v, victim, it->fail_share, it->new_share);
-            insts.push_back(victim);
-            std::sort(insts.begin(), insts.end());
-          }
-          continue;
-        }
-        st.used[static_cast<std::size_t>(victim)] = false;
-        improved = true;
-        break;  // Re-rank instances after a successful eviction.
+      if (std::find(insts.begin(), insts.end(), yi) != insts.end()) {
+        continue;
+      }
+      if (!st.Fits(v, yi, fail_share, new_share)) {
+        continue;
+      }
+      const bool migrates = !st.old_sets[v].contains(yi) && !st.old_sets[v].empty() &&
+                            st.old_sets[v].contains(victim);
+      if (migrates && st.limit_migration &&
+          st.migrated + st.old_share[v] > st.migration_limit * st.total_traffic + kEps) {
+        continue;
+      }
+      double key = st.load[y];
+      if (key > best_key) {
+        best_key = key;
+        target = yi;
       }
     }
+    if (target < 0) {
+      // Undo this tenant and abort the eviction.
+      st.Place(v, victim, fail_share, new_share);
+      insts.push_back(victim);
+      std::sort(insts.begin(), insts.end());
+      all_moved = false;
+      break;
+    }
+    const bool migrates = !st.old_sets[v].contains(target) && !st.old_sets[v].empty() &&
+                          st.old_sets[v].contains(victim);
+    if (migrates) {
+      st.migrated += st.old_share[v];
+    }
+    st.Place(v, target, fail_share, new_share);
+    insts.push_back(target);
+    std::sort(insts.begin(), insts.end());
+    moves.push_back(Move{v, target, fail_share, new_share, migrates});
+  }
+  if (all_moved) {
+    return true;
+  }
+  // Roll back the successful moves of this eviction attempt.
+  for (auto it = moves.rbegin(); it != moves.rend(); ++it) {
+    st.Unplace(it->v, it->to, it->fail_share, it->new_share);
+    if (it->migrates) {
+      st.migrated -= st.old_share[it->v];
+    }
+    auto& insts = assignment.vip_instances[it->v];
+    insts.erase(std::find(insts.begin(), insts.end(), it->to));
+    st.Place(it->v, victim, it->fail_share, it->new_share);
+    insts.push_back(victim);
+    std::sort(insts.begin(), insts.end());
+  }
+  return false;
+}
+
+// Local search: repeatedly try to evacuate the least-loaded used instance.
+void LocalSearch(const Problem& problem, State& st, Assignment& assignment) {
+  bool improved = true;
+  while (improved) {
+    improved = false;
+    // Collect used instances ordered by ascending load.
+    std::vector<int> by_load;
+    for (std::size_t y = 0; y < st.used.size(); ++y) {
+      if (st.used[y]) {
+        by_load.push_back(static_cast<int>(y));
+      }
+    }
+    std::sort(by_load.begin(), by_load.end(), [&st](int a, int b) {
+      return st.load[static_cast<std::size_t>(a)] < st.load[static_cast<std::size_t>(b)];
+    });
+    for (int victim : by_load) {
+      // Tenants of the victim: (vip, slot) pairs.
+      std::vector<std::size_t> tenants;
+      for (std::size_t v = 0; v < assignment.vip_instances.size(); ++v) {
+        const auto& insts = assignment.vip_instances[v];
+        if (std::find(insts.begin(), insts.end(), victim) != insts.end()) {
+          tenants.push_back(v);
+        }
+      }
+      if (tenants.empty()) {
+        st.used[static_cast<std::size_t>(victim)] = false;
+        continue;
+      }
+      if (!TryEvacuate(problem, st, assignment, victim, tenants)) {
+        continue;
+      }
+      st.used[static_cast<std::size_t>(victim)] = false;
+      improved = true;
+      break;  // Re-rank instances after a successful eviction.
+    }
+  }
+}
+
+}  // namespace
+
+SolveResult GreedySolver::SolveOnce(const Problem& problem, const SolveOptions& options,
+                                    double migration_limit) const {
+  State st;
+  st.Init(problem, options, migration_limit);
+
+  SolveResult result;
+  result.assignment.vip_instances.assign(problem.vips.size(), {});
+  if (!PlaceGreedy(problem, st, result.assignment, &result.note)) {
+    return result;
+  }
+  if (options.local_search) {
+    LocalSearch(problem, st, result.assignment);
   }
 
   result.feasible = true;

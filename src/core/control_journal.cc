@@ -390,25 +390,20 @@ std::optional<ExecPlan> ControlJournal::DecodePlan(const std::string& text) {
 
 ControlJournal::ControlJournal(sim::Simulator* simulator, kv::ReplicatingClient* client,
                                ControlJournalConfig config)
-    : sim_(simulator), kv_(client), cfg_(config) {
-  if (cfg_.registry != nullptr) {
-    changes_ctr_ = &cfg_.registry->GetCounter("ctl.journal.changes");
-    snapshots_ctr_ = &cfg_.registry->GetCounter("ctl.journal.snapshots");
-  }
-}
+    : sim_(simulator),
+      kv_(client),
+      cfg_(config),
+      changes_ctr_(&simulator->registry().GetCounter("ctl.journal.changes")),
+      snapshots_ctr_(&simulator->registry().GetCounter("ctl.journal.snapshots")) {}
 
 void ControlJournal::OnChange(const ControlState& state, const DurableChange& change) {
   ++stats_.changes_logged;
-  if (changes_ctr_ != nullptr) {
-    changes_ctr_->Inc();
-  }
+  changes_ctr_->Inc();
   kv_->Set("ctl/log/" + std::to_string(change.epoch), EncodeChange(change), [](bool) {});
   if (++changes_since_snapshot_ >= cfg_.snapshot_every) {
     changes_since_snapshot_ = 0;
     ++stats_.snapshots_written;
-    if (snapshots_ctr_ != nullptr) {
-      snapshots_ctr_->Inc();
-    }
+    snapshots_ctr_->Inc();
     kv_->Set("ctl/snapshot", EncodeSnapshot(state), [](bool) {});
   }
 }

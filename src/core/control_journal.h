@@ -76,7 +76,6 @@ struct ControlJournalConfig {
   // Snapshot cadence: a full snapshot every N journaled changes bounds the
   // log tail a restore must replay.
   int snapshot_every = 8;
-  obs::Registry* registry = nullptr;
 };
 
 class ControlJournal {
@@ -132,8 +131,8 @@ class ControlJournal {
   std::uint64_t plan_seq_ = 0;
   std::set<std::uint64_t> open_;  // In-memory authoritative open-plan set.
   ControlJournalStats stats_;
-  obs::Counter* changes_ctr_ = nullptr;
-  obs::Counter* snapshots_ctr_ = nullptr;
+  obs::Counter* changes_ctr_;
+  obs::Counter* snapshots_ctr_;
 };
 
 }  // namespace yoda

@@ -34,13 +34,11 @@ const char* ChangeKindName(ChangeKind kind) {
 
 void ControlState::LogRecord(ChangeKind kind, net::IpAddr subject, std::uint64_t detail) {
   changelog_.push_back({epoch_, sim_->now(), kind, subject, detail});
-  if (recorder_ != nullptr) {
-    // detail packs (change kind << 32) | epoch so a trace alone suffices to
-    // rebuild the changelog (tools/ctl_dump).
-    recorder_->RecordSystem(sim_->now(), obs::EventType::kConfigChange, subject,
-                            (static_cast<std::uint64_t>(kind) << 32) |
-                                (epoch_ & 0xffffffffULL));
-  }
+  // detail packs (change kind << 32) | epoch so a trace alone suffices to
+  // rebuild the changelog (tools/ctl_dump).
+  sim_->recorder().RecordSystem(sim_->now(), obs::EventType::kConfigChange, subject,
+                                (static_cast<std::uint64_t>(kind) << 32) |
+                                    (epoch_ & 0xffffffffULL));
 }
 
 std::uint64_t ControlState::Bump(ChangeKind kind, net::IpAddr subject, std::uint64_t detail) {

@@ -80,8 +80,8 @@ struct DurableChange {
 
 class ControlState {
  public:
-  explicit ControlState(sim::Simulator* simulator, obs::FlightRecorder* recorder = nullptr)
-      : sim_(simulator), recorder_(recorder) {}
+  // Every changelog record is mirrored into the simulator's flight recorder.
+  explicit ControlState(sim::Simulator* simulator) : sim_(simulator) {}
 
   struct VipDesired {
     net::Port port = 80;
@@ -158,7 +158,6 @@ class ControlState {
                    const std::map<net::IpAddr, std::vector<net::IpAddr>>* pools = nullptr);
 
   sim::Simulator* sim_;
-  obs::FlightRecorder* recorder_;
   ChangeSink sink_;
   std::uint64_t epoch_ = 0;
   std::map<net::IpAddr, VipDesired> vips_;

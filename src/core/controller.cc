@@ -9,8 +9,6 @@ FleetActuatorConfig Controller::ActuatorConfigFor(Controller* self,
                                                   const ControllerConfig& config) {
   FleetActuatorConfig out;
   out.mux_stagger = config.mux_stagger;
-  out.registry = config.registry;
-  out.recorder = config.recorder;
   out.max_step_retries = config.max_step_retries;
   out.step_retry_backoff = config.step_retry_backoff;
   if (config.ha.enabled) {
@@ -37,21 +35,19 @@ Controller::Controller(sim::Simulator* simulator, net::Network* network, l4lb::L
     : sim_(simulator),
       fabric_(fabric),
       cfg_(config),
-      state_(simulator, config.recorder),
+      state_(simulator),
       monitor_(network, HealthMonitorConfig{config.fail_after_misses, config.readmit_instances,
                                             config.readmit_after_successes,
                                             config.readmit_penalty_cap}),
       scaler_(AutoScalerConfig{config.scale_out_cpu, config.scale_out_step,
                                config.scale_out_ticks}),
-      actuator_(simulator, network, fabric, &state_, ActuatorConfigFor(this, config)) {
-  if (cfg_.registry != nullptr) {
-    monitor_ticks_ctr_ = &cfg_.registry->GetCounter("controller.monitor_ticks");
-    detected_failures_ctr_ = &cfg_.registry->GetCounter("controller.detected_failures");
-    spares_activated_ctr_ = &cfg_.registry->GetCounter("controller.spares_activated");
-  }
+      actuator_(simulator, network, fabric, &state_, ActuatorConfigFor(this, config)),
+      monitor_ticks_ctr_(&simulator->registry().GetCounter("controller.monitor_ticks")),
+      detected_failures_ctr_(&simulator->registry().GetCounter("controller.detected_failures")),
+      spares_activated_ctr_(&simulator->registry().GetCounter("controller.spares_activated")) {
   if (cfg_.ha.enabled) {
-    journal_ = std::make_unique<ControlJournal>(
-        sim_, cfg_.ha.store, ControlJournalConfig{cfg_.ha.snapshot_every, cfg_.registry});
+    journal_ = std::make_unique<ControlJournal>(sim_, cfg_.ha.store,
+                                                ControlJournalConfig{cfg_.ha.snapshot_every});
     state_.SetChangeSink([this](const DurableChange& change) {
       // Only the acting leader journals: a standby's ControlState never
       // mutates (the public API is leader-gated), and the restore path
@@ -66,7 +62,6 @@ Controller::Controller(sim::Simulator* simulator, net::Network* network, l4lb::L
     lease_cfg.ttl = cfg_.ha.lease_ttl;
     lease_cfg.renew_interval = cfg_.ha.lease_renew;
     lease_cfg.acquire_interval = cfg_.ha.lease_acquire;
-    lease_cfg.recorder = cfg_.recorder;
     lease_ = std::make_unique<LeaderLease>(
         sim_, cfg_.ha.store, lease_cfg,
         [this](std::uint64_t token) { OnLeaderAcquired(token); },
@@ -75,15 +70,13 @@ Controller::Controller(sim::Simulator* simulator, net::Network* network, l4lb::L
 }
 
 bool Controller::ActingLeader() const {
-  return !cfg_.ha.enabled || (!crashed_ && lease_ != nullptr && lease_->is_leader());
+  return !crashed_ && (!cfg_.ha.enabled || (lease_ != nullptr && lease_->is_leader()));
 }
 
 void Controller::Log(const std::string& what) { events_.push_back({sim_->now(), what}); }
 
 void Controller::SystemEvent(obs::EventType type, std::uint32_t where, std::uint64_t detail) {
-  if (cfg_.recorder != nullptr) {
-    cfg_.recorder->RecordSystem(sim_->now(), type, where, detail);
-  }
+  sim_->recorder().RecordSystem(sim_->now(), type, where, detail);
 }
 
 void Controller::ExecutePlan(ExecPlan plan) {
@@ -196,9 +189,7 @@ void Controller::MonitorTick() {
   if (!ActingLeader()) {
     return;
   }
-  if (monitor_ticks_ctr_ != nullptr) {
-    monitor_ticks_ctr_->Inc();
-  }
+  monitor_ticks_ctr_->Inc();
   for (const HealthTransition& t : monitor_.Tick()) {
     ApplyTransition(t);
   }
@@ -234,9 +225,7 @@ void Controller::ApplyTransition(const HealthTransition& t) {
 }
 
 void Controller::HandleInstanceFailure(const HealthTransition& t) {
-  if (detected_failures_ctr_ != nullptr) {
-    detected_failures_ctr_->Inc();
-  }
+  detected_failures_ctr_->Inc();
   SystemEvent(obs::EventType::kInstanceDown, t.addr);
   Log("yoda instance " + net::IpToString(t.addr) + " failed; removed from L4 mappings");
   // Desired state first: scrub the dead instance from every assignment so
@@ -296,9 +285,7 @@ int Controller::ActivateSpares(int n) {
     ExecutePlan(BuildCatchUpPlan(state_, epoch, spare->ip(), BackendHealthList(),
                                  /*repool=*/false, monitor_.ActiveIps()));
     SystemEvent(obs::EventType::kSpareActivated, spare->ip());
-    if (spares_activated_ctr_ != nullptr) {
-      spares_activated_ctr_->Inc();
-    }
+    spares_activated_ctr_->Inc();
     Log("activated spare instance " + net::IpToString(spare->ip()));
   }
   if (activated > 0) {

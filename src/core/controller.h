@@ -89,10 +89,6 @@ struct ControllerConfig {
   // seed's apply-once behavior; the HA testbed template enables it.
   int max_step_retries = 0;
   sim::Duration step_retry_backoff = sim::Msec(25);
-  // Observability sinks: config changes and reconcile plans/steps land in
-  // the recorder's system-event log; counters mirror into "controller.*".
-  obs::Registry* registry = nullptr;
-  obs::FlightRecorder* recorder = nullptr;
   ControllerHaConfig ha;
 };
 
@@ -173,8 +169,8 @@ class Controller {
   void Crash();
   void Restart();
   bool crashed() const { return crashed_; }
-  // True when this replica may mutate state: always in non-HA mode, lease
-  // holder otherwise.
+  // True when this replica may act: it is not crashed and, with HA on, it
+  // holds the lease.
   bool ActingLeader() const;
   std::uint64_t fencing_token() const { return lease_ ? lease_->token() : 0; }
   const ControlJournal* journal() const { return journal_.get(); }
@@ -245,10 +241,9 @@ class Controller {
   std::optional<PeriodicAssignmentConfig> periodic_;
   int assignment_rounds_ = 0;
 
-  // Registry counters (null without a registry in the config).
-  obs::Counter* monitor_ticks_ctr_ = nullptr;
-  obs::Counter* detected_failures_ctr_ = nullptr;
-  obs::Counter* spares_activated_ctr_ = nullptr;
+  obs::Counter* monitor_ticks_ctr_;
+  obs::Counter* detected_failures_ctr_;
+  obs::Counter* spares_activated_ctr_;
 };
 
 }  // namespace yoda

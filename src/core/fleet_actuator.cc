@@ -41,18 +41,17 @@ FleetActuator::FleetActuator(sim::Simulator* simulator, net::Network* network,
                              FleetActuatorConfig config)
     : sim_(simulator), net_(network), fabric_(fabric), state_(state), cfg_(config) {
   assert(sim_->engine() != nullptr && "FleetActuator must be built on an engine shard");
-  if (cfg_.registry != nullptr) {
-    plans_ctr_ = &cfg_.registry->GetCounter("controller.reconcile.plans");
-    steps_ctr_ = &cfg_.registry->GetCounter("controller.reconcile.steps");
-    replayed_ctr_ = &cfg_.registry->GetCounter("controller.reconcile.replayed_steps");
-    converge_waits_ctr_ = &cfg_.registry->GetCounter("controller.reconcile.convergence_waits");
-    rule_updates_ctr_ = &cfg_.registry->GetCounter("controller.rule_updates");
-    pool_updates_ctr_ = &cfg_.registry->GetCounter("controller.pool_updates");
-    step_retries_ctr_ = &cfg_.registry->GetCounter("controller.reconcile.step_retries");
-    step_stalled_ctr_ = &cfg_.registry->GetCounter("controller.reconcile.step_stalled");
-    rounds_failed_ctr_ = &cfg_.registry->GetCounter("controller.reconcile.rounds_failed");
-    aborted_ctr_ = &cfg_.registry->GetCounter("controller.reconcile.aborted_plans");
-  }
+  obs::Registry& registry = sim_->registry();
+  plans_ctr_ = &registry.GetCounter("controller.reconcile.plans");
+  steps_ctr_ = &registry.GetCounter("controller.reconcile.steps");
+  replayed_ctr_ = &registry.GetCounter("controller.reconcile.replayed_steps");
+  converge_waits_ctr_ = &registry.GetCounter("controller.reconcile.convergence_waits");
+  rule_updates_ctr_ = &registry.GetCounter("controller.rule_updates");
+  pool_updates_ctr_ = &registry.GetCounter("controller.pool_updates");
+  step_retries_ctr_ = &registry.GetCounter("controller.reconcile.step_retries");
+  step_stalled_ctr_ = &registry.GetCounter("controller.reconcile.step_stalled");
+  rounds_failed_ctr_ = &registry.GetCounter("controller.reconcile.rounds_failed");
+  aborted_ctr_ = &registry.GetCounter("controller.reconcile.aborted_plans");
 }
 
 void FleetActuator::RegisterInstance(YodaInstance* instance) {
@@ -65,16 +64,12 @@ YodaInstance* FleetActuator::RegisteredInstance(net::IpAddr ip) const {
 }
 
 void FleetActuator::Record(obs::EventType type, std::uint32_t where, std::uint64_t detail) {
-  if (cfg_.recorder != nullptr) {
-    cfg_.recorder->RecordSystem(sim_->now(), type, where, detail);
-  }
+  sim_->recorder().RecordSystem(sim_->now(), type, where, detail);
 }
 
 void FleetActuator::Execute(const ExecPlan& plan) {
   ++plans_in_flight_;
-  if (plans_ctr_ != nullptr) {
-    plans_ctr_->Inc();
-  }
+  plans_ctr_->Inc();
   Record(obs::EventType::kReconcilePlan, static_cast<std::uint32_t>(plan.epoch),
          plan.steps.size());
   RunSteps(plan, 0, /*attempt=*/0, /*failed=*/false);
@@ -97,9 +92,7 @@ void FleetActuator::RunSteps(const ExecPlan& plan, std::size_t first, int attemp
   // receivers' own fencing is the backstop for writes already in flight.
   if (plan.fencing_token != 0 && cfg_.token_valid && !cfg_.token_valid(plan.fencing_token)) {
     --plans_in_flight_;
-    if (aborted_ctr_ != nullptr) {
-      aborted_ctr_->Inc();
-    }
+    aborted_ctr_->Inc();
     Record(obs::EventType::kReconcileAbort, static_cast<std::uint32_t>(plan.epoch),
            plan.steps.size() - first);
     return;
@@ -110,9 +103,7 @@ void FleetActuator::RunSteps(const ExecPlan& plan, std::size_t first, int attemp
       const int att = i == first ? attempt : 0;
       if (Apply(plan, step) == ApplyResult::kRetry) {
         if (att < cfg_.max_step_retries) {
-          if (step_retries_ctr_ != nullptr) {
-            step_retries_ctr_->Inc();
-          }
+          step_retries_ctr_->Inc();
           const sim::Duration backoff =
               cfg_.step_retry_backoff * (static_cast<sim::Duration>(1) << att);
           const std::size_t idx = i;
@@ -125,9 +116,7 @@ void FleetActuator::RunSteps(const ExecPlan& plan, std::size_t first, int attemp
         // the rest of the rollout (the monitor's evict plan supersedes it).
         failed = true;
         journal_.push_back({plan.epoch, sim_->now(), step, /*replayed=*/true});
-        if (step_stalled_ctr_ != nullptr) {
-          step_stalled_ctr_->Inc();
-        }
+        step_stalled_ctr_->Inc();
         Record(obs::EventType::kReconcileStalled, static_cast<std::uint32_t>(step.vip),
                (static_cast<std::uint64_t>(step.kind) << 32) |
                    (step.instance & 0xffffffffULL));
@@ -141,9 +130,7 @@ void FleetActuator::RunSteps(const ExecPlan& plan, std::size_t first, int attemp
     if (!plan.staggered) {
       continue;
     }
-    if (converge_waits_ctr_ != nullptr) {
-      converge_waits_ctr_->Inc();
-    }
+    converge_waits_ctr_->Inc();
     // Resume one stagger period after the LAST mux applied the make phase, so
     // the break phase can never race the tail of the staggered adds.
     const sim::Duration delay =
@@ -153,7 +140,7 @@ void FleetActuator::RunSteps(const ExecPlan& plan, std::size_t first, int attemp
     return;
   }
   --plans_in_flight_;
-  if (failed && rounds_failed_ctr_ != nullptr) {
+  if (failed) {
     rounds_failed_ctr_->Inc();
   }
   Record(obs::EventType::kReconcileDone, static_cast<std::uint32_t>(plan.epoch),
@@ -163,16 +150,31 @@ void FleetActuator::RunSteps(const ExecPlan& plan, std::size_t first, int attemp
   }
 }
 
+namespace {
+
+// The step kinds that write one instance's state. kSetStoreMode with
+// instance 0 is the mux side of a store-mode flip.
+bool TargetsInstance(const ExecStep& step) {
+  switch (step.kind) {
+    case ExecStepKind::kInstallRules:
+    case ExecStepKind::kSetBackendHealth:
+    case ExecStepKind::kScrubRules:
+      return true;
+    case ExecStepKind::kSetStoreMode:
+      return step.instance != 0;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
 FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const ExecStep& step) {
   // Retry probe BEFORE the ledger insert: a step we are about to re-schedule
   // must not be marked applied (the later attempt would be swallowed as a
   // replay). Only instance-targeted state writes are retryable — pool/fabric
   // writes cannot fail in this model.
-  if (cfg_.max_step_retries > 0 &&
-      (step.kind == ExecStepKind::kInstallRules ||
-       step.kind == ExecStepKind::kSetBackendHealth ||
-       step.kind == ExecStepKind::kScrubRules ||
-       step.kind == ExecStepKind::kSetStoreMode)) {
+  if (cfg_.max_step_retries > 0 && TargetsInstance(step)) {
     YodaInstance* inst = RegisteredInstance(step.instance);
     if (inst != nullptr && net_->IsDown(inst->ip())) {
       return ApplyResult::kRetry;
@@ -186,45 +188,82 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
                                    step.vip, step.instance);
   if (step.kind != ExecStepKind::kSetBackendHealth && !applied_.insert(key).second) {
     journal_.push_back({plan.epoch, sim_->now(), step, /*replayed=*/true});
-    if (replayed_ctr_ != nullptr) {
-      replayed_ctr_->Inc();
-    }
+    replayed_ctr_->Inc();
     return ApplyResult::kDone;
   }
   if (step.kind != ExecStepKind::kSetBackendHealth && cfg_.on_step_applied) {
     cfg_.on_step_applied(plan, step);
   }
+  const bool effective =
+      TargetsInstance(step) ? ApplyToInstance(plan, step) : ApplyToFabric(plan, step);
+  journal_.push_back({plan.epoch, sim_->now(), step, /*replayed=*/!effective});
+  steps_ctr_->Inc();
+  Record(obs::EventType::kReconcileStep, static_cast<std::uint32_t>(step.vip),
+         (static_cast<std::uint64_t>(step.kind) << 32) |
+             (step.instance & 0xffffffffULL));
+  return ApplyResult::kDone;
+}
+
+bool FleetActuator::ApplyToInstance(const ExecPlan& plan, const ExecStep& step) {
+  YodaInstance* inst = RegisteredInstance(step.instance);
+  if (inst == nullptr) {
+    return false;  // Instance gone since planning.
+  }
+  // Every write runs on the instance's own shard.
+  auto on_instance = [this, inst](auto write) {
+    sim_->engine()->RunOn(inst->simulator()->shard_index(), std::move(write));
+  };
+  const std::uint64_t token = plan.fencing_token;
+  switch (step.kind) {
+    case ExecStepKind::kInstallRules: {
+      const ControlState::VipDesired* desired = state_->Desired(step.vip);
+      if (desired == nullptr) {
+        return false;  // VIP removed since planning.
+      }
+      on_instance([inst, vip = step.vip, port = desired->port, rules = desired->rules,
+                   token]() { inst->InstallVip(vip, port, rules, token); });
+      rule_updates_ctr_->Inc();
+      Record(obs::EventType::kRuleUpdate, static_cast<std::uint32_t>(step.vip),
+             desired->rules.size());
+      return true;
+    }
+    case ExecStepKind::kSetBackendHealth:
+      on_instance([inst, backend = step.vip, healthy = step.healthy, token]() {
+        inst->SetBackendHealth(backend, healthy, token);
+      });
+      return true;
+    case ExecStepKind::kScrubRules:
+      // Stale-scrub guard: if the CURRENT desired state wants this instance
+      // in the VIP's pool again (a later epoch re-added it while this plan's
+      // break phase was waiting out convergence), the scrub must not run.
+      if (state_->HasVip(step.vip) && state_->PoolContains(step.vip, step.instance)) {
+        return false;
+      }
+      on_instance([inst, vip = step.vip, token]() { inst->RemoveVip(vip, token); });
+      return true;
+    case ExecStepKind::kSetStoreMode: {
+      // `healthy` is reused as the stateless flag.
+      const StoreMode mode = step.healthy ? StoreMode::kStateless : StoreMode::kStateful;
+      on_instance([inst, vip = step.vip, mode, epoch = plan.epoch, token]() {
+        inst->SetStoreMode(vip, mode, epoch, token);
+      });
+      return true;
+    }
+    default:
+      return false;  // Not an instance step (see TargetsInstance).
+  }
+}
+
+bool FleetActuator::ApplyToFabric(const ExecPlan& plan, const ExecStep& step) {
   const sim::Duration stagger = plan.staggered ? cfg_.mux_stagger : 0;
   const std::uint64_t token = plan.fencing_token;
-  bool effective = true;
   switch (step.kind) {
     case ExecStepKind::kAttachVip:
       fabric_->AttachVip(step.vip);
       break;
-    case ExecStepKind::kInstallRules: {
-      YodaInstance* inst = RegisteredInstance(step.instance);
-      const ControlState::VipDesired* desired = state_->Desired(step.vip);
-      if (inst == nullptr || desired == nullptr) {
-        effective = false;  // VIP removed (or instance gone) since planning.
-        break;
-      }
-      sim_->engine()->RunOn(inst->simulator()->shard_index(),
-                            [inst, vip = step.vip, port = desired->port,
-                             rules = desired->rules, token]() {
-                              inst->InstallVip(vip, port, rules, token);
-                            });
-      if (rule_updates_ctr_ != nullptr) {
-        rule_updates_ctr_->Inc();
-      }
-      Record(obs::EventType::kRuleUpdate, static_cast<std::uint32_t>(step.vip),
-             desired->rules.size());
-      break;
-    }
     case ExecStepKind::kAddPoolMember: {
       fabric_->AddPoolMember(step.vip, step.instance, plan.epoch, stagger, token);
-      if (pool_updates_ctr_ != nullptr) {
-        pool_updates_ctr_->Inc();
-      }
+      pool_updates_ctr_->Inc();
       // The member is serving everywhere only once the LAST mux applied it.
       const sim::Duration converged = fabric_->ConvergenceDelay(stagger);
       const net::IpAddr vip = step.vip;
@@ -241,52 +280,17 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
     }
     case ExecStepKind::kProgramPool:
       fabric_->ProgramPool(step.vip, step.pool, plan.epoch, stagger, token);
-      if (pool_updates_ctr_ != nullptr) {
-        pool_updates_ctr_->Inc();
-      }
+      pool_updates_ctr_->Inc();
       Record(obs::EventType::kPoolUpdate, static_cast<std::uint32_t>(step.vip),
              (plan.epoch << 32) | (step.pool.size() & 0xffffffffULL));
       break;
-    case ExecStepKind::kSetBackendHealth: {
-      YodaInstance* inst = RegisteredInstance(step.instance);
-      if (inst == nullptr) {
-        effective = false;
-        break;
-      }
-      sim_->engine()->RunOn(inst->simulator()->shard_index(),
-                            [inst, backend = step.vip, healthy = step.healthy, token]() {
-                              inst->SetBackendHealth(backend, healthy, token);
-                            });
-      break;
-    }
-    case ExecStepKind::kAwaitConvergence:
-      break;  // Handled by RunSteps.
     case ExecStepKind::kRemovePoolMember:
       fabric_->RemovePoolMember(step.vip, step.instance, plan.epoch, stagger, token);
-      if (pool_updates_ctr_ != nullptr) {
-        pool_updates_ctr_->Inc();
-      }
+      pool_updates_ctr_->Inc();
       // The member stops serving as soon as the FIRST mux drops it.
       Record(obs::EventType::kPoolMemberRemove, static_cast<std::uint32_t>(step.vip),
              (plan.epoch << 32) | (step.instance & 0xffffffffULL));
       break;
-    case ExecStepKind::kScrubRules: {
-      // Stale-scrub guard: if the CURRENT desired state wants this instance
-      // in the VIP's pool again (a later epoch re-added it while this plan's
-      // break phase was waiting out convergence), the scrub must not run.
-      if (state_->HasVip(step.vip) && state_->PoolContains(step.vip, step.instance)) {
-        effective = false;
-        break;
-      }
-      YodaInstance* inst = RegisteredInstance(step.instance);
-      if (inst == nullptr) {
-        effective = false;
-        break;
-      }
-      sim_->engine()->RunOn(inst->simulator()->shard_index(),
-                            [inst, vip = step.vip, token]() { inst->RemoveVip(vip, token); });
-      break;
-    }
     case ExecStepKind::kDetachVip:
       fabric_->DetachVip(step.vip);
       Record(obs::EventType::kVipRemoved, static_cast<std::uint32_t>(step.vip), 0);
@@ -294,35 +298,15 @@ FleetActuator::ApplyResult FleetActuator::Apply(const ExecPlan& plan, const Exec
     case ExecStepKind::kEvictInstance:
       fabric_->RemoveInstanceEverywhere(step.instance);
       break;
-    case ExecStepKind::kSetStoreMode: {
-      const bool stateless = step.healthy;  // Reused as the mode flag.
-      if (step.instance == 0) {
-        // Mux side of the flip: runs after the barrier, so every pool
-        // member has already switched.
-        fabric_->SetStoreMode(step.vip, stateless, plan.epoch, stagger, token);
-        break;
-      }
-      YodaInstance* inst = RegisteredInstance(step.instance);
-      if (inst == nullptr) {
-        effective = false;
-        break;
-      }
-      const StoreMode mode = stateless ? StoreMode::kStateless : StoreMode::kStateful;
-      sim_->engine()->RunOn(inst->simulator()->shard_index(),
-                            [inst, vip = step.vip, mode, epoch = plan.epoch, token]() {
-                              inst->SetStoreMode(vip, mode, epoch, token);
-                            });
+    case ExecStepKind::kSetStoreMode:
+      // Mux side of the flip: runs after the barrier, so every pool member
+      // has already switched.
+      fabric_->SetStoreMode(step.vip, /*stateless=*/step.healthy, plan.epoch, stagger, token);
       break;
-    }
+    default:
+      break;  // Instance steps go to ApplyToInstance, barriers to RunSteps.
   }
-  journal_.push_back({plan.epoch, sim_->now(), step, /*replayed=*/!effective});
-  if (steps_ctr_ != nullptr) {
-    steps_ctr_->Inc();
-  }
-  Record(obs::EventType::kReconcileStep, static_cast<std::uint32_t>(step.vip),
-         (static_cast<std::uint64_t>(step.kind) << 32) |
-             (step.instance & 0xffffffffULL));
-  return ApplyResult::kDone;
+  return true;
 }
 
 // --- plan builders ---

@@ -98,8 +98,6 @@ struct ExecutedStep {
 
 struct FleetActuatorConfig {
   sim::Duration mux_stagger = sim::Msec(50);
-  obs::Registry* registry = nullptr;
-  obs::FlightRecorder* recorder = nullptr;
   // --- bounded per-step retry (0 = off: a step applies exactly once) ---
   // A step whose target instance is registered but currently failed() is
   // retried with exponential backoff (step_retry_backoff, doubling) up to
@@ -162,6 +160,10 @@ class FleetActuator {
   // for every later step); `failed` carries "some step stalled" to the end.
   void RunSteps(const ExecPlan& plan, std::size_t first, int attempt, bool failed);
   ApplyResult Apply(const ExecPlan& plan, const ExecStep& step);
+  // The two halves of Apply's write; each returns false when the step no
+  // longer applies (its VIP or instance is gone, or a stale scrub).
+  bool ApplyToInstance(const ExecPlan& plan, const ExecStep& step);
+  bool ApplyToFabric(const ExecPlan& plan, const ExecStep& step);
   void Record(obs::EventType type, std::uint32_t where, std::uint64_t detail);
 
   sim::Simulator* sim_;

@@ -67,7 +67,7 @@ void HandshakeEngine::StartNewFlow(const net::Packet& syn, VipState& vip) {
       return;
     }
     f->fsm.Transition(f->tls_active ? FlowPhase::kTlsHandshake : FlowPhase::kSynAckSent);
-    if (ctx_->stage->handshake_ms != nullptr && f->syn_time != 0) {
+    if (f->syn_time != 0) {
       ctx_->stage->handshake_ms->Add(sim::ToMillis(ctx_->sim->now() - f->syn_time));
     }
     SendSynAck(key, *f);
@@ -213,7 +213,7 @@ void HandshakeEngine::SendServerSyn(const FlowKey& key, LocalFlow& flow) {
   ++flow.server_syn_attempts;
   if (flow.server_syn_attempts == 1) {
     flow.server_syn_time = ctx_->sim->now();
-    if (ctx_->stage->dispatch_ms != nullptr && flow.started != 0) {
+    if (flow.started != 0) {
       ctx_->stage->dispatch_ms->Add(sim::ToMillis(ctx_->sim->now() - flow.started));
     }
   }
@@ -283,7 +283,7 @@ void HandshakeEngine::OnServerSynAck(const FlowKey& key, LocalFlow& flow,
       return;
     }
     f->fsm.Transition(FlowPhase::kEstablished);
-    if (ctx_->stage->server_connect_ms != nullptr && f->server_syn_time != 0) {
+    if (f->server_syn_time != 0) {
       ctx_->stage->server_connect_ms->Add(sim::ToMillis(ctx_->sim->now() - f->server_syn_time));
       f->server_syn_time = 0;
     }

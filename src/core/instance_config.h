@@ -9,8 +9,6 @@
 
 #include "src/core/cpu_model.h"
 #include "src/net/packet.h"
-#include "src/obs/registry.h"
-#include "src/obs/trace.h"
 #include "src/sim/time.h"
 
 namespace yoda {
@@ -49,11 +47,6 @@ struct YodaInstanceConfig {
   // before a batched flush to TCPStore. Bounds the takeover-visible staleness
   // window in stateless mode.
   sim::Duration journal_flush_interval = sim::Msec(5);
-  // Observability sinks, normally the testbed-owned registry/recorder. A
-  // null registry makes the instance keep a private one (counters still
-  // work); a null recorder disables flow tracing.
-  obs::Registry* registry = nullptr;
-  obs::FlightRecorder* recorder = nullptr;
 };
 
 }  // namespace yoda

@@ -158,9 +158,7 @@ void L7Dispatcher::TrySelectAndConnect(const FlowKey& key, LocalFlow& flow, VipS
 void L7Dispatcher::ForwardRequestToServer(const FlowKey& key, LocalFlow& flow) {
   ctx_->Trace(key, obs::EventType::kRequestForwarded);
   if (flow.started != 0) {
-    if (ctx_->stage->connection_phase_ms != nullptr) {
-      ctx_->stage->connection_phase_ms->Add(sim::ToMillis(ctx_->sim->now() - flow.started));
-    }
+    ctx_->stage->connection_phase_ms->Add(sim::ToMillis(ctx_->sim->now() - flow.started));
     flow.started = 0;  // Count the initial leg once (not re-switches).
   }
   // Handshake-completing ACK, carrying the buffered client bytes (the HTTP
@@ -256,23 +254,7 @@ void L7Dispatcher::InspectClientStream(const FlowKey& key, LocalFlow& flow, VipS
     flow.pending_segments[p.seq] = p.payload;  // Future data; hold.
     return;
   }
-  // Consume this segment (trimming any old prefix) plus any now-contiguous
-  // buffered segments.
-  std::string fresh(p.payload.view().substr(flow.inspect_next_seq - p.seq));
-  flow.inspect_next_seq += static_cast<std::uint32_t>(fresh.size());
-  for (auto it = flow.pending_segments.begin(); it != flow.pending_segments.end();) {
-    const std::uint32_t s = it->first;
-    const auto l = static_cast<std::uint32_t>(it->second.size());
-    if (net::SeqLeq(s, flow.inspect_next_seq) && net::SeqGt(s + l, flow.inspect_next_seq)) {
-      fresh += it->second.view().substr(flow.inspect_next_seq - s);
-      flow.inspect_next_seq = s + l;
-      it = flow.pending_segments.erase(it);
-    } else if (net::SeqLeq(s + l, flow.inspect_next_seq)) {
-      it = flow.pending_segments.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  const std::string fresh = ConsumeInOrder(flow, p);
   flow.pending_request += fresh;
 
   flow.inspect_parser.Feed(fresh);
@@ -294,45 +276,8 @@ void L7Dispatcher::InspectClientStream(const FlowKey& key, LocalFlow& flow, VipS
       }
       return;
     }
-    // Same backend (or response outstanding): forward the buffered request
-    // on the current connection, sequence-aligned.
-    std::uint32_t seq = flow.request_start_seq;
-    std::size_t off = 0;
-    while (off < flow.pending_request.size()) {
-      const std::size_t chunk =
-          std::min<std::size_t>(ctx_->cfg->mss, flow.pending_request.size() - off);
-      net::Packet out;
-      out.src = key.vip;
-      out.sport = key.client_port;
-      out.dst = flow.st.backend_ip;
-      out.dport = flow.st.backend_port;
-      out.seq = seq + flow.st.seq_delta_c2s;
-      out.ack = p.ack - flow.st.seq_delta_s2c;
-      out.flags = net::kAck | net::kPsh;
-      out.payload = flow.pending_request.substr(off, chunk);
-      ctx_->EmitForwarded(std::move(out));
-      seq += static_cast<std::uint32_t>(chunk);
-      off += chunk;
-    }
-    flow.outstanding_requests += 1;
-    // Pipelined clients may have packed several requests into this batch;
-    // they all go to the same backend (re-switch requires outstanding == 0).
-    while (flow.inspect_parser.status() == http::ParseStatus::kComplete) {
-      http::Request extra = flow.inspect_parser.TakeRequest();
-      auto extra_sel = SelectBackend(vip, extra);
-      if (extra_sel) {
-        BindStickyIfNeeded(vip, extra, extra_sel->backend);
-      }
-      flow.outstanding_requests += 1;
-      flow.st.pipeline_request_ends.push_back(flow.inspect_next_seq - flow.st.client_isn - 1);
-    }
-    flow.pending_request.clear();
-    flow.request_start_seq = flow.inspect_next_seq;
-    // Record the request boundary for pipelined-response ordering and update
-    // TCPStore so a takeover instance knows the order (§5.2). The write is
-    // non-gating, so it goes through the coalescing write-behind path.
-    flow.st.pipeline_request_ends.push_back(flow.inspect_next_seq - flow.st.client_isn - 1);
-    ctx_->store->Refresh(flow.st);
+    // Same backend (or response outstanding): forward on the current leg.
+    ForwardPendingRequests(key, flow, vip, p.ack);
   }
   if (p.fin()) {
     flow.fin_from_client = true;
@@ -348,6 +293,69 @@ void L7Dispatcher::InspectClientStream(const FlowKey& key, LocalFlow& flow, VipS
     ctx_->EmitForwarded(std::move(fin));
     ctx_->splice->MaybeScheduleCleanup(key, flow);
   }
+}
+
+std::string L7Dispatcher::ConsumeInOrder(LocalFlow& flow, const net::Packet& p) {
+  // This segment (trimming any old prefix) plus any now-contiguous buffered
+  // segments.
+  std::string fresh(p.payload.view().substr(flow.inspect_next_seq - p.seq));
+  flow.inspect_next_seq += static_cast<std::uint32_t>(fresh.size());
+  for (auto it = flow.pending_segments.begin(); it != flow.pending_segments.end();) {
+    const std::uint32_t s = it->first;
+    const auto l = static_cast<std::uint32_t>(it->second.size());
+    if (net::SeqLeq(s, flow.inspect_next_seq) && net::SeqGt(s + l, flow.inspect_next_seq)) {
+      fresh += it->second.view().substr(flow.inspect_next_seq - s);
+      flow.inspect_next_seq = s + l;
+      it = flow.pending_segments.erase(it);
+    } else if (net::SeqLeq(s + l, flow.inspect_next_seq)) {
+      it = flow.pending_segments.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  return fresh;
+}
+
+void L7Dispatcher::ForwardPendingRequests(const FlowKey& key, LocalFlow& flow, VipState& vip,
+                                          std::uint32_t client_ack) {
+  // The buffered request, sequence-aligned, in MSS-sized segments.
+  std::uint32_t seq = flow.request_start_seq;
+  std::size_t off = 0;
+  while (off < flow.pending_request.size()) {
+    const std::size_t chunk =
+        std::min<std::size_t>(ctx_->cfg->mss, flow.pending_request.size() - off);
+    net::Packet out;
+    out.src = key.vip;
+    out.sport = key.client_port;
+    out.dst = flow.st.backend_ip;
+    out.dport = flow.st.backend_port;
+    out.seq = seq + flow.st.seq_delta_c2s;
+    out.ack = client_ack - flow.st.seq_delta_s2c;
+    out.flags = net::kAck | net::kPsh;
+    out.payload = flow.pending_request.substr(off, chunk);
+    ctx_->EmitForwarded(std::move(out));
+    seq += static_cast<std::uint32_t>(chunk);
+    off += chunk;
+  }
+  flow.outstanding_requests += 1;
+  // Pipelined clients may have packed several requests into this batch;
+  // they all go to the same backend (re-switch requires outstanding == 0).
+  while (flow.inspect_parser.status() == http::ParseStatus::kComplete) {
+    http::Request extra = flow.inspect_parser.TakeRequest();
+    auto extra_sel = SelectBackend(vip, extra);
+    if (extra_sel) {
+      BindStickyIfNeeded(vip, extra, extra_sel->backend);
+    }
+    flow.outstanding_requests += 1;
+    flow.st.pipeline_request_ends.push_back(flow.inspect_next_seq - flow.st.client_isn - 1);
+  }
+  flow.pending_request.clear();
+  flow.request_start_seq = flow.inspect_next_seq;
+  // Record the request boundary for pipelined-response ordering and update
+  // TCPStore so a takeover instance knows the order (§5.2). The write is
+  // non-gating, so it goes through the coalescing write-behind path.
+  flow.st.pipeline_request_ends.push_back(flow.inspect_next_seq - flow.st.client_isn - 1);
+  ctx_->store->Refresh(flow.st);
 }
 
 void L7Dispatcher::ReSwitch(const FlowKey& key, LocalFlow& flow, VipState& vip,

@@ -9,7 +9,9 @@
 #ifndef SRC_CORE_L7_DISPATCHER_H_
 #define SRC_CORE_L7_DISPATCHER_H_
 
+#include <cstdint>
 #include <optional>
+#include <string>
 
 #include "src/core/pipeline.h"
 #include "src/http/parser.h"
@@ -47,6 +49,14 @@ class L7Dispatcher {
   sim::Duration RuleScanDelay(int rules_scanned) const;
 
  private:
+  // InspectClientStream's halves. ConsumeInOrder advances the in-order
+  // stream over `p` and every buffered segment now contiguous with it, and
+  // returns the new bytes; ForwardPendingRequests sends the complete
+  // buffered request(s) on the current server leg.
+  std::string ConsumeInOrder(LocalFlow& flow, const net::Packet& p);
+  void ForwardPendingRequests(const FlowKey& key, LocalFlow& flow, VipState& vip,
+                              std::uint32_t client_ack);
+
   PipelineContext* ctx_;
 };
 

@@ -156,9 +156,7 @@ void LeaderLease::StepDown() {
 }
 
 void LeaderLease::Note(obs::EventType type, std::uint64_t detail) {
-  if (cfg_.recorder != nullptr) {
-    cfg_.recorder->RecordSystem(sim_->now(), type, cfg_.self, detail);
-  }
+  sim_->recorder().RecordSystem(sim_->now(), type, cfg_.self, detail);
 }
 
 }  // namespace yoda

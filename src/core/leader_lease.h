@@ -51,7 +51,6 @@ struct LeaderLeaseConfig {
   // adds a small ip-derived offset so contenders do not CAS in lockstep
   // (simultaneous contenders can ALL lose a majority CAS).
   sim::Duration acquire_interval = sim::Msec(50);
-  obs::FlightRecorder* recorder = nullptr;  // kLeaseAcquired/Renewed/Lost.
 };
 
 class LeaderLease {
@@ -78,6 +77,7 @@ class LeaderLease {
   void TryAcquire(std::uint64_t gen, std::optional<std::string> current_raw);
   void Renew(std::uint64_t gen);
   void StepDown();
+  // kLeaseAcquired/Renewed/Lost, into the simulator's flight recorder.
   void Note(obs::EventType type, std::uint64_t detail);
 
   sim::Simulator* sim_;

@@ -6,10 +6,8 @@
 namespace yoda {
 
 void PipelineContext::Trace(const FlowKey& key, obs::EventType type, std::uint64_t detail) {
-  if (recorder != nullptr) {
-    recorder->Record(obs::FlowId{key.vip, key.vip_port, key.client_ip, key.client_port},
-                     sim->now(), type, self_ip, detail);
-  }
+  sim->recorder().Record(obs::FlowId{key.vip, key.vip_port, key.client_ip, key.client_port},
+                         sim->now(), type, self_ip, detail);
 }
 
 void PipelineContext::Emit(net::Packet p) { net->Send(std::move(p)); }

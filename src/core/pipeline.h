@@ -94,7 +94,6 @@ struct PipelineContext {
   std::unordered_map<net::IpAddr, bool>* backend_health = nullptr;
   std::unordered_map<net::IpAddr, int>* backend_load = nullptr;
 
-  obs::FlightRecorder* recorder = nullptr;  // Null disables flow tracing.
   PipelineCounters* ctr = nullptr;
   PipelineStageMetrics* stage = nullptr;
 
@@ -115,7 +114,7 @@ struct PipelineContext {
     return it == vips->end() ? nullptr : &it->second;
   }
 
-  // Appends a flight-recorder event for `key` (no-op without a recorder).
+  // Appends an event for `key` to the simulator's flight recorder.
   void Trace(const FlowKey& key, obs::EventType type, std::uint64_t detail = 0);
 
   // Re-mints the flow's signed cookie from its current FlowState (stateless

@@ -7,14 +7,14 @@
 namespace yoda {
 
 StoreSession::StoreSession(TcpStore* store, sim::Simulator* sim,
-                           sim::Histogram* store_wait_ms)
-    : store_(store), sim_(sim), store_wait_ms_(store_wait_ms) {}
+                           sim::Histogram& store_wait_ms, sim::Histogram& journal_flush_depth)
+    : store_(store),
+      sim_(sim),
+      store_wait_ms_(&store_wait_ms),
+      journal_depth_hist_(&journal_flush_depth) {}
 
 StoreSession::Ack StoreSession::TimedAck(Ack done) {
   ++stats_.ack_point_writes;
-  if (sim_ == nullptr || store_wait_ms_ == nullptr) {
-    return done;
-  }
   const sim::Time start = sim_->now();
   return [this, start, done = std::move(done)](bool ok) {
     store_wait_ms_->Add(sim::ToMillis(sim_->now() - start));
@@ -110,7 +110,7 @@ void StoreSession::Journal(const FlowState& state, bool remove) {
 }
 
 void StoreSession::ArmJournalTimer() {
-  if (journal_timer_armed_ || sim_ == nullptr) {
+  if (journal_timer_armed_) {
     return;
   }
   journal_timer_armed_ = true;
@@ -136,9 +136,7 @@ void StoreSession::FlushJournalNow() {
   }
   std::sort(keys.begin(), keys.end());
   ++stats_.journal_flushes;
-  if (journal_depth_hist_ != nullptr) {
-    journal_depth_hist_->Add(static_cast<double>(keys.size()));
-  }
+  journal_depth_hist_->Add(static_cast<double>(keys.size()));
   for (const std::string& key : keys) {
     auto it = journal_.find(key);
     JournalEntry entry = std::move(it->second);

@@ -58,18 +58,13 @@ class StoreSession {
   using Ack = TcpStore::Ack;
   using Lookup = TcpStore::Lookup;
 
-  // `store_wait_ms` (optional) receives the blocking duration of every
-  // ACK-point write; `sim` is required only when the histogram or the
-  // journal (stateless mode) is used.
-  StoreSession(TcpStore* store, sim::Simulator* sim = nullptr,
-               sim::Histogram* store_wait_ms = nullptr);
+  // `store_wait_ms` receives the blocking duration of every ACK-point
+  // write, `journal_flush_depth` the batch size of every journal flush.
+  StoreSession(TcpStore* store, sim::Simulator* sim, sim::Histogram& store_wait_ms,
+               sim::Histogram& journal_flush_depth);
   StoreSession(const StoreSession&) = delete;
   StoreSession& operator=(const StoreSession&) = delete;
 
-  // Late binding for owners that resolve the histogram after construction.
-  void set_store_wait_histogram(sim::Histogram* h) { store_wait_ms_ = h; }
-  // Per-round journal batch size (flush depth) histogram; optional.
-  void set_journal_flush_depth_histogram(sim::Histogram* h) { journal_depth_hist_ = h; }
   // Owner liveness: a crashed instance's pending flush must not fire.
   void set_liveness(const bool* failed) { failed_ = failed; }
   // How long dirty journal entries may coalesce before a batched flush.
@@ -135,9 +130,9 @@ class StoreSession {
   bool alive() const { return failed_ == nullptr || !*failed_; }
 
   TcpStore* store_;
-  sim::Simulator* sim_ = nullptr;
-  sim::Histogram* store_wait_ms_ = nullptr;
-  sim::Histogram* journal_depth_hist_ = nullptr;
+  sim::Simulator* sim_;
+  sim::Histogram* store_wait_ms_;
+  sim::Histogram* journal_depth_hist_;
   const bool* failed_ = nullptr;
   sim::Duration journal_flush_interval_ = sim::Msec(5);
   StoreSessionStats stats_;

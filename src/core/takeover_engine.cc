@@ -212,7 +212,7 @@ void TakeoverEngine::AdoptFlow(const FlowKey& key, const FlowState& st) {
     flow->fsm.Transition(flow->tls_active ? FlowPhase::kTlsHandshake
                                           : FlowPhase::kSynAckSent);
   }
-  if (ctx_->stage->takeover_ms != nullptr && flow->takeover_start != 0) {
+  if (flow->takeover_start != 0) {
     ctx_->stage->takeover_ms->Add(sim::ToMillis(ctx_->sim->now() - flow->takeover_start));
     flow->takeover_start = 0;
   }

@@ -5,29 +5,23 @@
 
 namespace yoda {
 
-TcpStore::TcpStore(kv::ReplicatingClient* client, sim::Simulator* simulator,
-                   obs::FlightRecorder* recorder, obs::Registry* registry)
-    : client_(client), sim_(simulator), recorder_(recorder) {
-  if (registry != nullptr) {
-    ctr_.connection_writes = &registry->GetCounter("tcpstore.connection_writes");
-    ctr_.tunneling_writes = &registry->GetCounter("tcpstore.tunneling_writes");
-    ctr_.lookups = &registry->GetCounter("tcpstore.lookups");
-    ctr_.lookup_hits = &registry->GetCounter("tcpstore.lookup_hits");
-    ctr_.deletes = &registry->GetCounter("tcpstore.deletes");
-  }
+TcpStore::TcpStore(kv::ReplicatingClient* client)
+    : client_(client), sim_(client->simulator()) {
+  obs::Registry& registry = sim_->registry();
+  ctr_.connection_writes = &registry.GetCounter("tcpstore.connection_writes");
+  ctr_.tunneling_writes = &registry.GetCounter("tcpstore.tunneling_writes");
+  ctr_.lookups = &registry.GetCounter("tcpstore.lookups");
+  ctr_.lookup_hits = &registry.GetCounter("tcpstore.lookup_hits");
+  ctr_.deletes = &registry.GetCounter("tcpstore.deletes");
 }
 
 void TcpStore::Trace(const obs::FlowId& flow, obs::EventType type, std::uint64_t detail) {
-  if (recorder_ != nullptr && sim_ != nullptr) {
-    recorder_->Record(flow, sim_->now(), type, /*where=*/0, detail);
-  }
+  sim_->recorder().Record(flow, sim_->now(), type, /*where=*/0, detail);
 }
 
 void TcpStore::StoreConnectionState(const FlowState& state, Ack done) {
   ++stats_.connection_writes;
-  if (ctr_.connection_writes != nullptr) {
-    ctr_.connection_writes->Inc();
-  }
+  ctr_.connection_writes->Inc();
   const obs::FlowId flow = FlowIdOf(state);
   Trace(flow, obs::EventType::kStorageAWriteStart);
   const std::string key =
@@ -41,9 +35,7 @@ void TcpStore::StoreConnectionState(const FlowState& state, Ack done) {
 
 void TcpStore::StoreTunnelingState(const FlowState& state, Ack done) {
   ++stats_.tunneling_writes;
-  if (ctr_.tunneling_writes != nullptr) {
-    ctr_.tunneling_writes->Inc();
-  }
+  ctr_.tunneling_writes->Inc();
   const obs::FlowId flow = FlowIdOf(state);
   Trace(flow, obs::EventType::kStorageBWriteStart);
   const std::string ckey =
@@ -66,9 +58,7 @@ void TcpStore::StoreTunnelingState(const FlowState& state, Ack done) {
 void TcpStore::LookupByClient(net::IpAddr vip, net::Port vip_port, net::IpAddr client_ip,
                               net::Port client_port, Lookup done) {
   ++stats_.lookups;
-  if (ctr_.lookups != nullptr) {
-    ctr_.lookups->Inc();
-  }
+  ctr_.lookups->Inc();
   const obs::FlowId flow{vip, vip_port, client_ip, client_port};
   Trace(flow, obs::EventType::kStoreLookupStart);
   const std::string key = ClientFlowKey(vip, vip_port, client_ip, client_port);
@@ -81,9 +71,7 @@ void TcpStore::LookupByClient(net::IpAddr vip, net::Port vip_port, net::IpAddr c
     auto state = FlowState::Parse(*v);
     if (state) {
       ++stats_.lookup_hits;
-      if (ctr_.lookup_hits != nullptr) {
-        ctr_.lookup_hits->Inc();
-      }
+      ctr_.lookup_hits->Inc();
     }
     Trace(flow, obs::EventType::kStoreLookupDone, state ? 1 : 0);
     done(state);
@@ -93,9 +81,7 @@ void TcpStore::LookupByClient(net::IpAddr vip, net::Port vip_port, net::IpAddr c
 void TcpStore::LookupByServer(net::IpAddr backend_ip, net::Port backend_port, net::IpAddr vip,
                               net::Port client_port, Lookup done) {
   ++stats_.lookups;
-  if (ctr_.lookups != nullptr) {
-    ctr_.lookups->Inc();
-  }
+  ctr_.lookups->Inc();
   // No client-side FlowId until the reverse mapping resolves, so only the
   // lookup completion is traced (against the recovered flow).
   const std::string skey = ServerFlowKey(backend_ip, backend_port, vip, client_port);
@@ -112,9 +98,7 @@ void TcpStore::LookupByServer(net::IpAddr backend_ip, net::Port backend_port, ne
       auto state = FlowState::Parse(*v);
       if (state) {
         ++stats_.lookup_hits;
-        if (ctr_.lookup_hits != nullptr) {
-          ctr_.lookup_hits->Inc();
-        }
+        ctr_.lookup_hits->Inc();
         Trace(FlowIdOf(*state), obs::EventType::kStoreLookupDone, 1);
       }
       done(state);
@@ -124,9 +108,7 @@ void TcpStore::LookupByServer(net::IpAddr backend_ip, net::Port backend_port, ne
 
 void TcpStore::Remove(const FlowState& state, Ack done) {
   ++stats_.deletes;
-  if (ctr_.deletes != nullptr) {
-    ctr_.deletes->Inc();
-  }
+  ctr_.deletes->Inc();
   const std::string ckey =
       ClientFlowKey(state.vip, state.vip_port, state.client_ip, state.client_port);
   if (state.stage != FlowStage::kTunneling) {

@@ -35,12 +35,10 @@ class TcpStore {
   using Ack = std::function<void(bool ok)>;
   using Lookup = std::function<void(std::optional<FlowState>)>;
 
-  // `simulator`/`recorder` enable per-flow storage trace events
-  // (kStorageAWrite*, kStorageBWrite*, kStoreLookup*); `registry` mirrors
-  // the stats struct into "tcpstore.*" counters. All three are optional.
-  explicit TcpStore(kv::ReplicatingClient* client, sim::Simulator* simulator = nullptr,
-                    obs::FlightRecorder* recorder = nullptr,
-                    obs::Registry* registry = nullptr);
+  // Runs on `client`'s simulator: per-flow storage trace events
+  // (kStorageAWrite*, kStorageBWrite*, kStoreLookup*) go to its recorder,
+  // and the stats struct mirrors into "tcpstore.*" counters in its registry.
+  explicit TcpStore(kv::ReplicatingClient* client);
   TcpStore(const TcpStore&) = delete;
   TcpStore& operator=(const TcpStore&) = delete;
 
@@ -67,7 +65,7 @@ class TcpStore {
   kv::ReplicatingClient* client() { return client_; }
 
  private:
-  // Registry mirrors of the stats struct (null without a registry).
+  // Registry mirrors of the stats struct.
   struct StatCounters {
     obs::Counter* connection_writes = nullptr;
     obs::Counter* tunneling_writes = nullptr;
@@ -82,8 +80,7 @@ class TcpStore {
   }
 
   kv::ReplicatingClient* client_;
-  sim::Simulator* sim_ = nullptr;
-  obs::FlightRecorder* recorder_ = nullptr;
+  sim::Simulator* sim_;
   StatCounters ctr_;
   TcpStoreStats stats_;
 };

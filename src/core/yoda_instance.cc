@@ -6,6 +6,11 @@
 #include "src/sim/placement.h"
 
 namespace yoda {
+namespace {
+
+obs::Labels InstanceLabels(net::IpAddr ip) { return {{"instance", obs::FormatIp(ip)}}; }
+
+}  // namespace
 
 YodaInstance::YodaInstance(sim::Simulator* simulator, net::Network* network,
                            l4lb::L4Fabric* fabric, TcpStore* store, std::uint64_t seed,
@@ -16,19 +21,18 @@ YodaInstance::YodaInstance(sim::Simulator* simulator, net::Network* network,
       rng_(seed),
       cfg_(config),
       cpu_(config.cpu_costs, config.cores),
-      store_session_(store, simulator),
+      store_session_(store, simulator,
+                     simulator->registry().GetHistogram("yoda.stage.store_ms",
+                                                        InstanceLabels(config.ip)),
+                     simulator->registry().GetHistogram("yoda.store.journal_flush_depth",
+                                                        InstanceLabels(config.ip))),
       handshake_(&pipe_),
       dispatcher_(&pipe_),
       splice_(&pipe_),
       takeover_(&pipe_) {
-  registry_ = cfg_.registry;
-  if (registry_ == nullptr) {
-    owned_registry_ = std::make_unique<obs::Registry>();
-    registry_ = owned_registry_.get();
-  }
-  recorder_ = cfg_.recorder;
-  const obs::Labels labels{{"instance", obs::FormatIp(cfg_.ip)}};
-  auto counter = [&](const char* name) { return &registry_->GetCounter(name, labels); };
+  obs::Registry& registry = sim_->registry();
+  const obs::Labels labels = InstanceLabels(cfg_.ip);
+  auto counter = [&](const char* name) { return &registry.GetCounter(name, labels); };
   ctr_.flows_started = counter("yoda.flows_started");
   ctr_.flows_completed = counter("yoda.flows_completed");
   ctr_.takeovers_client_side = counter("yoda.takeovers_client_side");
@@ -45,22 +49,19 @@ YodaInstance::YodaInstance(sim::Simulator* simulator, net::Network* network,
   ctr_.dropped_unknown_vip = counter("yoda.dropped_unknown_vip");
   ctr_.bad_transition_resets = counter("yoda.bad_transition_resets");
   fenced_writes_ctr_ = counter("yoda.fenced_writes");
-  auto histogram = [&](const char* name) { return &registry_->GetHistogram(name, labels); };
+  auto histogram = [&](const char* name) { return &registry.GetHistogram(name, labels); };
   stage_.handshake_ms = histogram("yoda.stage.handshake_ms");
   stage_.dispatch_ms = histogram("yoda.stage.dispatch_ms");
   stage_.server_connect_ms = histogram("yoda.stage.server_connect_ms");
   stage_.store_ms = histogram("yoda.stage.store_ms");
   stage_.takeover_ms = histogram("yoda.stage.takeover_ms");
   stage_.connection_phase_ms = histogram("yoda.connection_phase_ms");
-  store_session_.set_store_wait_histogram(stage_.store_ms);
-  store_session_.set_journal_flush_depth_histogram(
-      &registry_->GetHistogram("yoda.store.journal_flush_depth", labels));
   store_session_.set_liveness(&failed_);
   store_session_.set_journal_flush_interval(cfg_.journal_flush_interval);
   // Fig 10's "sets per request" plus the journal demotion counters, computed
   // from the session stats at export time.
   auto provider_gauge = [&](const char* name, std::function<double()> fn) {
-    obs::Gauge& g = registry_->GetGauge(name, labels);
+    obs::Gauge& g = registry.GetGauge(name, labels);
     g.SetProvider(std::move(fn));
     provider_gauges_.push_back(&g);
   };
@@ -93,7 +94,6 @@ YodaInstance::YodaInstance(sim::Simulator* simulator, net::Network* network,
   pipe_.vips = &vips_;
   pipe_.backend_health = &backend_health_;
   pipe_.backend_load = &backend_load_;
-  pipe_.recorder = recorder_;
   pipe_.ctr = &ctr_;
   pipe_.stage = &stage_;
   pipe_.handshake = &handshake_;
@@ -166,8 +166,8 @@ YodaInstance::VipCounters& YodaInstance::VipCountersFor(net::IpAddr vip) {
     const obs::Labels labels{{"instance", obs::FormatIp(cfg_.ip)},
                              {"vip", obs::FormatIp(vip)}};
     VipCounters c;
-    c.new_connections = &registry_->GetCounter("yoda.vip.new_connections", labels);
-    c.bytes = &registry_->GetCounter("yoda.vip.bytes", labels);
+    c.new_connections = &sim_->registry().GetCounter("yoda.vip.new_connections", labels);
+    c.bytes = &sim_->registry().GetCounter("yoda.vip.bytes", labels);
     it = vip_counters_.emplace(vip, c).first;
   }
   return it->second;
@@ -179,10 +179,8 @@ bool YodaInstance::StaleControlToken(std::uint64_t token) {
   }
   if (token < control_token_) {
     fenced_writes_ctr_->Inc();
-    if (recorder_ != nullptr) {
-      recorder_->RecordSystem(sim_->now(), obs::EventType::kFencedWrite, cfg_.ip,
-                              (token << 32) | (control_token_ & 0xffffffffULL));
-    }
+    sim_->recorder().RecordSystem(sim_->now(), obs::EventType::kFencedWrite, cfg_.ip,
+                                  (token << 32) | (control_token_ & 0xffffffffULL));
     return true;  // A deposed leader's write; the fleet has moved on.
   }
   control_token_ = token;
@@ -257,11 +255,9 @@ bool YodaInstance::SetStoreMode(net::IpAddr vip, StoreMode mode, std::uint64_t e
   }
   state->store_mode = mode;
   state->store_epoch = epoch;
-  if (recorder_ != nullptr) {
-    recorder_->RecordSystem(sim_->now(), obs::EventType::kStoreModeSet, vip,
-                            (static_cast<std::uint64_t>(mode) << 32) |
-                                (epoch & 0xffffffffULL));
-  }
+  sim_->recorder().RecordSystem(sim_->now(), obs::EventType::kStoreModeSet, vip,
+                                (static_cast<std::uint64_t>(mode) << 32) |
+                                    (epoch & 0xffffffffULL));
   return true;
 }
 

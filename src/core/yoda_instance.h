@@ -142,10 +142,6 @@ class YodaInstance : public net::Node {
   YodaInstanceStats stats() const;
   std::size_t active_flows() const { return flow_table_.size(); }
 
-  // The registry this instance reports into (the shared one from the config,
-  // or the private fallback).
-  obs::Registry& registry() { return *registry_; }
-
   // Backend-connection duration (server selection -> request forwarded to
   // the backend), Fig 9's "Connection" component. Lives in the registry as
   // "yoda.connection_phase_ms".
@@ -205,9 +201,6 @@ class YodaInstance : public net::Node {
   // dtor so a registry that outlives the instance never calls a dangling
   // closure.
   std::vector<obs::Gauge*> provider_gauges_;
-  std::unique_ptr<obs::Registry> owned_registry_;  // Fallback when cfg has none.
-  obs::Registry* registry_ = nullptr;              // Never null after ctor.
-  obs::FlightRecorder* recorder_ = nullptr;        // Null disables tracing.
   PipelineCounters ctr_;
   PipelineStageMetrics stage_;
   std::unordered_map<net::IpAddr, VipCounters> vip_counters_;

@@ -31,9 +31,8 @@ const char* FaultKindName(FaultKind kind) {
   return "Unknown";
 }
 
-FaultPlane::FaultPlane(sim::Simulator* simulator, net::Network* network, std::uint64_t seed,
-                       FaultPlaneConfig config)
-    : sim_(simulator), cfg_(config), rng_(seed) {
+FaultPlane::FaultPlane(sim::Simulator* simulator, net::Network* network, std::uint64_t seed)
+    : sim_(simulator), rng_(seed) {
   network->set_fault_observer(this);
 }
 
@@ -45,10 +44,7 @@ std::uint64_t FaultPlane::LinkKey(net::IpAddr a, net::IpAddr b) {
 }
 
 void FaultPlane::Note(net::IpAddr where, FaultKind kind, bool injected) {
-  if (cfg_.recorder == nullptr) {
-    return;
-  }
-  cfg_.recorder->RecordSystem(
+  sim_->recorder().RecordSystem(
       sim_->now(),
       injected ? obs::EventType::kFaultInjected : obs::EventType::kFaultCleared, where,
       static_cast<std::uint64_t>(kind));

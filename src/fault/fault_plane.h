@@ -28,9 +28,9 @@
 // Timed fault scripts are built with Schedule(): each event fires at an
 // absolute simulated time as a daemon event (a pending fault never keeps the
 // simulation alive). Every applied or cleared fault is mirrored into the
-// flight recorder's system log (kFaultInjected / kFaultCleared) when a
-// recorder is attached, so soak invariants can correlate flow timelines with
-// the fault timeline.
+// system log (kFaultInjected / kFaultCleared) of the simulator's flight
+// recorder, so soak invariants can correlate flow timelines with the fault
+// timeline.
 
 #ifndef SRC_FAULT_FAULT_PLANE_H_
 #define SRC_FAULT_FAULT_PLANE_H_
@@ -65,11 +65,6 @@ enum class FaultKind : std::uint64_t {
 
 const char* FaultKindName(FaultKind kind);
 
-struct FaultPlaneConfig {
-  // Optional: mirror inject/clear into the recorder's system-event log.
-  obs::FlightRecorder* recorder = nullptr;
-};
-
 struct FaultPlaneStats {
   std::uint64_t dropped = 0;         // Packets dropped by overlays.
   std::uint64_t delayed = 0;         // Packets given extra delay.
@@ -84,8 +79,7 @@ class FaultPlane : public net::FaultObserver {
 
   // Installs the plane as `network`'s fault observer. The plane must outlive
   // its installation (the testbed owns both).
-  FaultPlane(sim::Simulator* simulator, net::Network* network, std::uint64_t seed,
-             FaultPlaneConfig config = {});
+  FaultPlane(sim::Simulator* simulator, net::Network* network, std::uint64_t seed);
   FaultPlane(const FaultPlane&) = delete;
   FaultPlane& operator=(const FaultPlane&) = delete;
 
@@ -153,7 +147,6 @@ class FaultPlane : public net::FaultObserver {
   void Note(net::IpAddr where, FaultKind kind, bool injected);
 
   sim::Simulator* sim_;
-  FaultPlaneConfig cfg_;
   sim::Rng rng_;
 
   // std::map/set keep overlay evaluation order deterministic.

@@ -16,12 +16,6 @@ struct WriteOp {
   bool finished = false;
 };
 
-void Bump(obs::Counter* c, std::uint64_t n = 1) {
-  if (c != nullptr) {
-    c->Add(n);
-  }
-}
-
 }  // namespace
 
 // One in-flight Get attempt across the key's replicas.
@@ -64,22 +58,21 @@ ReplicatingClient::ReplicatingClient(sim::Simulator* simulator, std::vector<KvSe
     ring_.AddServer(s->id());
     by_id_[s->id()] = s;
   }
-  if (cfg_.registry != nullptr) {
-    ctr_.gets = &cfg_.registry->GetCounter("kv.client.gets");
-    ctr_.sets = &cfg_.registry->GetCounter("kv.client.sets");
-    ctr_.deletes = &cfg_.registry->GetCounter("kv.client.deletes");
-    ctr_.cas_ops = &cfg_.registry->GetCounter("kv.client.cas_ops");
-    ctr_.cas_wins = &cfg_.registry->GetCounter("kv.client.cas_wins");
-    ctr_.cas_repairs = &cfg_.registry->GetCounter("kv.client.cas_repairs");
-    ctr_.replica_timeouts = &cfg_.registry->GetCounter("kv.client.replica_timeouts");
-    ctr_.retries = &cfg_.registry->GetCounter("kv.client.retries");
-    ctr_.hedged_gets = &cfg_.registry->GetCounter("kv.client.hedged_gets");
-    ctr_.hedge_wins = &cfg_.registry->GetCounter("kv.client.hedge_wins");
-    ctr_.read_repairs = &cfg_.registry->GetCounter("kv.client.read_repairs");
-    ctr_.get_latency_us = &cfg_.registry->GetHistogram("kv.client.get_latency_us");
-    ctr_.set_latency_us = &cfg_.registry->GetHistogram("kv.client.set_latency_us");
-    ctr_.delete_latency_us = &cfg_.registry->GetHistogram("kv.client.delete_latency_us");
-  }
+  obs::Registry& registry = sim_->registry();
+  ctr_.gets = &registry.GetCounter("kv.client.gets");
+  ctr_.sets = &registry.GetCounter("kv.client.sets");
+  ctr_.deletes = &registry.GetCounter("kv.client.deletes");
+  ctr_.cas_ops = &registry.GetCounter("kv.client.cas_ops");
+  ctr_.cas_wins = &registry.GetCounter("kv.client.cas_wins");
+  ctr_.cas_repairs = &registry.GetCounter("kv.client.cas_repairs");
+  ctr_.replica_timeouts = &registry.GetCounter("kv.client.replica_timeouts");
+  ctr_.retries = &registry.GetCounter("kv.client.retries");
+  ctr_.hedged_gets = &registry.GetCounter("kv.client.hedged_gets");
+  ctr_.hedge_wins = &registry.GetCounter("kv.client.hedge_wins");
+  ctr_.read_repairs = &registry.GetCounter("kv.client.read_repairs");
+  ctr_.get_latency_us = &registry.GetHistogram("kv.client.get_latency_us");
+  ctr_.set_latency_us = &registry.GetHistogram("kv.client.set_latency_us");
+  ctr_.delete_latency_us = &registry.GetHistogram("kv.client.delete_latency_us");
 }
 
 std::vector<KvServer*> ReplicatingClient::ReplicasFor(const std::string& key) const {
@@ -103,7 +96,7 @@ void ReplicatingClient::CountReplicaTimeouts(std::uint64_t n) {
     return;
   }
   stats_.replica_timeouts += n;
-  Bump(ctr_.replica_timeouts, n);
+  ctr_.replica_timeouts->Add(n);
 }
 
 void ReplicatingClient::ToServer(KvServer* server, std::function<void()> fn) {
@@ -203,7 +196,7 @@ void ReplicatingClient::RunSet(const std::string& key, const std::string& value,
   SetAttempt(key, value, [this, key, value, attempt, start, cb](bool ok, bool indefinite) {
     if (!ok && indefinite && attempt < cfg_.max_retries) {
       ++stats_.retries;
-      Bump(ctr_.retries);
+      ctr_.retries->Inc();
       sim_->After(BackoffFor(attempt), [this, key, value, attempt, start, cb]() {
         RunSet(key, value, attempt + 1, start, cb);
       });
@@ -211,9 +204,7 @@ void ReplicatingClient::RunSet(const std::string& key, const std::string& value,
     }
     const double us = sim::ToMicros(sim_->now() - start);
     stats_.set_latency_us.Add(us);
-    if (ctr_.set_latency_us != nullptr) {
-      ctr_.set_latency_us->Add(us);
-    }
+    ctr_.set_latency_us->Add(us);
     cb(ok);
   });
 }
@@ -223,7 +214,7 @@ void ReplicatingClient::RunDelete(const std::string& key, int attempt, sim::Time
   DeleteAttempt(key, [this, key, attempt, start, cb](bool ok, bool indefinite) {
     if (!ok && indefinite && attempt < cfg_.max_retries) {
       ++stats_.retries;
-      Bump(ctr_.retries);
+      ctr_.retries->Inc();
       sim_->After(BackoffFor(attempt), [this, key, attempt, start, cb]() {
         RunDelete(key, attempt + 1, start, cb);
       });
@@ -231,29 +222,27 @@ void ReplicatingClient::RunDelete(const std::string& key, int attempt, sim::Time
     }
     const double us = sim::ToMicros(sim_->now() - start);
     stats_.delete_latency_us.Add(us);
-    if (ctr_.delete_latency_us != nullptr) {
-      ctr_.delete_latency_us->Add(us);
-    }
+    ctr_.delete_latency_us->Add(us);
     cb(ok);
   });
 }
 
 void ReplicatingClient::Set(const std::string& key, std::string value, AckCallback cb) {
   ++stats_.sets;
-  Bump(ctr_.sets);
+  ctr_.sets->Inc();
   RunSet(key, value, 0, sim_->now(), std::move(cb));
 }
 
 void ReplicatingClient::Delete(const std::string& key, AckCallback cb) {
   ++stats_.deletes;
-  Bump(ctr_.deletes);
+  ctr_.deletes->Inc();
   RunDelete(key, 0, sim_->now(), std::move(cb));
 }
 
 void ReplicatingClient::Cas(const std::string& key, std::optional<std::string> expected,
                             std::string value, AckCallback cb) {
   ++stats_.cas_ops;
-  Bump(ctr_.cas_ops);
+  ctr_.cas_ops->Inc();
   auto replicas = ReplicasFor(key);
   if (replicas.empty()) {
     cb(false);
@@ -282,14 +271,14 @@ void ReplicatingClient::Cas(const std::string& key, std::optional<std::string> e
     const bool won = state->acks >= majority;
     if (won) {
       ++stats_.cas_wins;
-      Bump(ctr_.cas_wins);
+      ctr_.cas_wins->Inc();
       // Heal replicas that answered with a conflict: the majority decided,
       // so the minority value (a previous contested CAS that won nowhere)
       // is overwritten with the winner.
       for (std::size_t i = 0; i < replicas.size(); ++i) {
         if (state->answered[i] && !state->ok[i]) {
           ++stats_.cas_repairs;
-          Bump(ctr_.cas_repairs);
+          ctr_.cas_repairs->Inc();
           KvServer* server = replicas[i];
           ToServer(server,
                    [server, key, value]() { server->Set(key, value, [](bool) {}); });
@@ -346,7 +335,7 @@ void ReplicatingClient::StartGetSlot(const std::shared_ptr<GetOp>& op, std::size
   ++op->started;
   if (hedged) {
     ++stats_.hedged_gets;
-    Bump(ctr_.hedged_gets);
+    ctr_.hedged_gets->Inc();
   }
   if (cfg_.read_mode == ReadMode::kSingle) {
     // Sequential baseline: each replica gets the full op_timeout to itself.
@@ -413,7 +402,7 @@ void ReplicatingClient::FinishGet(const std::shared_ptr<GetOp>& op) {
   if (op->value.has_value()) {
     if (op->winner >= 0 && op->slots[static_cast<std::size_t>(op->winner)].hedged) {
       ++stats_.hedge_wins;
-      Bump(ctr_.hedge_wins);
+      ctr_.hedge_wins->Inc();
     }
     if (cfg_.read_repair) {
       // Heal replicas that definitively missed (a silent replica may just be
@@ -421,7 +410,7 @@ void ReplicatingClient::FinishGet(const std::shared_ptr<GetOp>& op) {
       for (GetOp::Slot& slot : op->slots) {
         if (slot.started && slot.answered && !slot.hit) {
           ++stats_.read_repairs;
-          Bump(ctr_.read_repairs);
+          ctr_.read_repairs->Inc();
           KvServer* server = slot.server;
           ToServer(server, [server, key = op->key, value = *op->value]() {
             server->Set(key, value, [](bool) {});
@@ -486,7 +475,7 @@ void ReplicatingClient::RunGet(const std::string& key, int attempt, sim::Time st
                                                   bool indefinite) {
     if (!v.has_value() && indefinite && attempt < cfg_.max_retries) {
       ++stats_.retries;
-      Bump(ctr_.retries);
+      ctr_.retries->Inc();
       sim_->After(BackoffFor(attempt), [this, key, attempt, start, cb]() {
         RunGet(key, attempt + 1, start, cb);
       });
@@ -494,16 +483,14 @@ void ReplicatingClient::RunGet(const std::string& key, int attempt, sim::Time st
     }
     const double us = sim::ToMicros(sim_->now() - start);
     stats_.get_latency_us.Add(us);
-    if (ctr_.get_latency_us != nullptr) {
-      ctr_.get_latency_us->Add(us);
-    }
+    ctr_.get_latency_us->Add(us);
     cb(std::move(v));
   });
 }
 
 void ReplicatingClient::Get(const std::string& key, GetCallback cb) {
   ++stats_.gets;
-  Bump(ctr_.gets);
+  ctr_.gets->Inc();
   RunGet(key, 0, sim_->now(), std::move(cb));
 }
 

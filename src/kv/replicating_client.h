@@ -70,9 +70,6 @@ struct ReplicatingClientConfig {
   sim::Duration retry_backoff = sim::Msec(2);
   // Re-install a Get hit on replicas that answered "miss".
   bool read_repair = false;
-  // Optional metrics sink: mirrors op counts and latency histograms into
-  // "kv.client.*" instruments.
-  obs::Registry* registry = nullptr;
 };
 
 struct ClientOpStats {
@@ -101,7 +98,8 @@ class ReplicatingClient {
   using AckCallback = std::function<void(bool ok)>;
 
   // `simulator` and every server's simulator must be shards of one engine:
-  // each op message is an engine hop (see ToServer/ToHome).
+  // each op message is an engine hop (see ToServer/ToHome). Op counts and
+  // latency histograms mirror into the simulator's registry ("kv.client.*").
   ReplicatingClient(sim::Simulator* simulator, std::vector<KvServer*> servers,
                     ReplicatingClientConfig config = {});
   ReplicatingClient(const ReplicatingClient&) = delete;
@@ -126,6 +124,7 @@ class ReplicatingClient {
 
   ClientOpStats& stats() { return stats_; }
   const ReplicatingClientConfig& config() const { return cfg_; }
+  sim::Simulator* simulator() const { return sim_; }
 
  private:
   // One attempt = one round over the replicas. The bool pair is
@@ -167,7 +166,7 @@ class ReplicatingClient {
   void ToServer(KvServer* server, std::function<void()> fn);
   void ToHome(KvServer* server, std::function<void()> fn);
 
-  // Registry mirrors of the stats struct (null without a registry).
+  // Registry mirrors of the stats struct.
   struct StatCounters {
     obs::Counter* gets = nullptr;
     obs::Counter* sets = nullptr;

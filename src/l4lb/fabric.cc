@@ -8,18 +8,13 @@
 namespace l4lb {
 
 L4Fabric::L4Fabric(sim::Simulator* simulator, net::Network* network, int num_muxes)
-    : sim_(simulator), net_(network) {
+    : sim_(simulator),
+      net_(network),
+      packets_ctr_(&simulator->registry().GetCounter("l4.fabric.packets")),
+      dropped_ctr_(&simulator->registry().GetCounter("l4.fabric.dropped")) {
   assert(sim_->engine() != nullptr && "L4Fabric must be built on an engine shard");
   for (int i = 0; i < num_muxes; ++i) {
     muxes_.push_back(std::make_unique<Mux>(i));
-  }
-}
-
-void L4Fabric::SetObservability(obs::Registry* registry, obs::FlightRecorder* recorder) {
-  recorder_ = recorder;
-  if (registry != nullptr) {
-    packets_ctr_ = &registry->GetCounter("l4.fabric.packets");
-    dropped_ctr_ = &registry->GetCounter("l4.fabric.dropped");
   }
 }
 
@@ -35,11 +30,11 @@ void L4Fabric::SetVipPoolStaggered(net::IpAddr vip, std::vector<net::IpAddr> ins
 void L4Fabric::NoteFenced(net::IpAddr vip, std::uint64_t token, const Mux& mux) {
   // Distinguish a fencing rejection from a plain stale-epoch skip: only the
   // former leaves the offered token below the mux's watermark.
-  if (recorder_ == nullptr || token == 0 || token >= mux.FenceToken()) {
+  if (token == 0 || token >= mux.FenceToken()) {
     return;
   }
-  recorder_->RecordSystem(sim_->now(), obs::EventType::kFencedWrite, vip,
-                          (token << 32) | (mux.FenceToken() & 0xffffffffULL));
+  sim_->recorder().RecordSystem(sim_->now(), obs::EventType::kFencedWrite, vip,
+                                (token << 32) | (mux.FenceToken() & 0xffffffffULL));
 }
 
 void L4Fabric::WriteMuxes(net::IpAddr vip, std::uint64_t token, sim::Duration per_mux_delay,
@@ -129,14 +124,10 @@ std::optional<net::IpAddr> L4Fabric::SnatOwner(const net::FiveTuple& server_side
 
 void L4Fabric::HandlePacket(const net::Packet& packet) {
   ++stats_.packets;
-  if (packets_ctr_ != nullptr) {
-    packets_ctr_->Inc();
-  }
+  packets_ctr_->Inc();
   if (muxes_.empty()) {
     ++stats_.dropped;
-    if (dropped_ctr_ != nullptr) {
-      dropped_ctr_->Inc();
-    }
+    dropped_ctr_->Inc();
     return;
   }
   // Router-level ECMP across muxes.
@@ -152,15 +143,13 @@ void L4Fabric::HandlePacket(const net::Packet& packet) {
   auto target = muxes_[mux_idx]->Route(packet, snat_hit);
   if (!target) {
     ++stats_.dropped;
-    if (dropped_ctr_ != nullptr) {
-      dropped_ctr_->Inc();
-    }
+    dropped_ctr_->Inc();
     return;
   }
   // Trace where the fabric sent each flow's opening SYN: the first hop of
   // the flow's timeline, before any instance has seen it.
-  if (recorder_ != nullptr && packet.syn() && !packet.ack_flag()) {
-    recorder_->Record(
+  if (packet.syn() && !packet.ack_flag()) {
+    sim_->recorder().Record(
         obs::FlowId{packet.dst, packet.dport, packet.src, packet.sport}, sim_->now(),
         obs::EventType::kMuxForward, static_cast<std::uint32_t>(mux_idx), *target);
   }

@@ -40,6 +40,9 @@ struct FabricStats {
 class L4Fabric : public net::Node {
  public:
   // `simulator` must be a shard of an engine (see the header comment).
+  // Fabric counters go to its registry ("l4.fabric.*"), and every routed
+  // client SYN records a kMuxForward event (where = mux id, detail = target
+  // instance) in its flight recorder.
   L4Fabric(sim::Simulator* simulator, net::Network* network, int num_muxes);
 
   // Route the VIP through this fabric (attaches this node at `vip`).
@@ -97,11 +100,6 @@ class L4Fabric : public net::Node {
   // net::Node: a packet addressed to a VIP.
   void HandlePacket(const net::Packet& packet) override;
 
-  // Hooks the fabric into the observability layer: fabric/mux counters
-  // mirror into "l4.*" instruments, and every routed client SYN records a
-  // kMuxForward trace event (where = mux id, detail = target instance).
-  void SetObservability(obs::Registry* registry, obs::FlightRecorder* recorder);
-
   const FabricStats& stats() const { return stats_; }
   Mux& mux(int i) { return *muxes_[static_cast<std::size_t>(i)]; }
   int mux_count() const { return static_cast<int>(muxes_.size()); }
@@ -122,9 +120,8 @@ class L4Fabric : public net::Node {
   bool snat_enabled_ = true;
   std::unordered_map<net::FiveTuple, net::IpAddr, net::FiveTupleHash> snat_;
   FabricStats stats_;
-  obs::Counter* packets_ctr_ = nullptr;
-  obs::Counter* dropped_ctr_ = nullptr;
-  obs::FlightRecorder* recorder_ = nullptr;
+  obs::Counter* packets_ctr_;
+  obs::Counter* dropped_ctr_;
 };
 
 }  // namespace l4lb

@@ -5,8 +5,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "src/sim/simulator.h"
-
 namespace obs {
 namespace {
 
@@ -174,15 +172,6 @@ std::string Registry::JsonLines() const {
   std::ostringstream os;
   ExportJsonLines(os);
   return os.str();
-}
-
-void BindSimulatorGauges(Registry& registry, const sim::Simulator& simulator) {
-  registry.GetGauge("sim.events_executed").SetProvider([&simulator]() {
-    return static_cast<double>(simulator.executed_events());
-  });
-  registry.GetGauge("sim.queue_depth_high_water").SetProvider([&simulator]() {
-    return static_cast<double>(simulator.queue_high_water());
-  });
 }
 
 }  // namespace obs

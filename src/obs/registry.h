@@ -1,15 +1,16 @@
 // Unified metrics registry (the "counters half" of the flight recorder).
 //
-// Every component registers named, label-keyed instruments — counters,
-// gauges, histograms — against one Registry owned by the scenario/testbed,
-// instead of hand-rolling private stat structs. Labels identify the entity
-// the instrument describes (instance ip, vip, backend, mux id), so one
-// registry holds the whole fleet's view and a single export call dumps a
-// uniform snapshot.
+// Every sim::Simulator owns one Registry, and every component registers its
+// named, label-keyed instruments — counters, gauges, histograms — in the
+// registry of the simulator it is built on, instead of hand-rolling private
+// stat structs. Labels identify the entity the instrument describes
+// (instance ip, vip, backend, mux id), so one registry holds its shard's
+// view of the fleet and a single export call dumps a uniform snapshot.
 //
 // Instruments have stable addresses for the lifetime of the Registry:
 // hot paths resolve a Counter* once and bump it per event with no string
-// work. The simulator is single-threaded, so nothing here locks.
+// work. Only the events of the owning simulator write a registry, so
+// nothing here locks.
 //
 // Exporters:
 //   ExportText      aligned text table, one instrument per row
@@ -28,10 +29,6 @@
 #include <vector>
 
 #include "src/sim/metrics.h"
-
-namespace sim {
-class Simulator;
-}
 
 namespace obs {
 
@@ -116,11 +113,6 @@ class Registry {
   // unique_ptr keeps instrument addresses stable across rehash/rebalance.
   std::map<std::string, std::unique_ptr<Entry>> entries_;
 };
-
-// Registers the simulator's event-loop gauges as live providers:
-//   sim.events_executed        events run since simulator construction
-//   sim.queue_depth_high_water max pending-event queue depth ever observed
-void BindSimulatorGauges(Registry& registry, const sim::Simulator& simulator);
 
 }  // namespace obs
 

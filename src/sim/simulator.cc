@@ -16,6 +16,15 @@ void TimerHandle::Cancel() {
 
 bool TimerHandle::pending() const { return sim_ != nullptr && sim_->EventPending(idx_, gen_); }
 
+Simulator::Simulator() {
+  registry_.GetGauge("sim.events_executed").SetProvider([this]() {
+    return static_cast<double>(executed_);
+  });
+  registry_.GetGauge("sim.queue_depth_high_water").SetProvider([this]() {
+    return static_cast<double>(queue_high_water_);
+  });
+}
+
 std::uint32_t Simulator::Alloc() {
   if (free_head_ != kNil) {
     const std::uint32_t idx = free_head_;

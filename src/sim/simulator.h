@@ -30,6 +30,12 @@
 // Placement: a Simulator created by a ShardedSim is one shard of that engine
 // and knows both (engine(), shard_index()); a component built on it reads its
 // placement from there. A standalone Simulator has neither.
+//
+// Observability: every Simulator owns one obs::Registry and one
+// obs::FlightRecorder, and a component built on it reports into those two
+// sinks. Only this simulator's events (or setup code while its engine is
+// idle) write them, so shards never share a sink; report code reads each
+// shard's sinks and merges them in shard order.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
@@ -41,6 +47,8 @@
 #include <memory>
 #include <vector>
 
+#include "src/obs/registry.h"
+#include "src/obs/trace.h"
 #include "src/sim/time.h"
 
 namespace sim {
@@ -82,7 +90,10 @@ class Simulator {
   // from the slab freelist).
   using RawFn = void (*)(void* ctx, std::uint64_t arg);
 
-  Simulator() = default;
+  // Binds the event-loop gauges into registry():
+  //   sim.events_executed        events run since construction
+  //   sim.queue_depth_high_water max pending-event queue depth ever observed
+  Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -93,6 +104,10 @@ class Simulator {
   // and -1 for a standalone simulator.
   ShardedSim* engine() const { return engine_; }
   int shard_index() const { return shard_index_; }
+
+  // The sinks every component built on this simulator reports into.
+  obs::Registry& registry() { return registry_; }
+  obs::FlightRecorder& recorder() { return recorder_; }
 
   // Schedules `fn` to run at absolute time `when`. `when` must be >= now().
   // Daemon events (background housekeeping like health-monitor ticks) do not
@@ -314,6 +329,9 @@ class Simulator {
 
   ShardedSim* engine_ = nullptr;
   int shard_index_ = -1;
+
+  obs::Registry registry_;
+  obs::FlightRecorder recorder_;
 };
 
 }  // namespace sim

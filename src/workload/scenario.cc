@@ -11,6 +11,7 @@
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "src/sim/sharded_sim.h"
 
@@ -86,7 +87,7 @@ void ApplyControlEvent(Testbed& tb, const ScenarioEvent& ev, yoda::Controller* c
   } else if (ev.action == "crash-leader") {
     for (int i = 0; i < tb.controller_count(); ++i) {
       yoda::Controller* c = tb.ControllerAt(i);
-      if (!c->crashed() && c->ActingLeader()) {
+      if (c->ActingLeader()) {
         say("CRASH leader controller " + std::to_string(i));
         tb.CrashController(i);
         break;
@@ -249,6 +250,8 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
   std::string line;
   int line_no = 0;
   std::vector<int> event_lines;  // Source line of each sc.events entry.
+  // (line, shard) of each `place`; checked once the run's shard count is known.
+  std::vector<std::pair<int, int>> placed_shards;
   while (std::getline(ss, line)) {
     ++line_no;
     const std::size_t hash = line.find('#');
@@ -298,6 +301,7 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
         }
         (kind == "controller" ? sc.placement.controller_shard
                               : sc.placement.fabric_shard) = static_cast<int>(a);
+        placed_shards.emplace_back(line_no, static_cast<int>(a));
       } else {
         std::vector<int>* overrides = kind == "instance" ? &sc.placement.instance_shards
                                       : kind == "backend" ? &sc.placement.backend_shards
@@ -318,6 +322,7 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
           overrides->resize(static_cast<std::size_t>(a) + 1, -1);
         }
         (*overrides)[static_cast<std::size_t>(a)] = static_cast<int>(b);
+        placed_shards.emplace_back(line_no, static_cast<int>(b));
       }
     } else if (cmd == "seed" || cmd == "instances" || cmd == "spares" || cmd == "backends" ||
         cmd == "kv-servers" || cmd == "kv-replicas" || cmd == "clients" || cmd == "muxes" ||
@@ -457,6 +462,17 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
   if (sc.threads > 0 && sc.intra_threads > 0) {
     Fail(error, 0, "threads and intra-threads are mutually exclusive");
     return std::nullopt;
+  }
+  // Every run is one placed testbed: kScenarioCells shards with
+  // intra-threads, one shard otherwise (each `threads` cell included).
+  const int shards = sc.intra_threads > 0 ? kScenarioCells : 1;
+  for (const auto& [place_line, shard] : placed_shards) {
+    if (shard >= shards) {
+      Fail(error, place_line,
+           "place shard " + std::to_string(shard) + " out of range: the run has " +
+               std::to_string(shards) + " shard(s)");
+      return std::nullopt;
+    }
   }
   for (std::size_t i = 0; i < sc.events.size(); ++i) {
     std::optional<std::string> bad = CheckAction(sc, sc.events[i]);

@@ -87,7 +87,8 @@ struct Scenario {
   // network / cross-shard calls, so the trace is byte-identical for any N.
   // Mutually exclusive with `threads`. `place <kind> <idx> <shard>` (kinds:
   // instance backend kv client proxy) and `place <controller|fabric> <shard>`
-  // override the default round-robin placement.
+  // override the default round-robin placement; a shard must exist in the
+  // run (below kScenarioCells with intra-threads, 0 otherwise).
   int intra_threads = 0;
   sim::IntraPlacement placement;
   struct VipDef {

@@ -20,6 +20,8 @@ Testbed::Testbed(TestbedConfig config)
                       : nullptr),
       cfg(std::move(config)),
       sim(cfg.engine != nullptr ? *cfg.engine : *own_engine_),
+      metrics(sim.shard(0).registry()),
+      flight(sim.shard(0).recorder()),
       // Attach stamps each endpoint with OwnerShardOf(ip); the fabric is
       // constructed on ITS owning shard's simulator so its timers and packets
       // run where its state lives.
@@ -27,18 +29,7 @@ Testbed::Testbed(TestbedConfig config)
       fabric(&sim.shard(cfg.placement.fabric_shard), &network, cfg.muxes) {
   cfg.engine = &sim;
   cfg.placement.shards = sim.shards();
-  // Per-shard observability lanes: every component reports into its own
-  // shard's registry/recorder so no two worker threads share a sink.
-  for (int s = 1; s < sim.shards(); ++s) {
-    shard_metrics.push_back(std::make_unique<obs::Registry>());
-    shard_flight.push_back(std::make_unique<obs::FlightRecorder>());
-  }
-  for (int s = 0; s < sim.shards(); ++s) {
-    obs::BindSimulatorGauges(metrics_lane(s), sim.shard(s));
-  }
   const int ctl_shard = cfg.placement.controller_shard;
-  fabric.SetObservability(&metrics_lane(cfg.placement.fabric_shard),
-                          &flight_lane(cfg.placement.fabric_shard));
   network.SetLatency(net::Region::kDatacenter, net::Region::kDatacenter, cfg.dc_latency,
                      cfg.dc_jitter);
   network.SetLatency(net::Region::kDatacenter, net::Region::kInternet, cfg.internet_latency,
@@ -58,7 +49,6 @@ Testbed::Testbed(TestbedConfig config)
   // Op messages to a replica hop to its shard and answers hop home.
   kv::ReplicatingClientConfig kv_client_cfg = cfg.kv_client;
   kv_client_cfg.replicas = cfg.kv_replicas;
-  kv_client_cfg.registry = &metrics_lane(ctl_shard);
 
   if (cfg.build_catalog) {
     sim::Rng catalog_rng(cfg.seed ^ 0x636174ULL);
@@ -72,15 +62,10 @@ Testbed::Testbed(TestbedConfig config)
     const int shard = cfg.placement.InstanceShard(i);
     yoda::YodaInstanceConfig icfg = cfg.instance_template;
     icfg.ip = instance_ip(i);
-    icfg.registry = &metrics_lane(shard);
-    icfg.recorder = &flight_lane(shard);
-    kv::ReplicatingClientConfig icc = kv_client_cfg;
-    icc.registry = &metrics_lane(shard);
     instance_kv_clients.push_back(
-        std::make_unique<kv::ReplicatingClient>(SimFor(shard), kv_ptrs, icc));
-    instance_stores.push_back(std::make_unique<yoda::TcpStore>(
-        instance_kv_clients.back().get(), SimFor(shard), &flight_lane(shard),
-        &metrics_lane(shard)));
+        std::make_unique<kv::ReplicatingClient>(SimFor(shard), kv_ptrs, kv_client_cfg));
+    instance_stores.push_back(
+        std::make_unique<yoda::TcpStore>(instance_kv_clients.back().get()));
     auto inst = std::make_unique<yoda::YodaInstance>(SimFor(shard), &network, &fabric,
                                                      instance_stores.back().get(),
                                                      cfg.seed ^ (0x1000ULL + i), icfg);
@@ -120,8 +105,6 @@ Testbed::Testbed(TestbedConfig config)
   // Control plane on its shard; the actuator routes every instance-state
   // write (rules, backend health, scrubs) onto the instance's own shard.
   yoda::ControllerConfig ctl_cfg = cfg.controller;
-  ctl_cfg.registry = &metrics_lane(ctl_shard);
-  ctl_cfg.recorder = &flight_lane(ctl_shard);
   if (cfg.controllers > 1) {
     ctl_kv_client = std::make_unique<kv::ReplicatingClient>(SimFor(ctl_shard), kv_ptrs,
                                                             kv_client_cfg);
@@ -159,8 +142,7 @@ Testbed::Testbed(TestbedConfig config)
   // It is conducted from the controller shard (the scenario timeline fires
   // there), so its timers and recorder live there.
   faults = std::make_unique<fault::FaultPlane>(SimFor(ctl_shard), &network,
-                                               cfg.seed ^ 0x66617574ULL,
-                                               fault::FaultPlaneConfig{&flight_lane(ctl_shard)});
+                                               cfg.seed ^ 0x66617574ULL);
   // The handlers are the one place an address becomes a component (the
   // ComponentAt decode). Component mutations run on the component's owning
   // shard (RunOn); SetNodeDown already replicates to every lane internally.
@@ -271,7 +253,7 @@ void Testbed::StartAllControllers() {
 yoda::Controller* Testbed::LeaderController() {
   for (int i = 0; i < controller_count(); ++i) {
     yoda::Controller* c = ControllerAt(i);
-    if (!c->crashed() && c->ActingLeader()) {
+    if (c->ActingLeader()) {
       return c;
     }
   }

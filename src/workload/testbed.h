@@ -45,14 +45,14 @@ struct TestbedConfig {
   // The engine this testbed is placed on: each instance/backend/kv/client is
   // constructed on its owning shard's simulator per `placement` — the one
   // statement of its placement, which the network, fabric, store clients and
-  // actuator read back from that simulator — and observability is per-shard
-  // (see metrics_lane/flight_lane). Unset, the testbed owns a 1-shard,
-  // 1-worker engine. The engine must outlive the testbed, and its epoch
-  // window must not exceed the minimum cross-shard latency (dc_latency and
-  // kv network_delay). Unsupported on more than one shard: assignment
-  // rollouts / auto-scale (counter aggregation reads instance state
-  // cross-shard) and fault-plane packet overlays (per-packet draws would
-  // race).
+  // actuator read back from that simulator, as every component reads its
+  // registry and flight recorder (see metrics_lane/flight_lane). Unset, the
+  // testbed owns a 1-shard, 1-worker engine. The engine must outlive the
+  // testbed, and its epoch window must not exceed the minimum cross-shard
+  // latency (dc_latency and kv network_delay). Unsupported on more than one
+  // shard: assignment rollouts / auto-scale (counter aggregation reads
+  // instance state cross-shard) and fault-plane packet overlays (per-packet
+  // draws would race).
   sim::ShardedSim* engine = nullptr;
   sim::IntraPlacement placement;
   int yoda_instances = 4;
@@ -125,17 +125,14 @@ class Testbed {
   int OwnerShardOf(net::IpAddr ip) const;
   // Simulator that owns `shard`.
   sim::Simulator* SimFor(int shard) const { return &sim.shard(shard); }
-  // Per-shard observability lanes, one per engine shard. Components report
-  // into their own shard's registry/recorder (no cross-thread writes); report
-  // code merges the lanes in shard order. Lane 0 is the `metrics`/`flight`
-  // members, so a single-shard testbed reads them directly.
+  // Per-shard observability lanes: shard `s`'s lane is the registry and
+  // flight recorder of its simulator, which every component placed there
+  // reports into (no cross-thread writes). Report code merges the lanes in
+  // shard order. Lane 0 is also `metrics`/`flight`, so a single-shard
+  // testbed reads those directly.
   int lane_count() const { return sim.shards(); }
-  obs::Registry& metrics_lane(int shard) {
-    return shard == 0 ? metrics : *shard_metrics[static_cast<std::size_t>(shard - 1)];
-  }
-  obs::FlightRecorder& flight_lane(int shard) {
-    return shard == 0 ? flight : *shard_flight[static_cast<std::size_t>(shard - 1)];
-  }
+  obs::Registry& metrics_lane(int shard) { return SimFor(shard)->registry(); }
+  obs::FlightRecorder& flight_lane(int shard) { return SimFor(shard)->recorder(); }
 
   // Crash and restart go through the fault plane and nowhere else, so every
   // one lands on the trace as a kFaultInjected system event. These wrappers
@@ -180,13 +177,9 @@ class Testbed {
   TestbedConfig cfg;  // cfg.engine is always set once constructed.
   // The engine every component runs on; time advances only through it.
   sim::ShardedSim& sim;
-  // Lane 0 of the per-shard observability: shard 0's components report into
-  // this registry, and their flows' lifecycles land in this flight recorder.
-  obs::Registry metrics;
-  obs::FlightRecorder flight;
-  // Lanes 1..shards-1 (metrics_lane/flight_lane).
-  std::vector<std::unique_ptr<obs::Registry>> shard_metrics;
-  std::vector<std::unique_ptr<obs::FlightRecorder>> shard_flight;
+  // Lane 0 (metrics_lane(0) / flight_lane(0)).
+  obs::Registry& metrics;
+  obs::FlightRecorder& flight;
   net::Network network;
   l4lb::L4Fabric fabric;
   std::vector<std::unique_ptr<kv::KvServer>> kv_servers;

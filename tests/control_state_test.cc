@@ -83,13 +83,12 @@ TEST(ControlStateTest, ScrubInstanceShrinksEveryPoolAndBumpsOnce) {
 
 TEST(ControlStateTest, ChangelogMirrorsIntoFlightRecorder) {
   sim::Simulator sim;
-  obs::FlightRecorder recorder;
-  ControlState state(&sim, &recorder);
+  ControlState state(&sim);
   const net::IpAddr vip = net::MakeIp(10, 200, 0, 1);
   state.DefineVip(vip, 80, OneRule());
   state.SetAssignments({{vip, {net::MakeIp(10, 1, 0, 1)}}});
 
-  const auto& events = recorder.system_events();
+  const auto& events = sim.recorder().system_events();
   ASSERT_EQ(events.size(), 2u);
   for (const obs::TraceEvent& e : events) {
     EXPECT_EQ(e.type, obs::EventType::kConfigChange);

@@ -81,6 +81,46 @@ TEST_F(ControllerTest, MonitorDetectsInstanceFailureWithin600ms) {
   }
 }
 
+TEST_F(ControllerTest, CrashedLoneControllerActsOnlyAfterRestart) {
+  TestbedConfig cfg;
+  cfg.yoda_instances = 3;
+  Build(cfg);
+  tb->DefineDefaultVipAndStart();
+  const obs::Counter& ticks = tb->metrics.GetCounter("controller.monitor_ticks");
+  tb->sim.RunUntil(sim::Sec(1));
+  tb->CrashController(0);
+  const std::uint64_t epoch = tb->controller->state().epoch();
+  const std::uint64_t ticks_at_crash = ticks.value();
+  tb->CrashInstance(0);
+  tb->sim.RunUntil(sim::Sec(2));
+  auto wider = tb->EqualSplitRules(0, 6);
+  wider.push_back(tb->EqualSplitRules(0, 2, "r-extra", "*.css")[0]);
+  tb->controller->UpdateVipRules(tb->vip(), wider);
+  tb->sim.RunUntil(sim::Sec(4));
+
+  // Down: no monitor pass, no eviction, no rule change.
+  EXPECT_EQ(ticks.value(), ticks_at_crash);
+  EXPECT_EQ(tb->controller->detected_failures(), 0);
+  EXPECT_EQ(tb->controller->state().epoch(), epoch);
+  auto pooled = [this](int i) {
+    const std::vector<net::IpAddr>* pool = tb->fabric.mux(0).PoolFor(tb->vip());
+    return pool != nullptr &&
+           std::find(pool->begin(), pool->end(), tb->instance_ip(i)) != pool->end();
+  };
+  EXPECT_TRUE(pooled(0));
+  for (int i = 1; i < 3; ++i) {
+    EXPECT_EQ(tb->instances[static_cast<std::size_t>(i)]->RuleCount(tb->vip()), 1);
+  }
+
+  // Restarted: the next monitor pass evicts the dead instance.
+  tb->RestartController(0);
+  tb->sim.RunUntil(sim::Sec(5));
+  EXPECT_GT(ticks.value(), ticks_at_crash);
+  EXPECT_EQ(tb->controller->detected_failures(), 1);
+  EXPECT_FALSE(pooled(0));
+  EXPECT_TRUE(pooled(1));
+}
+
 TEST_F(ControllerTest, MonitorTickIsIdempotentForSameFailure) {
   Build();
   tb->DefineDefaultVipAndStart();

@@ -211,13 +211,11 @@ TEST_F(FaultPlaneTest, ScheduleFiresAtAbsoluteTimeAsDaemon) {
 }
 
 TEST_F(FaultPlaneTest, FaultEventsMirroredIntoRecorder) {
-  obs::FlightRecorder recorder;
-  FaultPlane recorded(&simulator, &network, 7, FaultPlaneConfig{&recorder});
-  recorded.SetLinkLoss(ip_a, ip_b, 0.5);
-  recorded.Partition(ip_a, ip_c);
-  recorded.Heal(ip_a, ip_c);
-  recorded.SetLinkLoss(ip_a, ip_b, 0);
-  const auto& events = recorder.system_events();
+  plane.SetLinkLoss(ip_a, ip_b, 0.5);
+  plane.Partition(ip_a, ip_c);
+  plane.Heal(ip_a, ip_c);
+  plane.SetLinkLoss(ip_a, ip_b, 0);
+  const auto& events = simulator.recorder().system_events();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0].type, obs::EventType::kFaultInjected);
   EXPECT_EQ(events[0].detail, static_cast<std::uint64_t>(FaultKind::kLinkLoss));

@@ -27,11 +27,9 @@ class FleetActuatorTest : public ::testing::Test {
     cfg.yoda_instances = instances;
     cfg.build_catalog = false;
     tb = std::make_unique<Testbed>(cfg);
-    state = std::make_unique<ControlState>(tb->SimFor(0), &tb->flight);
+    state = std::make_unique<ControlState>(tb->SimFor(0));
     FleetActuatorConfig acfg;
     acfg.mux_stagger = sim::Msec(50);
-    acfg.registry = &tb->metrics;
-    acfg.recorder = &tb->flight;
     actuator = std::make_unique<FleetActuator>(tb->SimFor(0), &tb->network, &tb->fabric,
                                                state.get(), acfg);
     for (auto& inst : tb->instances) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -371,6 +374,73 @@ TEST(ObsE2E, MetricsSnapshotPrintsEveryShardLane) {
   EXPECT_NE(snapshot.find("yoda.flows_started"), std::string::npos) << snapshot;
   EXPECT_NE(snapshot.find("--- shard 0 ---"), std::string::npos);
   EXPECT_NE(snapshot.find("--- shard 7 ---"), std::string::npos);
+}
+
+TEST(ObsE2E, EveryInstrumentLandsInItsComponentsShardLane) {
+  // The fabric and the controller sit off shard 0, so lane 0 cannot pass as
+  // a catch-all. Same lanes on 1 and 2 workers.
+  constexpr int kControllerShard = 3;
+  constexpr int kFabricShard = 6;
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    sim::ShardedSim engine(sim::ShardedSim::Config{8, workers});
+    workload::TestbedConfig cfg;
+    cfg.engine = &engine;
+    cfg.placement.controller_shard = kControllerShard;
+    cfg.placement.fabric_shard = kFabricShard;
+    workload::Testbed tb(cfg);
+    tb.DefineDefaultVipAndStart();
+    // One slot per client: the clients' shards may run on different workers.
+    std::vector<int> done(tb.clients.size(), 0);
+    for (std::size_t i = 0; i < tb.clients.size(); ++i) {
+      tb.clients[i]->FetchObject(tb.vip(), 80, tb.catalog->objects()[i].url, {},
+                                 [&done, i](const workload::FetchResult&) { done[i] = 1; });
+    }
+    tb.sim.Run();
+    ASSERT_EQ(std::count(done.begin(), done.end(), 1),
+              static_cast<std::ptrdiff_t>(tb.clients.size()));
+
+    // The lanes holding at least one instrument that `match` accepts.
+    auto lanes_with = [&tb](const std::function<bool(const Registry::Row&)>& match) {
+      std::vector<int> lanes;
+      for (int s = 0; s < tb.lane_count(); ++s) {
+        bool hit = false;
+        tb.metrics_lane(s).ForEach([&](const Registry::Row& row) { hit = hit || match(row); });
+        if (hit) {
+          lanes.push_back(s);
+        }
+      }
+      return lanes;
+    };
+    auto named = [](const std::string& prefix) {
+      return [prefix](const Registry::Row& row) { return row.name->starts_with(prefix); };
+    };
+    for (const auto& inst : tb.instances) {
+      const Labels labels{{"instance", FormatIp(inst->ip())}};
+      EXPECT_EQ(lanes_with([&](const Registry::Row& row) {
+                  return *row.name == "yoda.flows_started" && *row.labels == labels;
+                }),
+                std::vector<int>{tb.OwnerShardOf(inst->ip())})
+          << labels[0].second;
+    }
+    EXPECT_EQ(lanes_with(named("l4.fabric.")), std::vector<int>{kFabricShard});
+    EXPECT_EQ(lanes_with(named("controller.")), std::vector<int>{kControllerShard});
+
+    // Every fetch's opening SYN crossed the fabric, and only its lane saw it.
+    for (int s = 0; s < tb.lane_count(); ++s) {
+      std::size_t forwards = 0;
+      tb.flight_lane(s).ForEachFlow([&](const FlowId&, const std::vector<TraceEvent>& events) {
+        for (const TraceEvent& ev : events) {
+          forwards += ev.type == EventType::kMuxForward ? 1 : 0;
+        }
+      });
+      if (s == kFabricShard) {
+        EXPECT_GE(forwards, tb.clients.size());
+      } else {
+        EXPECT_EQ(forwards, 0u) << "lane " << s;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -30,6 +30,8 @@ class PipelineTest : public ::testing::Test {
   std::vector<std::unique_ptr<kv::KvServer>> servers;
   std::unique_ptr<kv::ReplicatingClient> client;
   std::unique_ptr<TcpStore> store;
+  sim::Histogram store_wait_ms;
+  sim::Histogram journal_flush_depth;
   std::unique_ptr<StoreSession> session;
 
   YodaInstanceConfig cfg;
@@ -56,7 +58,8 @@ class PipelineTest : public ::testing::Test {
     client = std::make_unique<kv::ReplicatingClient>(&simulator, ptrs,
                                                      kv::ReplicatingClientConfig{});
     store = std::make_unique<TcpStore>(client.get());
-    session = std::make_unique<StoreSession>(store.get(), &simulator);
+    session = std::make_unique<StoreSession>(store.get(), &simulator, store_wait_ms,
+                                             journal_flush_depth);
 
     ctr.packets_tunneled = &registry.GetCounter("yoda.packets_tunneled");
     ctr.bad_transition_resets = &registry.GetCounter("yoda.bad_transition_resets");

@@ -112,6 +112,33 @@ TEST(ParseScenario, RejectsTimelineActionsItCannotApply) {
   }
 }
 
+TEST(ParseScenario, RejectsPlaceShardsTheRunDoesNotHave) {
+  // A plain or `threads` run has one shard and an intra-threads run eight.
+  // Each `place` sits on line 3; the count may come after it.
+  const std::vector<std::string> bad = {
+      "vip 10.200.0.1\ninstances 2\nplace fabric 5\n",
+      "vip 10.200.0.1\ninstances 2\nplace controller 1\n",
+      "vip 10.200.0.1\ninstances 2\nplace instance 1 1\n",
+      "vip 10.200.0.1\nthreads 2\nplace backend 0 3\n",
+      "vip 10.200.0.1\nintra-threads 2\nplace controller 9\n",
+      "vip 10.200.0.1\nintra-threads 2\nplace fabric 8\n",
+      "vip 10.200.0.1\nintra-threads 2\nplace kv 0 8\n",
+      "vip 10.200.0.1\ninstances 2\nplace client 1 8\nintra-threads 2\n",
+      "vip 10.200.0.1\ninstances 2\nplace proxy 0 1\n",
+  };
+  for (const std::string& text : bad) {
+    std::string error;
+    EXPECT_FALSE(ParseScenario(text, &error).has_value()) << text;
+    EXPECT_NE(error.find("line 3"), std::string::npos) << text << " -> " << error;
+  }
+  std::string error;
+  EXPECT_TRUE(ParseScenario("vip 10.200.0.1\nplace fabric 0\nplace instance 1 0\n", &error))
+      << error;
+  EXPECT_TRUE(ParseScenario("vip 10.200.0.1\nplace fabric 7\nplace kv 2 7\nintra-threads 2\n",
+                            &error))
+      << error;
+}
+
 TEST(ParseScenario, ActionIndicesRangeOverTheWholeFile) {
   // Counts may follow the action that uses them, and spares are instances.
   std::string error;

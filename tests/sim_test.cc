@@ -350,8 +350,7 @@ TEST(Simulator, RandomizedOpsKeepWheelStructurallyConsistent) {
 
 TEST(Simulator, EventLoopGaugesReadLiveThroughRegistry) {
   Simulator sim;
-  obs::Registry reg;
-  obs::BindSimulatorGauges(reg, sim);
+  obs::Registry& reg = sim.registry();
   EXPECT_DOUBLE_EQ(reg.GetGauge("sim.events_executed").value(), 0.0);
   for (int i = 0; i < 3; ++i) {
     sim.At(Msec(i), []() {});

@@ -25,6 +25,7 @@ class StoreSessionTest : public ::testing::Test {
   std::unique_ptr<kv::ReplicatingClient> client;
   std::unique_ptr<TcpStore> store;
   sim::Histogram store_wait_ms;
+  sim::Histogram journal_flush_depth;
   std::unique_ptr<StoreSession> session;
 
   void SetUp() override {
@@ -39,7 +40,8 @@ class StoreSessionTest : public ::testing::Test {
     cfg.replicas = 2;
     client = std::make_unique<kv::ReplicatingClient>(&simulator, ptrs, cfg);
     store = std::make_unique<TcpStore>(client.get());
-    session = std::make_unique<StoreSession>(store.get(), &simulator, &store_wait_ms);
+    session = std::make_unique<StoreSession>(store.get(), &simulator, store_wait_ms,
+                                             journal_flush_depth);
   }
 
   FlowState Tunneling() {
