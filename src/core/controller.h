@@ -84,7 +84,6 @@ struct ControllerConfig {
   // Consecutive over-threshold monitor ticks required before scaling
   // (hysteresis against transient spikes).
   int scale_out_ticks = 1;
-  sim::Duration cpu_window = sim::Sec(1);
   // Bounded per-step actuator retry (see FleetActuatorConfig). 0 keeps the
   // seed's apply-once behavior; the HA testbed template enables it.
   int max_step_retries = 0;

@@ -152,16 +152,14 @@ void FleetActuator::RunSteps(const ExecPlan& plan, std::size_t first, int attemp
 
 namespace {
 
-// The step kinds that write one instance's state. kSetStoreMode with
-// instance 0 is the mux side of a store-mode flip.
+// The step kinds that write one instance's state.
 bool TargetsInstance(const ExecStep& step) {
   switch (step.kind) {
     case ExecStepKind::kInstallRules:
     case ExecStepKind::kSetBackendHealth:
     case ExecStepKind::kScrubRules:
-      return true;
     case ExecStepKind::kSetStoreMode:
-      return step.instance != 0;
+      return true;
     default:
       return false;
   }
@@ -297,11 +295,6 @@ bool FleetActuator::ApplyToFabric(const ExecPlan& plan, const ExecStep& step) {
       break;
     case ExecStepKind::kEvictInstance:
       fabric_->RemoveInstanceEverywhere(step.instance);
-      break;
-    case ExecStepKind::kSetStoreMode:
-      // Mux side of the flip: runs after the barrier, so every pool member
-      // has already switched.
-      fabric_->SetStoreMode(step.vip, /*stateless=*/step.healthy, plan.epoch, stagger, token);
       break;
     default:
       break;  // Instance steps go to ApplyToInstance, barriers to RunSteps.
@@ -443,8 +436,6 @@ ExecPlan BuildStoreModePlan(const ControlState& state, std::uint64_t epoch, net:
   for (net::IpAddr ip : members) {
     plan.steps.push_back({ExecStepKind::kSetStoreMode, vip, ip, stateless});
   }
-  plan.steps.push_back({ExecStepKind::kAwaitConvergence, 0, 0});
-  plan.steps.push_back({ExecStepKind::kSetStoreMode, vip, 0, stateless});
   return plan;
 }
 

@@ -55,8 +55,8 @@ enum class ExecStepKind : std::uint8_t {
   kScrubRules,        // Drop the VIP's rules from `instance` (guarded).
   kDetachVip,         // Unroute the VIP.
   kEvictInstance,     // Failure path: drop `instance` from every pool + SNAT.
-  kSetStoreMode,      // Flip the VIP's store contract; `healthy` reused as the
-                      // stateless flag, instance 0 targets the muxes.
+  kSetStoreMode,      // Flip the VIP's store contract on `instance`;
+                      // `healthy` reused as the stateless flag.
 };
 
 const char* ExecStepKindName(ExecStepKind kind);
@@ -226,10 +226,9 @@ ExecPlan BuildLeaderTakeoverPlan(const ControlState& state, std::uint64_t epoch,
 ExecPlan BuildRolloutPlan(std::uint64_t epoch, const std::vector<assign::PlanStep>& steps,
                           const std::vector<net::IpAddr>& instance_order,
                           const std::string& reason);
-// Make-before-break store-mode flip: every desired instance first (new flows
-// latch the new mode; cookie epoch = `epoch`), then a convergence barrier,
-// then the muxes — so a re-steered packet never reaches a member that has
-// not switched yet.
+// Store-mode flip: one step per desired instance. Flows latch their mode
+// when they are created (cookie epoch = `epoch`), so a flip never touches a
+// flow in flight, and the muxes route both modes alike.
 ExecPlan BuildStoreModePlan(const ControlState& state, std::uint64_t epoch, net::IpAddr vip,
                             StoreMode mode, const std::vector<net::IpAddr>& active_ips);
 

@@ -120,8 +120,6 @@ class YodaInstance : public net::Node {
     auto it = vips_.find(vip);
     return it == vips_.end() ? StoreMode::kStateful : it->second.store_mode;
   }
-  // Highest fencing token ever seen (0 = only unfenced writes).
-  std::uint64_t ControlToken() const { return control_token_; }
 
   // Crash: all local flow state vanishes. (The caller also marks the node
   // down in the Network so in-flight packets blackhole.)

@@ -1,9 +1,12 @@
 #include "src/fault/chaos.h"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <set>
 #include <sstream>
+
+#include "src/fault/fault_plane.h"
 
 namespace fault {
 namespace {
@@ -16,17 +19,19 @@ std::string FlowLabel(const obs::FlowId& id) {
   return os.str();
 }
 
-}  // namespace
+// A duration as the scenario DSL writes it exactly: in nanoseconds.
+std::string Ns(sim::Duration d) { return std::to_string(d) + "ns"; }
 
-std::string ChaosEpisode::Describe() const {
-  std::ostringstream os;
-  os << "t=[" << sim::ToMillis(at) << "ms," << sim::ToMillis(until) << "ms] "
-     << FaultKindName(kind) << " @ " << net::IpToString(target);
-  return os.str();
+// The shortest text that reads back as exactly `v`.
+std::string Shortest(double v) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, end);
 }
 
-std::vector<ChaosEpisode> RandomSchedule(FaultPlane& plane, sim::Rng& rng,
-                                         const ChaosOptions& opts) {
+}  // namespace
+
+std::vector<std::string> RandomSchedule(sim::Rng& rng, const ChaosOptions& opts) {
   // Kinds we can draw given the candidate lists.
   std::vector<FaultKind> kinds;
   if (!opts.links.empty()) {
@@ -44,137 +49,88 @@ std::vector<ChaosEpisode> RandomSchedule(FaultPlane& plane, sim::Rng& rng,
     kinds.push_back(FaultKind::kKvSlow);
   }
 
-  std::vector<ChaosEpisode> episodes;
-  // Crashed targets must not crash again before their restart fires.
-  std::map<net::IpAddr, sim::Time> crash_busy_until;
+  auto pick = [&rng](const auto& list) -> const auto& {
+    return list[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(list.size()) - 1))];
+  };
+  auto start = [&rng, &opts]() -> sim::Time {
+    return opts.window_start + rng.UniformInt(0, opts.window_end - opts.window_start);
+  };
+  auto length = [&rng, &opts]() -> sim::Duration {
+    return opts.min_duration + rng.UniformInt(0, opts.max_duration - opts.min_duration);
+  };
+  // Crashed targets must not crash again before their restart fires: an
+  // overlapping crash shifts past the pending restart (a deterministic
+  // adjustment, no extra draws).
+  std::map<std::string, sim::Time> crash_busy_until;
+  auto crash = [&crash_busy_until](const std::string& target, sim::Time at, sim::Duration len,
+                                   bool cold) {
+    sim::Time& busy = crash_busy_until[target];
+    if (at <= busy) {
+      at = busy + sim::Msec(1);
+    }
+    busy = at + len;
+    return "at " + Ns(at) + " crash " + target + " for " + Ns(len) + (cold ? " cold" : " warm");
+  };
 
+  std::vector<std::string> lines;
   for (int i = 0; !kinds.empty() && i < opts.episodes; ++i) {
-    ChaosEpisode ep;
-    ep.kind = kinds[static_cast<std::size_t>(
-        rng.UniformInt(0, static_cast<std::int64_t>(kinds.size()) - 1))];
-    ep.at = opts.window_start +
-            static_cast<sim::Time>(rng.UniformInt(
-                0, static_cast<std::int64_t>(opts.window_end - opts.window_start)));
-    ep.until = ep.at + opts.min_duration +
-               static_cast<sim::Duration>(rng.UniformInt(
-                   0, static_cast<std::int64_t>(opts.max_duration - opts.min_duration)));
-
-    switch (ep.kind) {
+    const FaultKind kind = pick(kinds);
+    const sim::Time at = start();
+    const sim::Duration len = length();
+    const std::string head = "at " + Ns(at) + " ";
+    const std::string tail = " for " + Ns(len);
+    switch (kind) {
       case FaultKind::kLinkLoss: {
-        const auto& link = opts.links[static_cast<std::size_t>(
-            rng.UniformInt(0, static_cast<std::int64_t>(opts.links.size()) - 1))];
+        const auto& link = pick(opts.links);
         const double p = 0.2 + 0.7 * rng.UniformDouble();
-        ep.target = link.first;
-        plane.Schedule(ep.at, [link, p](FaultPlane& fp) {
-          fp.SetLinkLoss(link.first, link.second, p);
-        });
-        plane.Schedule(ep.until, [link](FaultPlane& fp) {
-          fp.SetLinkLoss(link.first, link.second, 0);
-        });
+        lines.push_back(head + "link-loss " + link.first + " " + link.second + " " +
+                        Shortest(p) + tail);
         break;
       }
       case FaultKind::kPartition: {
-        const auto& link = opts.links[static_cast<std::size_t>(
-            rng.UniformInt(0, static_cast<std::int64_t>(opts.links.size()) - 1))];
-        ep.target = link.first;
-        plane.Schedule(ep.at, [link](FaultPlane& fp) {
-          fp.Partition(link.first, link.second);
-        });
-        plane.Schedule(ep.until, [link](FaultPlane& fp) {
-          fp.Heal(link.first, link.second);
-        });
+        const auto& link = pick(opts.links);
+        lines.push_back(head + "partition " + link.first + " " + link.second + tail);
         break;
       }
       case FaultKind::kNodeDelay: {
-        ep.target = opts.instances[static_cast<std::size_t>(
-            rng.UniformInt(0, static_cast<std::int64_t>(opts.instances.size()) - 1))];
-        const sim::Duration d =
-            sim::Msec(1) + static_cast<sim::Duration>(rng.UniformInt(0, sim::Msec(9)));
-        const net::IpAddr t = ep.target;
-        plane.Schedule(ep.at, [t, d](FaultPlane& fp) { fp.SetNodeDelay(t, d); });
-        plane.Schedule(ep.until, [t](FaultPlane& fp) { fp.SetNodeDelay(t, 0); });
+        const std::string& target = pick(opts.instances);
+        const sim::Duration d = sim::Msec(1) + rng.UniformInt(0, sim::Msec(9));
+        lines.push_back(head + "node-delay " + target + " " + Ns(d) + tail);
         break;
       }
       case FaultKind::kGray: {
-        ep.target = opts.instances[static_cast<std::size_t>(
-            rng.UniformInt(0, static_cast<std::int64_t>(opts.instances.size()) - 1))];
+        const std::string& target = pick(opts.instances);
         const double p = 0.6 + 0.4 * rng.UniformDouble();
-        const net::IpAddr t = ep.target;
-        const std::string id = "chaos-gray-" + std::to_string(i);
-        // The classic gray failure: pure SYNs toward the instance die, while
-        // established traffic (and kAck-shaped health probes) pass.
-        auto pred = [t](const net::Packet& p) {
-          return p.dst == t && p.syn() && !p.ack_flag();
-        };
-        plane.Schedule(ep.at, [id, pred, p](FaultPlane& fp) { fp.SetGray(id, pred, p); });
-        plane.Schedule(ep.until, [id](FaultPlane& fp) { fp.ClearGray(id); });
+        lines.push_back(head + "gray-syn " + target + " " + Shortest(p) + tail);
         break;
       }
       case FaultKind::kCrash: {
-        ep.target = opts.instances[static_cast<std::size_t>(
-            rng.UniformInt(0, static_cast<std::int64_t>(opts.instances.size()) - 1))];
-        // No overlapping crash on the same target: shift past the pending
-        // restart (a deterministic adjustment, no extra draws).
-        const sim::Time busy = crash_busy_until[ep.target];
-        if (ep.at <= busy) {
-          const sim::Duration len = ep.until - ep.at;
-          ep.at = busy + sim::Msec(1);
-          ep.until = ep.at + len;
-        }
-        crash_busy_until[ep.target] = ep.until;
+        const std::string& target = pick(opts.instances);
         const bool cold = rng.Bernoulli(0.5);
-        const net::IpAddr t = ep.target;
-        plane.Schedule(ep.at, [t](FaultPlane& fp) { fp.CrashNode(t); });
-        plane.Schedule(ep.until, [t, cold](FaultPlane& fp) {
-          fp.RestartNode(t, cold ? FaultPlane::RestartMode::kCold
-                                 : FaultPlane::RestartMode::kWarm);
-        });
+        lines.push_back(crash(target, at, len, cold));
         break;
       }
       case FaultKind::kKvSlow: {
-        ep.target = opts.kv_nodes[static_cast<std::size_t>(
-            rng.UniformInt(0, static_cast<std::int64_t>(opts.kv_nodes.size()) - 1))];
-        const sim::Duration d =
-            sim::Msec(2) + static_cast<sim::Duration>(rng.UniformInt(0, sim::Msec(18)));
-        const net::IpAddr t = ep.target;
-        plane.Schedule(ep.at, [t, d](FaultPlane& fp) { fp.SlowKv(t, d); });
-        plane.Schedule(ep.until, [t](FaultPlane& fp) { fp.SlowKv(t, 0); });
+        const std::string& target = pick(opts.kv_nodes);
+        const sim::Duration d = sim::Msec(2) + rng.UniformInt(0, sim::Msec(18));
+        lines.push_back(head + "kv-slow " + target + " " + Ns(d) + tail);
         break;
       }
       default:
         break;
     }
-    episodes.push_back(ep);
   }
 
   // Controller leader-kill episodes — drawn after (and independent of) the
   // generic loop so existing seeds replay byte-identically with HA off.
   for (int i = 0; i < opts.leader_kills && !opts.controllers.empty(); ++i) {
-    ChaosEpisode ep;
-    ep.kind = FaultKind::kCrash;
-    ep.target = opts.controllers[static_cast<std::size_t>(
-        rng.UniformInt(0, static_cast<std::int64_t>(opts.controllers.size()) - 1))];
-    ep.at = opts.window_start +
-            static_cast<sim::Time>(rng.UniformInt(
-                0, static_cast<std::int64_t>(opts.window_end - opts.window_start)));
-    ep.until = ep.at + opts.min_duration +
-               static_cast<sim::Duration>(rng.UniformInt(
-                   0, static_cast<std::int64_t>(opts.max_duration - opts.min_duration)));
-    const sim::Time busy = crash_busy_until[ep.target];
-    if (ep.at <= busy) {
-      const sim::Duration len = ep.until - ep.at;
-      ep.at = busy + sim::Msec(1);
-      ep.until = ep.at + len;
-    }
-    crash_busy_until[ep.target] = ep.until;
-    const net::IpAddr t = ep.target;
-    plane.Schedule(ep.at, [t](FaultPlane& fp) { fp.CrashNode(t); });
-    plane.Schedule(ep.until, [t](FaultPlane& fp) {
-      fp.RestartNode(t, FaultPlane::RestartMode::kWarm);
-    });
-    episodes.push_back(ep);
+    const std::string& target = pick(opts.controllers);
+    const sim::Time at = start();
+    const sim::Duration len = length();
+    lines.push_back(crash(target, at, len, /*cold=*/false));
   }
-  return episodes;
+  return lines;
 }
 
 SoakReport CheckSoakInvariants(const obs::FlightRecorder& recorder) {

@@ -2,11 +2,12 @@
 // schedules, and post-hoc invariant checking over flight-recorder traces.
 //
 // RandomSchedule draws a whole fault timeline up front from the caller's Rng
-// — every episode's kind, target, start and duration — and installs it on a
-// FaultPlane via Schedule(). Because no draw happens at fire time, the same
-// seed always produces the same timeline no matter how the simulation
-// interleaves, which is what makes multi-seed soaks reproducible and
-// bisectable.
+// — every episode's kind, target, start, duration and parameters — and
+// writes it as scenario timeline lines (the fault verbs of
+// src/workload/scenario.h), which the scenario runner applies. Because no
+// draw happens at fire time, the same seed always produces the same timeline
+// no matter how the simulation interleaves, and a soak seed is a script
+// anyone can read, edit and re-run.
 //
 // CheckSoakInvariants replays a FlightRecorder and verifies the properties
 // the chaos soak asserts. It needs no side input: the set of crashed nodes
@@ -31,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/fault/fault_plane.h"
 #include "src/obs/trace.h"
 #include "src/sim/random.h"
 
@@ -46,32 +46,26 @@ struct ChaosOptions {
   // Episode duration is uniform in [min_duration, max_duration].
   sim::Duration min_duration = sim::Msec(5);
   sim::Duration max_duration = sim::Msec(80);
-  // Candidate targets. Empty lists disable the corresponding fault kinds.
-  std::vector<net::IpAddr> instances;                        // crash/gray targets
-  std::vector<net::IpAddr> kv_nodes;                         // slowness targets
-  std::vector<std::pair<net::IpAddr, net::IpAddr>> links;    // loss/partition pairs
+  // Candidate targets, each a scenario component reference such as
+  // "instance 0". Empty lists disable the corresponding fault kinds.
+  std::vector<std::string> instances;                      // crash/delay/gray targets
+  std::vector<std::string> kv_nodes;                       // slowness targets
+  std::vector<std::pair<std::string, std::string>> links;  // loss/partition pairs
   bool allow_crash = true;  // Instance crashes (cold or warm restart after).
   // Controller HA: leader-kill episodes (crash + warm restart of a random
   // controller replica). Drawn AFTER the generic episode loop above, so
   // enabling them never perturbs an existing seed's draw sequence. A kill
   // may land on a standby — that is part of the chaos.
-  std::vector<net::IpAddr> controllers;
+  std::vector<std::string> controllers;
   int leader_kills = 0;
 };
 
-// One drawn episode, for logging and debugging soak failures.
-struct ChaosEpisode {
-  sim::Time at = 0;
-  sim::Time until = 0;
-  FaultKind kind = FaultKind::kLinkLoss;
-  net::IpAddr target = 0;
-  std::string Describe() const;
-};
-
-// Draws `opts.episodes` fault episodes from `rng` and installs inject/clear
-// pairs on `plane`. Returns the drawn timeline (in draw order).
-std::vector<ChaosEpisode> RandomSchedule(FaultPlane& plane, sim::Rng& rng,
-                                         const ChaosOptions& opts);
+// Draws `opts.episodes` fault episodes (then `opts.leader_kills` kills) from
+// `rng` and returns them in draw order, one scenario `at` line per episode
+// whose `for` schedules its clear. Times are written in ns and probabilities
+// in their shortest round-trip form, so the lines parse back to exactly the
+// drawn values.
+std::vector<std::string> RandomSchedule(sim::Rng& rng, const ChaosOptions& opts);
 
 struct SoakReport {
   std::vector<std::string> violations;

@@ -96,14 +96,19 @@ void FaultPlane::Heal(net::IpAddr a, net::IpAddr b) {
   Note(a, FaultKind::kPartition, false);
 }
 
-void FaultPlane::SetGray(const std::string& id, PacketPredicate pred, double p) {
-  grays_[id] = GrayRule{std::move(pred), p};
-  Note(0, FaultKind::kGray, true);
+void FaultPlane::SetGray(const std::string& id, PacketPredicate pred, double p,
+                         net::IpAddr where) {
+  grays_[id] = GrayRule{std::move(pred), p, where};
+  Note(where, FaultKind::kGray, true);
 }
 
 void FaultPlane::ClearGray(const std::string& id) {
-  grays_.erase(id);
-  Note(0, FaultKind::kGray, false);
+  net::IpAddr where = 0;
+  if (auto it = grays_.find(id); it != grays_.end()) {
+    where = it->second.where;
+    grays_.erase(it);
+  }
+  Note(where, FaultKind::kGray, false);
 }
 
 void FaultPlane::CrashNode(net::IpAddr ip) {
@@ -123,16 +128,6 @@ void FaultPlane::SlowKv(net::IpAddr ip, sim::Duration response_delay) {
   assert(kv_slow_handler_ && "SlowKv on a plane with no kv-slow handler");
   kv_slow_handler_(ip, response_delay);
   Note(ip, FaultKind::kKvSlow, response_delay > 0);
-}
-
-void FaultPlane::Schedule(sim::Time at, std::function<void(FaultPlane&)> apply) {
-  sim_->At(
-      at,
-      [this, apply = std::move(apply)]() {
-        apply(*this);
-        ++stats_.events_applied;
-      },
-      /*daemon=*/true);
 }
 
 net::FaultVerdict FaultPlane::Verdict(const net::Packet& packet, net::IpAddr route_dst) {

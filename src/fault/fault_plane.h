@@ -25,12 +25,12 @@
 // (state intact — a healed partition) from cold (Node::OnColdRestart — a
 // rebooted VM).
 //
-// Timed fault scripts are built with Schedule(): each event fires at an
-// absolute simulated time as a daemon event (a pending fault never keeps the
-// simulation alive). Every applied or cleared fault is mirrored into the
-// system log (kFaultInjected / kFaultCleared) of the simulator's flight
-// recorder, so soak invariants can correlate flow timelines with the fault
-// timeline.
+// The plane applies each fault when it is called; timed fault scripts are
+// scenario `at` lines (src/workload/scenario.h), which the scenario runner
+// applies on the plane's shard. Every applied or cleared fault is mirrored
+// into the system log (kFaultInjected / kFaultCleared) of the simulator's
+// flight recorder, so soak invariants can correlate flow timelines with the
+// fault timeline.
 
 #ifndef SRC_FAULT_FAULT_PLANE_H_
 #define SRC_FAULT_FAULT_PLANE_H_
@@ -66,9 +66,8 @@ enum class FaultKind : std::uint64_t {
 const char* FaultKindName(FaultKind kind);
 
 struct FaultPlaneStats {
-  std::uint64_t dropped = 0;         // Packets dropped by overlays.
-  std::uint64_t delayed = 0;         // Packets given extra delay.
-  std::uint64_t events_applied = 0;  // Scheduled script events fired.
+  std::uint64_t dropped = 0;  // Packets dropped by overlays.
+  std::uint64_t delayed = 0;  // Packets given extra delay.
 };
 
 class FaultPlane : public net::FaultObserver {
@@ -94,8 +93,9 @@ class FaultPlane : public net::FaultObserver {
   void Partition(net::IpAddr a, net::IpAddr b);
   void Heal(net::IpAddr a, net::IpAddr b);
   // Gray failure: drop packets matching `pred` with probability `p`. Rules
-  // are keyed by id (re-setting replaces) and evaluated in id order.
-  void SetGray(const std::string& id, PacketPredicate pred, double p);
+  // are keyed by id (re-setting replaces) and evaluated in id order. `where`
+  // is the address the rule's inject and clear events name on the trace.
+  void SetGray(const std::string& id, PacketPredicate pred, double p, net::IpAddr where = 0);
   void ClearGray(const std::string& id);
 
   // --- component faults (routed through testbed-wired handlers; required) ---
@@ -112,11 +112,6 @@ class FaultPlane : public net::FaultObserver {
   void RestartNode(net::IpAddr ip, RestartMode mode);
   // KV replica answers, but `response_delay` late. 0 clears.
   void SlowKv(net::IpAddr ip, sim::Duration response_delay);
-
-  // --- timed fault scripts --------------------------------------------------
-  // Runs `apply` against this plane at absolute simulated time `at`, as a
-  // daemon event. Events fire in (time, insertion) order.
-  void Schedule(sim::Time at, std::function<void(FaultPlane&)> apply);
 
   // FaultObserver: the per-delivery verdict, a virtual call with no closure.
   net::FaultVerdict OnSend(const net::Packet& packet, net::IpAddr route_dst) override {
@@ -141,6 +136,7 @@ class FaultPlane : public net::FaultObserver {
   struct GrayRule {
     PacketPredicate pred;
     double p = 1.0;
+    net::IpAddr where = 0;
   };
 
   static std::uint64_t LinkKey(net::IpAddr a, net::IpAddr b);

@@ -80,13 +80,6 @@ void L4Fabric::RemovePoolMember(net::IpAddr vip, net::IpAddr instance, std::uint
   });
 }
 
-void L4Fabric::SetStoreMode(net::IpAddr vip, bool stateless, std::uint64_t epoch,
-                            sim::Duration per_mux_delay, std::uint64_t token) {
-  WriteMuxes(vip, token, per_mux_delay, [vip, stateless, epoch, token](Mux& mux) {
-    return mux.SetStoreMode(vip, stateless, epoch, token);
-  });
-}
-
 void L4Fabric::RemoveInstanceEverywhere(net::IpAddr instance) {
   sim_->engine()->RunOn(sim_->shard_index(), [this, instance]() {
     for (auto& mux : muxes_) {

@@ -77,11 +77,6 @@ class L4Fabric : public net::Node {
                      sim::Duration per_mux_delay = 0, std::uint64_t token = 0);
   void RemovePoolMember(net::IpAddr vip, net::IpAddr instance, std::uint64_t epoch,
                         sim::Duration per_mux_delay = 0, std::uint64_t token = 0);
-  // Marks the VIP's store mode on every mux (see Mux::SetStoreMode); the
-  // make-before-break rollout issues this only after the instance fleet has
-  // converged on the new mode.
-  void SetStoreMode(net::IpAddr vip, bool stateless, std::uint64_t epoch,
-                    sim::Duration per_mux_delay = 0, std::uint64_t token = 0);
   // How long after issuing a staggered write the last mux has applied it.
   sim::Duration ConvergenceDelay(sim::Duration per_mux_delay) const {
     return muxes_.empty() ? 0

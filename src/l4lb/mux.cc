@@ -80,29 +80,6 @@ bool Mux::RemoveMember(net::IpAddr vip, net::IpAddr instance, std::uint64_t epoc
   return true;
 }
 
-bool Mux::SetStoreMode(net::IpAddr vip, bool stateless, std::uint64_t epoch,
-                       std::uint64_t token) {
-  if (StaleToken(token)) {
-    return false;
-  }
-  auto it = store_modes_.find(vip);
-  if (epoch != 0 && it != store_modes_.end() && epoch < it->second.second) {
-    return false;  // A newer reconfiguration already set the mode.
-  }
-  store_modes_[vip] = {stateless, epoch};
-  return true;
-}
-
-bool Mux::StatelessVip(net::IpAddr vip) const {
-  auto it = store_modes_.find(vip);
-  return it != store_modes_.end() && it->second.first;
-}
-
-std::uint64_t Mux::StoreModeEpoch(net::IpAddr vip) const {
-  auto it = store_modes_.find(vip);
-  return it == store_modes_.end() ? 0 : it->second.second;
-}
-
 std::uint64_t Mux::PoolEpoch(net::IpAddr vip) const {
   auto it = pool_epochs_.find(vip);
   return it == pool_epochs_.end() ? 0 : it->second;
@@ -111,7 +88,6 @@ std::uint64_t Mux::PoolEpoch(net::IpAddr vip) const {
 void Mux::RemoveVip(net::IpAddr vip) {
   pools_.erase(vip);
   pool_epochs_.erase(vip);
-  store_modes_.erase(vip);
 }
 
 void Mux::RemoveInstance(net::IpAddr instance) {

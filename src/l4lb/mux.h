@@ -67,18 +67,6 @@ class Mux {
                  std::uint64_t token = 0);
   bool RemoveMember(net::IpAddr vip, net::IpAddr instance, std::uint64_t epoch = 0,
                     std::uint64_t token = 0);
-  // Marks the VIP as serving the stateless fast path (flows carry signed
-  // cookies, so a re-steered packet can be adopted by any pool member
-  // without a store round-trip). Token gating matches pool writes; the
-  // epoch watermark is tracked separately from pool epochs so a mode flip
-  // and a pool update from the same reconfiguration cannot shadow each
-  // other. The controller installs this AFTER the instances converge
-  // (make-before-break).
-  bool SetStoreMode(net::IpAddr vip, bool stateless, std::uint64_t epoch = 0,
-                    std::uint64_t token = 0);
-  bool StatelessVip(net::IpAddr vip) const;
-  // Newest epoch that configured the VIP's store mode (0 = never set).
-  std::uint64_t StoreModeEpoch(net::IpAddr vip) const;
   void RemoveVip(net::IpAddr vip);
   // Removes one instance from every pool (failure handling).
   void RemoveInstance(net::IpAddr instance);
@@ -103,8 +91,6 @@ class Mux {
   int id_;
   std::unordered_map<net::IpAddr, std::vector<net::IpAddr>> pools_;
   std::unordered_map<net::IpAddr, std::uint64_t> pool_epochs_;
-  // VIP -> {stateless?, install epoch}.
-  std::unordered_map<net::IpAddr, std::pair<bool, std::uint64_t>> store_modes_;
   std::uint64_t fence_token_ = 0;
   MuxStats stats_;
 };

@@ -8,7 +8,6 @@
 #ifndef SRC_SIM_RANDOM_H_
 #define SRC_SIM_RANDOM_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -38,12 +37,6 @@ class Rng {
 
   // Picks an index in [0, weights.size()) proportionally to weights.
   std::size_t WeightedIndex(const std::vector<double>& weights);
-
-  // Shuffles a vector in place.
-  template <typename T>
-  void Shuffle(std::vector<T>& v) {
-    std::shuffle(v.begin(), v.end(), engine_);
-  }
 
   std::mt19937_64& engine() { return engine_; }
 

@@ -375,41 +375,4 @@ void BrowserClient::PageStep(const std::shared_ptr<PageFetch>& page, const Fetch
               [this, page](const FetchResult& r) { PageStep(page, r); });
 }
 
-OpenLoopGenerator::OpenLoopGenerator(sim::Simulator* simulator,
-                                     std::vector<BrowserClient*> clients, std::uint64_t seed,
-                                     Config config)
-    : sim_(simulator), clients_(std::move(clients)), rng_(seed), cfg_(config) {}
-
-void OpenLoopGenerator::Start() {
-  end_time_ = sim_->now() + cfg_.duration;
-  ScheduleNext(sim_->now());
-}
-
-void OpenLoopGenerator::ScheduleNext(sim::Time when) {
-  if (when >= end_time_) {
-    return;
-  }
-  sim_->At(when, [this]() {
-    ++issued_;
-    BrowserClient* client =
-        clients_[static_cast<std::size_t>(rng_.UniformInt(0, static_cast<std::int64_t>(
-                                                                 clients_.size()) - 1))];
-    const std::string& url =
-        cfg_.urls[static_cast<std::size_t>(rng_.UniformInt(0, static_cast<std::int64_t>(
-                                                                  cfg_.urls.size()) - 1))];
-    client->FetchObject(cfg_.target, cfg_.port, url, cfg_.fetch, [this](const FetchResult& r) {
-      if (r.ok) {
-        ++completed_;
-        latency_ms_.Add(sim::ToMillis(r.latency));
-      } else {
-        ++failed_;
-      }
-    });
-    // Schedule the next arrival lazily so the event queue stays small.
-    const double mean_gap = 1.0 / cfg_.requests_per_second;
-    const double gap = cfg_.poisson ? rng_.Exponential(mean_gap) : mean_gap;
-    ScheduleNext(sim_->now() + sim::FromSeconds(gap));
-  });
-}
-
 }  // namespace workload

@@ -8,9 +8,9 @@
 //  - FetchPage: HTML plus embedded objects fetched sequentially, reporting
 //    page-load time (Table 1);
 //  - FetchSequence: several requests over one keep-alive HTTP/1.1
-//    connection (exercises Yoda's re-switching, §5.2);
-//  - OpenLoopGenerator: fixed-rate request stream for the latency/CPU
-//    experiments (Fig 9, 13).
+//    connection (exercises Yoda's re-switching, §5.2).
+// Fixed-rate request streams over a testbed's clients are OpenLoop's job
+// (src/workload/open_loop.h).
 
 #ifndef SRC_WORKLOAD_BROWSER_CLIENT_H_
 #define SRC_WORKLOAD_BROWSER_CLIENT_H_
@@ -25,7 +25,6 @@
 #include "src/http/parser.h"
 #include "src/net/network.h"
 #include "src/net/tcp_endpoint.h"
-#include "src/sim/metrics.h"
 #include "src/sim/random.h"
 
 namespace workload {
@@ -103,43 +102,6 @@ class BrowserClient : public net::Node {
   net::TcpConfig tcp_;
   net::Port next_port_ = 10'000;
   std::unordered_map<net::FiveTuple, std::shared_ptr<Fetch>, net::FiveTupleHash> demux_;
-};
-
-// Open-loop fixed-rate request source over a pool of clients.
-class OpenLoopGenerator {
- public:
-  struct Config {
-    double requests_per_second = 1000;
-    sim::Duration duration = sim::Sec(10);
-    net::IpAddr target = 0;
-    net::Port port = 80;
-    std::vector<std::string> urls;
-    FetchOptions fetch;
-    bool poisson = true;
-  };
-
-  OpenLoopGenerator(sim::Simulator* simulator, std::vector<BrowserClient*> clients,
-                    std::uint64_t seed, Config config);
-
-  void Start();
-
-  const sim::Histogram& latency_ms() const { return latency_ms_; }
-  std::uint64_t issued() const { return issued_; }
-  std::uint64_t completed() const { return completed_; }
-  std::uint64_t failed() const { return failed_; }
-
- private:
-  void ScheduleNext(sim::Time when);
-
-  sim::Simulator* sim_;
-  std::vector<BrowserClient*> clients_;
-  sim::Rng rng_;
-  Config cfg_;
-  sim::Time end_time_ = 0;
-  std::uint64_t issued_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t failed_ = 0;
-  sim::Histogram latency_ms_;
 };
 
 }  // namespace workload

@@ -4,9 +4,9 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "src/sim/sharded_sim.h"
+#include "src/workload/open_loop.h"
 
 namespace workload {
 namespace {
@@ -51,39 +52,183 @@ std::string JoinFrom(const std::vector<std::string>& toks, std::size_t from) {
   return out;
 }
 
-// The index argument of an action ParseScenario has already validated.
-int IndexArg(const ScenarioEvent& ev) {
-  long long idx = 0;
-  ParseInt(ev.args[0], &idx);
-  return static_cast<int>(idx);
+// A number written the C locale's way, the whole token; nullopt otherwise.
+std::optional<double> ParseNumber(const std::string& s) {
+  double v = 0;
+  auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || p != s.data() + s.size() || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+// The fault verbs. Each form spells one accepted argument list: `C` is a
+// component reference `<kind> <i>` (two tokens), `P` a probability in
+// (0, 1], `D` a positive duration, `M` warm|cold, and `for` itself.
+struct FaultVerb {
+  const char* usage;
+  std::vector<std::string> forms;
+  bool overlay;  // A packet overlay, evaluated per delivery by the plane.
+};
+
+const std::map<std::string, FaultVerb>& FaultVerbs() {
+  static const std::map<std::string, FaultVerb> verbs = {
+      {"crash",
+       {"crash <component> <i> [for <d> [warm|cold]]", {"C", "C for D", "C for D M"}, false}},
+      {"restart", {"restart <component> <i> [warm|cold]", {"C", "C M"}, false}},
+      {"link-loss",
+       {"link-loss <component> <i> <component> <j> <p> for <d>", {"C C P for D"}, true}},
+      {"partition", {"partition <component> <i> <component> <j> for <d>", {"C C for D"}, true}},
+      {"node-delay", {"node-delay <component> <i> <delay> for <d>", {"C D for D"}, true}},
+      {"gray-syn", {"gray-syn <component> <i> <p> for <d>", {"C P for D"}, true}},
+      {"kv-slow", {"kv-slow kv <i> <delay> for <d>", {"C D for D"}, false}},
+  };
+  return verbs;
+}
+
+// How many components of `kind` the testbed builds; nullopt for no kind.
+std::optional<int> ComponentCount(const TestbedConfig& tb, const std::string& kind) {
+  const std::map<std::string, int> counts = {{"instance", tb.yoda_instances + tb.spare_instances},
+                                             {"backend", tb.backends},
+                                             {"kv", tb.kv_servers},
+                                             {"controller", std::max(1, tb.controllers)}};
+  auto it = counts.find(kind);
+  return it == counts.end() ? std::nullopt : std::optional<int>(it->second);
+}
+
+// The address of the validated component reference at args[k], args[k + 1].
+net::IpAddr ComponentIp(const Testbed& tb, const ScenarioEvent& ev, std::size_t k) {
+  const std::string& kind = ev.args[k];
+  long long i = 0;
+  ParseInt(ev.args[k + 1], &i);
+  const int idx = static_cast<int>(i);
+  return kind == "instance" ? tb.instance_ip(idx)
+         : kind == "backend" ? tb.backend_ip(idx)
+         : kind == "kv"      ? tb.kv_ip(idx)
+                             : tb.controller_ip(idx);
+}
+
+// The `for <d>` of a validated fault action, or 0 when it has none.
+sim::Duration ForDuration(const ScenarioEvent& ev) {
+  auto it = std::find(ev.args.begin(), ev.args.end(), "for");
+  return it == ev.args.end() ? 0 : *ParseDuration(*(it + 1));
+}
+
+// Whether `tok` fills a one-token slot of a fault verb form.
+bool SlotFits(const std::string& slot, const std::string& tok) {
+  if (slot == "P") {
+    const std::optional<double> p = ParseNumber(tok);
+    return p && *p > 0 && *p <= 1;
+  }
+  if (slot == "D") {
+    const std::optional<sim::Duration> d = ParseDuration(tok);
+    return d && *d > 0;
+  }
+  if (slot == "M") {
+    return tok == "warm" || tok == "cold";
+  }
+  return tok == slot;
+}
+
+// Checks a fault action's arguments against its verb's forms. The form is
+// picked by argument count; then every argument must fit its slot.
+std::optional<std::string> CheckFault(const TestbedConfig& tb, const ScenarioEvent& ev,
+                                      const FaultVerb& verb) {
+  const std::string usage = std::string("usage: ") + verb.usage;
+  for (const std::string& form : verb.forms) {
+    const std::vector<std::string> slots = Tokens(form);
+    if (slots.size() + static_cast<std::size_t>(std::count(slots.begin(), slots.end(), "C")) !=
+        ev.args.size()) {
+      continue;
+    }
+    std::size_t k = 0;
+    for (const std::string& slot : slots) {
+      const std::string& tok = ev.args[k];
+      if (slot == "C") {
+        const std::optional<int> have = ComponentCount(tb, tok);
+        long long idx = 0;
+        if (!have || !ParseInt(ev.args[k + 1], &idx)) {
+          return usage;
+        }
+        if (idx < 0 || idx >= *have) {
+          return tok + " " + ev.args[k + 1] + " names no component (have " +
+                 std::to_string(*have) + ")";
+        }
+        k += 2;
+        continue;
+      }
+      if (!SlotFits(slot, tok)) {
+        return usage;
+      }
+      ++k;
+    }
+    if (ev.action == "kv-slow" && ev.args[0] != "kv") {
+      return usage;
+    }
+    if (ForDuration(ev) > std::numeric_limits<sim::Time>::max() - ev.at) {
+      return ev.action + ": its `for` ends past the end of simulated time";
+    }
+    return std::nullopt;
+  }
+  return usage;
+}
+
+// Applies one fault action through the fault plane or, with `clear`, lifts
+// it again: a crash's clear is its restart, an overlay's clear removes it.
+void ApplyFault(Testbed& tb, const ScenarioEvent& ev, bool clear) {
+  fault::FaultPlane& plane = *tb.faults;
+  const std::string& a = ev.action;
+  const net::IpAddr x = ComponentIp(tb, ev, 0);
+  const auto mode = ev.args.back() == "cold" ? fault::FaultPlane::RestartMode::kCold
+                                             : fault::FaultPlane::RestartMode::kWarm;
+  if ((a == "crash" && clear) || a == "restart") {
+    plane.RestartNode(x, mode);
+  } else if (a == "crash") {
+    plane.CrashNode(x);
+  } else if (a == "link-loss") {
+    plane.SetLinkLoss(x, ComponentIp(tb, ev, 2), clear ? 0 : *ParseNumber(ev.args[4]));
+  } else if (a == "partition" && clear) {
+    plane.Heal(x, ComponentIp(tb, ev, 2));
+  } else if (a == "partition") {
+    plane.Partition(x, ComponentIp(tb, ev, 2));
+  } else if (a == "node-delay") {
+    plane.SetNodeDelay(x, clear ? 0 : *ParseDuration(ev.args[2]));
+  } else if (a == "gray-syn") {
+    // The classic gray failure: pure SYNs toward the target die, while
+    // established traffic (and kAck-shaped health probes) pass. One rule per
+    // action, so overlapping actions clear independently.
+    const std::string id = a + " " + std::to_string(ev.at) + " " + ev.raw;
+    if (clear) {
+      plane.ClearGray(id);
+    } else {
+      plane.SetGray(
+          id, [x](const net::Packet& p) { return p.dst == x && p.syn() && !p.ack_flag(); },
+          *ParseNumber(ev.args[2]), x);
+    }
+  } else if (a == "kv-slow") {
+    plane.SlowKv(x, clear ? 0 : *ParseDuration(ev.args[2]));
+  }
 }
 
 // Applies one non-load timeline action to a testbed, on the conductor shard
 // at the scripted instant. `ctl` is the control-plane handle — under HA,
 // whichever replica currently acts as leader. ParseScenario rejected every
-// malformed action, so this trusts its input. Every fail/recover/crash verb
-// goes through the fault plane, which records it on the trace.
-void ApplyControlEvent(Testbed& tb, const ScenarioEvent& ev, yoda::Controller* ctl,
+// malformed action, so this trusts its input.
+void ApplyControlEvent(Testbed& tb, sim::Simulator& conductor, const ScenarioEvent& ev,
+                       yoda::Controller* ctl,
                        const std::function<void(const std::string&)>& say) {
-  constexpr auto kWarm = fault::FaultPlane::RestartMode::kWarm;
-  if (ev.action == "fail-instance") {
-    say("FAIL instance " + ev.args[0]);
-    tb.CrashInstance(IndexArg(ev));
-  } else if (ev.action == "recover-instance") {
-    say("recover instance " + ev.args[0]);
-    tb.RestartInstance(IndexArg(ev), kWarm);
-  } else if (ev.action == "fail-backend") {
-    say("FAIL backend " + ev.args[0]);
-    tb.faults->CrashNode(tb.backend_ip(IndexArg(ev)));
-  } else if (ev.action == "recover-backend") {
-    say("recover backend " + ev.args[0]);
-    tb.faults->RestartNode(tb.backend_ip(IndexArg(ev)), kWarm);
-  } else if (ev.action == "fail-kv") {
-    say("FAIL kv server " + ev.args[0]);
-    tb.faults->CrashNode(tb.kv_ip(IndexArg(ev)));
-  } else if (ev.action == "crash-controller") {
-    say("CRASH controller " + ev.args[0]);
-    tb.CrashController(IndexArg(ev));
+  if (FaultVerbs().contains(ev.action)) {
+    say(ev.action + " " + ev.raw);
+    ApplyFault(tb, ev, /*clear=*/false);
+    // The clear runs on this shard too, where the fault plane lives, at the
+    // scripted instant `for` after `at` (which ParseScenario checked fits the
+    // clock; a setup that ran past `at` does not move it).
+    if (const sim::Duration span = ForDuration(ev); span > 0) {
+      conductor.At(std::max(ev.at + span, conductor.now()), [&tb, ev, say]() {
+        say("end of " + ev.action + " " + ev.raw);
+        ApplyFault(tb, ev, /*clear=*/true);
+      });
+    }
   } else if (ev.action == "crash-leader") {
     for (int i = 0; i < tb.controller_count(); ++i) {
       yoda::Controller* c = tb.ControllerAt(i);
@@ -93,9 +238,6 @@ void ApplyControlEvent(Testbed& tb, const ScenarioEvent& ev, yoda::Controller* c
         break;
       }
     }
-  } else if (ev.action == "restart-controller") {
-    say("restart controller " + ev.args[0]);
-    tb.RestartController(IndexArg(ev));
   } else if (ev.action == "add-instance") {
     // The next unused spare: caught up, then pooled by a fenced plan.
     if (ctl->ActivateSpares(1) == 1) {
@@ -120,28 +262,9 @@ void ApplyControlEvent(Testbed& tb, const ScenarioEvent& ev, yoda::Controller* c
 // when the action is well formed: a known verb with the arguments it needs,
 // and an index that names a component the testbed builds.
 std::optional<std::string> CheckAction(const Scenario& sc, const ScenarioEvent& ev) {
-  const TestbedConfig& tb = sc.testbed;
-  // Index verbs: how many components the index ranges over.
-  const std::map<std::string, int> indexed = {
-      {"fail-instance", tb.yoda_instances + tb.spare_instances},
-      {"recover-instance", tb.yoda_instances + tb.spare_instances},
-      {"fail-backend", tb.backends},
-      {"recover-backend", tb.backends},
-      {"fail-kv", tb.kv_servers},
-      {"crash-controller", std::max(1, tb.controllers)},
-      {"restart-controller", std::max(1, tb.controllers)},
-  };
   const std::string& a = ev.action;
-  if (auto it = indexed.find(a); it != indexed.end()) {
-    long long idx = 0;
-    if (ev.args.size() != 1 || !ParseInt(ev.args[0], &idx)) {
-      return a + " needs one numeric index";
-    }
-    if (idx < 0 || idx >= it->second) {
-      return a + " index " + ev.args[0] + " names no component (have " +
-             std::to_string(it->second) + ")";
-    }
-    return std::nullopt;
+  if (auto it = FaultVerbs().find(a); it != FaultVerbs().end()) {
+    return CheckFault(sc.testbed, ev, it->second);
   }
   if (a == "crash-leader" || a == "add-instance" || a == "assign") {
     return ev.args.empty() ? std::nullopt : std::optional<std::string>(a + " takes no argument");
@@ -149,12 +272,16 @@ std::optional<std::string> CheckAction(const Scenario& sc, const ScenarioEvent& 
   if (a == "load") {
     // load <vip> rate <r> duration <d> [tls]
     const std::size_t n = ev.args.size();
-    char* end = nullptr;
-    const double rate = n >= 5 ? std::strtod(ev.args[2].c_str(), &end) : 0;
-    if (n < 5 || n > 6 || !ParseIp(ev.args[0]) || ev.args[1] != "rate" || *end != '\0' ||
-        !(rate > 0 && std::isfinite(rate)) || ev.args[3] != "duration" ||
-        !ParseDuration(ev.args[4]) || (n == 6 && ev.args[5] != "tls")) {
+    const std::optional<double> rate = n >= 5 ? ParseNumber(ev.args[2]) : std::nullopt;
+    const std::optional<sim::Duration> duration =
+        n >= 5 ? ParseDuration(ev.args[4]) : std::nullopt;
+    if (n < 5 || n > 6 || !ParseIp(ev.args[0]) || ev.args[1] != "rate" || !rate ||
+        *rate <= 0 || ev.args[3] != "duration" || !duration ||
+        (n == 6 && ev.args[5] != "tls")) {
       return "usage: load <vip> rate <r> duration <d> [tls]";
+    }
+    if (*duration > std::numeric_limits<sim::Time>::max() - ev.at) {
+      return "load duration " + ev.args[4] + " ends past the end of simulated time";
     }
     return std::nullopt;
   }
@@ -185,27 +312,19 @@ std::optional<sim::Duration> ParseDuration(const std::string& token) {
   while (i < token.size() && (std::isdigit(static_cast<unsigned char>(token[i])) != 0)) {
     ++i;
   }
-  if (i == 0) {
-    return std::nullopt;
-  }
   long long value = 0;
-  if (!ParseInt(token.substr(0, i), &value)) {
+  if (i == 0 || !ParseInt(token.substr(0, i), &value)) {
     return std::nullopt;
   }
-  const std::string unit = token.substr(i);
-  if (unit == "ms") {
-    return sim::Msec(value);
+  static const std::map<std::string, sim::Duration> kUnits = {
+      {"ns", sim::Nsec(1)}, {"us", sim::Usec(1)}, {"ms", sim::Msec(1)},
+      {"s", sim::Sec(1)},   {"", sim::Sec(1)},    {"m", sim::Minutes(1)},
+  };
+  auto unit = kUnits.find(token.substr(i));
+  if (unit == kUnits.end() || value > std::numeric_limits<sim::Duration>::max() / unit->second) {
+    return std::nullopt;
   }
-  if (unit == "s" || unit.empty()) {
-    return sim::Sec(value);
-  }
-  if (unit == "m") {
-    return sim::Minutes(value);
-  }
-  if (unit == "us") {
-    return sim::Usec(value);
-  }
-  return std::nullopt;
+  return value * unit->second;
 }
 
 std::optional<net::IpAddr> ParseIp(const std::string& token) {
@@ -475,11 +594,15 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
     }
   }
   for (std::size_t i = 0; i < sc.events.size(); ++i) {
+    const std::string& action = sc.events[i].action;
     std::optional<std::string> bad = CheckAction(sc, sc.events[i]);
     // Assignment rollouts aggregate per-instance counters with direct
-    // cross-shard reads; unsupported placed (see TestbedConfig::engine).
-    if (!bad && sc.intra_threads > 0 && sc.events[i].action == "assign") {
-      bad = "assign is not supported with intra-threads";
+    // cross-shard reads, and packet overlays are evaluated on every shard;
+    // both are unsupported placed (see TestbedConfig::engine).
+    auto verb = FaultVerbs().find(action);
+    if (!bad && sc.intra_threads > 0 &&
+        (action == "assign" || (verb != FaultVerbs().end() && verb->second.overlay))) {
+      bad = action + " is not supported with intra-threads";
     }
     if (bad) {
       Fail(error, event_lines[i], *bad);
@@ -491,35 +614,21 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
 
 namespace {
 
-// Per-client load state, owned and mutated only by the client's shard
-// (FetchObject and its callback both run there).
-struct ClientLoad {
-  explicit ClientLoad(std::uint64_t seed) : rng(seed) {}
-  sim::Rng rng;
-  std::uint64_t ok = 0;
-  std::uint64_t failed = 0;
-  sim::Histogram latency_ms;
-  // Load generators keep per-generator state via shared_ptr closures. The
-  // closures capture a weak_ptr to themselves (ownership stays here), so
-  // rescheduling cannot form a shared_ptr cycle.
-  std::vector<std::shared_ptr<std::function<void()>>> loops;
-};
-
 // One placed run, kept alive past the run so after_run can inspect it (and
-// even advance it: pending load ticks still point into `loads`). The testbed
+// even advance it: pending load ticks still point into `load`). The testbed
 // is declared after (and so dies before) the engine it runs on.
 struct PlacedRun {
   std::unique_ptr<sim::ShardedSim> engine;
   std::unique_ptr<Testbed> tb;
-  std::vector<std::unique_ptr<ClientLoad>> loads;
+  std::unique_ptr<OpenLoop> load;
   ScenarioReport report;
 };
 
 // The scenario runner: ONE testbed placed on `shards` shards of an engine
 // executed by `workers` threads — every instance, backend, KV server and
-// client on its owning shard per the scenario's placement. Load is generated
-// per client ON the client's shard (each client loop has its own RNG, a
-// function of the scenario seed and client index only). Control events are
+// client on its owning shard per the scenario's placement. Load is an
+// OpenLoop seeded with the scenario seed, generated per client on the
+// client's shard. Control events are
 // conducted from the controller's shard, which is also the only shard that
 // narrates to `log`, so narration is race-free for any worker count.
 // Cross-component traffic rides the shard-aware network and cross-shard
@@ -583,41 +692,7 @@ std::unique_ptr<PlacedRun> RunPlaced(const Scenario& scenario, int shards, int w
     tb.controller->Start();
   }
 
-  std::vector<std::unique_ptr<ClientLoad>>& loads = run->loads;
-  for (std::size_t i = 0; i < tb.clients.size(); ++i) {
-    loads.push_back(std::make_unique<ClientLoad>(
-        cfg.seed ^ (0xC11E47ULL + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i))));
-  }
-  auto start_client_load = [&tb](ClientLoad* cl, BrowserClient* client, net::IpAddr vip,
-                                 double rate, sim::Duration duration, bool use_tls) {
-    sim::Simulator* csim = tb.SimFor(tb.OwnerShardOf(client->ip()));
-    const sim::Time end = csim->now() + duration;
-    auto tick = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak_tick = tick;
-    *tick = [&tb, cl, client, csim, vip, rate, end, use_tls, weak_tick]() {
-      if (csim->now() > end) {
-        return;
-      }
-      const auto& objects = tb.catalog->objects();  // Immutable after setup.
-      const auto& obj = objects[static_cast<std::size_t>(
-          cl->rng.UniformInt(0, static_cast<std::int64_t>(objects.size()) - 1))];
-      FetchOptions opts;
-      opts.use_tls = use_tls;
-      client->FetchObject(vip, 80, obj.url, opts, [cl](const FetchResult& r) {
-        if (r.ok) {
-          ++cl->ok;
-          cl->latency_ms.Add(sim::ToMillis(r.latency));
-        } else {
-          ++cl->failed;
-        }
-      });
-      if (auto self = weak_tick.lock()) {
-        csim->After(sim::FromSeconds(cl->rng.Exponential(1.0 / rate)), *self);
-      }
-    };
-    cl->loops.push_back(tick);
-    (*tick)();
-  };
+  run->load = std::make_unique<OpenLoop>(tb, cfg.seed);
 
   // The controller, the fault plane and this timeline are co-located on the
   // conductor shard, so every ApplyControlEvent mutation is either
@@ -631,29 +706,19 @@ std::unique_ptr<PlacedRun> RunPlaced(const Scenario& scenario, int shards, int w
   };
   for (const ScenarioEvent& ev : scenario.events) {
     if (ev.action != "load") {
-      conductor.At(std::max(ev.at, conductor.now()),
-                   [&tb, ctl, say, ev]() { ApplyControlEvent(tb, ev, ctl(), say); });
+      conductor.At(std::max(ev.at, conductor.now()), [&tb, &conductor, ctl, say, ev]() {
+        ApplyControlEvent(tb, conductor, ev, ctl(), say);
+      });
       continue;
     }
-    const net::IpAddr vip = *ParseIp(ev.args[0]);
-    const sim::Duration duration = *ParseDuration(ev.args[4]);
-    const double rate = std::strtod(ev.args[2].c_str(), nullptr);
-    const bool use_tls = ev.args.size() > 5;
     conductor.At(std::max(ev.at, conductor.now()), [say, ev]() {
       say("load " + ev.args[0] + " @" + ev.args[2] + "/s for " + ev.args[4]);
     });
-    // The scripted rate is the aggregate; each client generates its share on
-    // its own shard with its own RNG.
-    const double per_client = rate / static_cast<double>(tb.clients.size());
-    for (std::size_t i = 0; i < tb.clients.size(); ++i) {
-      ClientLoad* cl = loads[i].get();
-      BrowserClient* client = tb.clients[i].get();
-      sim::Simulator* csim = tb.SimFor(tb.OwnerShardOf(client->ip()));
-      csim->At(std::max(ev.at, csim->now()),
-               [cl, client, vip, per_client, duration, use_tls, start_client_load]() {
-                 start_client_load(cl, client, vip, per_client, duration, use_tls);
-               });
-    }
+    // The scripted rate is the aggregate; each client generates its share.
+    FetchOptions options;
+    options.use_tls = ev.args.size() > 5;
+    run->load->Start(ev.at, *ParseIp(ev.args[0]), *ParseNumber(ev.args[2]),
+                     *ParseDuration(ev.args[4]), options);
   }
 
   if (scenario.run_until > 0) {
@@ -665,11 +730,11 @@ std::unique_ptr<PlacedRun> RunPlaced(const Scenario& scenario, int shards, int w
   // Merge: per-client tallies in client order, then the per-shard
   // observability lanes in shard order — both fixed, worker-count-invariant.
   ScenarioReport& report = run->report;
-  for (auto& cl : loads) {
-    report.requests_ok += cl->ok;
-    report.requests_failed += cl->failed;
-    report.latency_ms.MergeFrom(cl->latency_ms);
-  }
+  OpenLoop::Tally load = run->load->Totals();
+  report.requests_issued = load.issued;
+  report.requests_ok = load.ok;
+  report.requests_failed = load.failed;
+  report.latency_ms = std::move(load.latency_ms);
   for (auto& inst : tb.instances) {
     report.takeovers +=
         inst->stats().takeovers_client_side + inst->stats().takeovers_server_side;
@@ -751,6 +816,7 @@ ScenarioReport RunScenario(const Scenario& scenario, std::ostream* log,
   report.cells = kScenarioCells;
   for (int c = 0; c < kScenarioCells; ++c) {
     ScenarioReport& r = runs[static_cast<std::size_t>(c)]->report;
+    report.requests_issued += r.requests_issued;
     report.requests_ok += r.requests_ok;
     report.requests_failed += r.requests_failed;
     report.takeovers += r.takeovers;

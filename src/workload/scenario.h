@@ -28,24 +28,34 @@
 //   store-mode stateless                 # all VIPs (or: store-mode <vip> <mode>)
 //   at 0ms load 10.200.0.1 rate 200 duration 10s [tls]
 //   at 4s store-mode 10.200.0.1 stateful # flip a VIP's store contract live
-//   at 5s fail-instance 0
-//   at 6s recover-instance 0
-//   at 7s fail-backend 1
-//   at 8s recover-backend 1
-//   at 9s fail-kv 0
+//   at 5s crash instance 0               # stays down
+//   at 6s restart instance 0             # warm (state intact) unless `cold`
+//   at 7s crash backend 1 for 1s cold    # restarts itself 1 s later
+//   at 8s crash-leader                   # whichever controller leads
+//   at 9s link-loss instance 0 backend 1 0.25 for 500ms
+//   at 9s partition instance 1 kv 0 for 200ms
+//   at 9s node-delay instance 2 5ms for 1s
+//   at 9s gray-syn instance 3 0.8 for 1s # drops pure SYNs toward it
+//   at 9s kv-slow kv 2 10ms for 1s       # the replica answers 10 ms late
 //   at 9s update-rules 10.200.0.1 name=r2 priority=2 url=* split=10.3.0.3
 //   at 10s add-instance                  # activate one spare
 //   at 11s assign                        # many-to-many assignment round
+//   run-until 20s                        # else: run until the timeline drains
 //
 // Backend i is 10.3.0.(i+1); instance i is 10.1.0.(i+1) (the Testbed plan).
+// Durations are a count and a unit: ns, us, ms, s (the default) or m.
 //
-// Fault verbs (fail-*, recover-*, crash-*, restart-controller) go through the
-// testbed's fault plane, so each one lands on the trace as a kFaultInjected
-// system event; a recover is a warm restart. ParseScenario rejects, with the
-// line number, any `at` action it could not apply: an unknown verb, a missing
-// or malformed argument, or an index that names no instance (spares
-// included), backend, KV server or controller of the testbed the whole file
-// declares.
+// A fault verb names each component as `<kind> <i>`: instance (spares
+// included), backend, kv or controller, indexed as the testbed builds them.
+// Each verb goes through the testbed's fault plane, so it lands on the trace
+// as a kFaultInjected system event, and the clear that its `for <d>`
+// schedules lands there at `at + d` (a crash's clear is its restart, warm
+// unless it says `cold`). The packet overlays (link-loss, partition, node-delay,
+// gray-syn) need `for` and are not supported with intra-threads.
+// ParseScenario rejects, with the line number, any `at` action it could not
+// apply: an unknown verb, a missing or malformed argument, an index that names
+// no component of the testbed the whole file declares, or a time that does
+// not fit the simulated clock.
 
 #ifndef SRC_WORKLOAD_SCENARIO_H_
 #define SRC_WORKLOAD_SCENARIO_H_
@@ -57,6 +67,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/metrics.h"
 #include "src/workload/testbed.h"
 
 namespace workload {
@@ -110,7 +121,8 @@ struct Scenario {
 // malformed input.
 std::optional<Scenario> ParseScenario(const std::string& text, std::string* error = nullptr);
 
-// Parses "250ms" / "5s" / "2m" into a Duration; nullopt on bad syntax.
+// Parses "40ns" / "250ms" / "5s" / "2m" into a Duration; nullopt on bad
+// syntax or a value beyond the int64 nanosecond clock.
 std::optional<sim::Duration> ParseDuration(const std::string& token);
 
 // Parses dotted-quad "10.0.0.1"; nullopt on bad syntax.
@@ -121,6 +133,7 @@ struct ScenarioReport {
   // below are the cell reports' sections concatenated in cell order (each preceded by
   // a {"cell":i} marker line) and whose counts are the cells' sums.
   int cells = 1;
+  std::uint64_t requests_issued = 0;
   std::uint64_t requests_ok = 0;
   std::uint64_t requests_failed = 0;
   std::uint64_t takeovers = 0;

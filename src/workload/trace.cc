@@ -32,16 +32,6 @@ double VipTraceSpec::TotalVolume() const {
   return std::accumulate(series.begin(), series.end(), 0.0);
 }
 
-double Trace::TotalAtBin(std::size_t bin) const {
-  double total = 0;
-  for (const VipTraceSpec& v : vips) {
-    if (bin < v.series.size()) {
-      total += v.series[bin];
-    }
-  }
-  return total;
-}
-
 int Trace::TotalRules() const {
   int total = 0;
   for (const VipTraceSpec& v : vips) {

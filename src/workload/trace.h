@@ -34,7 +34,6 @@ struct Trace {
   std::vector<VipTraceSpec> vips;
 
   std::size_t bins() const { return vips.empty() ? 0 : vips[0].series.size(); }
-  double TotalAtBin(std::size_t bin) const;
   int TotalRules() const;
 };
 

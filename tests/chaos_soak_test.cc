@@ -2,6 +2,12 @@
 // timelines against the full testbed under open-loop load, with post-hoc
 // invariant checking over the flight-recorder traces.
 //
+// A soak seed is a scenario script: the soak's testbed, one load line, the
+// fault timeline fault::RandomSchedule draws as `at` lines, and a run-until
+// well past load end + client timeouts + idle GC. It runs through the
+// scenario runner like any scenario file. A failing seed prints its script,
+// which RunSoakScript re-runs as it stands or after editing.
+//
 // Invariants asserted per seed:
 //   - every flow admitted by an instance reaches an explicit terminal event
 //     (kCleanup or kFlowReset), unless its instance crashed mid-run;
@@ -9,138 +15,168 @@
 //   - event timestamps are monotone within each flow;
 //   - no flow is silently stuck past the run deadline (the invariant above,
 //     applied after a post-load drain window that exceeds the idle GC);
+//   - no VIP with a pool member ever drops to zero members (pool continuity);
 //   - same-seed runs export byte-identical JSONL traces.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/fault/chaos.h"
-#include "src/workload/testbed.h"
+#include "src/workload/open_loop.h"
+#include "src/workload/scenario.h"
 
 namespace workload {
 namespace {
 
-struct SoakOutcome {
-  fault::SoakReport report;
-  std::vector<fault::ChaosEpisode> episodes;
-  std::string jsonl;
-  std::uint64_t completed = 0;
-  std::uint64_t issued = 0;
-};
-
-SoakOutcome RunSoak(std::uint64_t seed) {
-  TestbedConfig cfg;
-  cfg.seed = seed;
-  cfg.yoda_instances = 3;
-  cfg.backends = 4;
-  cfg.clients = 4;
-  // Soak-speed GC so "stuck" is observable within the run (a flow alive past
-  // idle_timeout after the load stops would fail the terminate invariant).
+// The settings a soak testbed has beyond what its script declares:
+// soak-speed GC, so "stuck" is observable within the run (a flow alive past
+// idle_timeout after the load stops fails the terminate invariant), a fast
+// monitor, and 60 small objects, which keep per-fetch latency a few RTTs.
+void SoakTestbed(TestbedConfig& cfg) {
   cfg.instance_template.flow_idle_timeout = sim::Msec(400);
   cfg.instance_template.idle_scan_interval = sim::Msec(100);
   cfg.instance_template.server_syn_timeout = sim::Msec(150);
-  // Failure-path hardening under test: monitor hysteresis + readmission,
-  // KV retries + hedged reads, bounded takeover re-fetch (on by default).
   cfg.controller.monitor_interval = sim::Msec(50);
   cfg.controller.fail_after_misses = 3;
+  cfg.catalog.objects = 60;
+  cfg.catalog.pages = 1;
+  cfg.catalog.min_size = cfg.catalog.max_size = cfg.catalog.median_size = 10'000;
+}
+
+// The random soaks also turn on the failure-path hardening under test:
+// monitor readmission, KV retries and hedged reads (the bounded takeover
+// re-fetch is on by default).
+void HardenedSoakTestbed(TestbedConfig& cfg) {
+  SoakTestbed(cfg);
   cfg.controller.readmit_instances = true;
   cfg.controller.readmit_after_successes = 2;
   cfg.kv_client.max_retries = 2;
   cfg.kv_client.read_mode = kv::ReadMode::kHedged;
   cfg.kv_client.hedge_delay = sim::Msec(2);
   cfg.kv_client.op_timeout = sim::Msec(20);
-  Testbed tb(cfg);
-  tb.DefineDefaultVipAndStart();
+}
 
-  // Fault timeline: drawn up front, entirely from this seeded Rng.
+// Every soak's fleet: 3 instances, 4 backends split equally, 4 clients.
+std::string SoakHead(std::uint64_t seed, int controllers) {
+  return "seed " + std::to_string(seed) +
+         "\ninstances 3\nbackends 4\nclients 4\ncontrollers " + std::to_string(controllers) +
+         "\nvip 10.200.0.1\n"
+         "rule 10.200.0.1 name=r-default priority=1 url=* "
+         "split=10.3.0.1,10.3.0.2,10.3.0.3,10.3.0.4\n";
+}
+
+// The fault lines of a random soak seed, drawn entirely from its seeded Rng.
+// The HA soak's fleet runs 3 lease-contending controller replicas and adds
+// two leader-kill episodes (a crash and warm restart of a random replica,
+// which may hit a standby; that is part of the chaos).
+std::vector<std::string> SoakFaults(std::uint64_t seed, bool ha) {
   fault::ChaosOptions opts;
   opts.window_start = sim::Msec(100);
   opts.window_end = sim::Msec(900);
-  opts.episodes = 8;
+  opts.episodes = ha ? 6 : 8;
   opts.min_duration = sim::Msec(10);
   opts.max_duration = sim::Msec(100);
-  for (int i = 0; i < cfg.yoda_instances; ++i) {
-    opts.instances.push_back(tb.instance_ip(i));
+  opts.instances = {"instance 0", "instance 1", "instance 2"};
+  opts.kv_nodes = {"kv 0", "kv 1", "kv 2"};
+  if (ha) {
+    opts.controllers = {"controller 0", "controller 1", "controller 2"};
+    opts.leader_kills = 2;
+  } else {
+    opts.links = {{"instance 0", "backend 0"}, {"instance 1", "backend 1"}};
   }
-  for (int i = 0; i < cfg.kv_servers; ++i) {
-    opts.kv_nodes.push_back(tb.kv_ip(i));
-  }
-  opts.links = {{tb.instance_ip(0), tb.backend_ip(0)},
-                {tb.instance_ip(1), tb.backend_ip(1)}};
   sim::Rng chaos_rng(seed ^ 0xc4a05c4a05ULL);
+  return fault::RandomSchedule(chaos_rng, opts);
+}
+
+// A random soak seed as a script: 250 requests/s for 1 s across the fault
+// window, then a drain past load end + client timeouts + idle GC, so every
+// still-open flow either terminates or counts as stuck.
+std::string SoakScript(std::uint64_t seed, bool ha) {
+  std::string script =
+      SoakHead(seed, ha ? 3 : 1) + "at 0ms load 10.200.0.1 rate 250 duration 1000ms\n";
+  for (const std::string& line : SoakFaults(seed, ha)) {
+    script += line + "\n";
+  }
+  return script + "run-until 9s\n";
+}
+
+struct SoakOutcome {
+  std::string script;
+  fault::SoakReport report;
+  fault::PoolContinuityReport pools;
+  std::string jsonl;
+  std::uint64_t issued = 0;
+  std::uint64_t completed = 0;
+  int acting_leaders = 0;   // Live replicas acting as leader after the run.
+  int crashed_controllers = 0;
+  int plans_in_flight = -1;  // The acting leader's, after the run.
+};
+
+// Runs a soak script through the scenario runner, with `settings` applied to
+// its testbed, and reads the invariants off the trace after the run.
+SoakOutcome RunSoakScript(const std::string& script,
+                          void (*settings)(TestbedConfig&) = HardenedSoakTestbed) {
   SoakOutcome out;
-  out.episodes = fault::RandomSchedule(*tb.faults, chaos_rng, opts);
-
-  // Open-loop load across the fault window. Small objects keep per-fetch
-  // latency a few RTTs so the 2 s browser timeout marks genuinely dead flows,
-  // not slow transfers.
-  OpenLoopGenerator::Config gcfg;
-  gcfg.requests_per_second = 250;
-  gcfg.duration = sim::Msec(1000);
-  gcfg.target = tb.vip();
-  gcfg.fetch.http_timeout = sim::Sec(2);
-  gcfg.fetch.retries = 1;
-  for (const WebObject& o : tb.catalog->objects()) {
-    if (o.size <= 40'000) {
-      gcfg.urls.push_back(o.url);
-    }
-    if (gcfg.urls.size() == 8) {
-      break;
-    }
+  out.script = script;
+  std::string error;
+  std::optional<Scenario> sc = ParseScenario(script, &error);
+  EXPECT_TRUE(sc.has_value()) << error << "\nscript:\n" << script;
+  if (!sc) {
+    return out;
   }
-  EXPECT_FALSE(gcfg.urls.empty());
-  std::vector<BrowserClient*> clients;
-  for (auto& c : tb.clients) {
-    clients.push_back(c.get());
-  }
-  OpenLoopGenerator gen(tb.SimFor(0), clients, seed ^ 0x10adULL, gcfg);
-  gen.Start();
-
-  // Drain: run well past load end + client timeouts + idle GC, so every
-  // still-open flow either terminates or counts as stuck.
-  tb.sim.RunUntil(sim::Msec(1000) + sim::Sec(2) * 2 + sim::Sec(4));
-
-  out.report = fault::CheckSoakInvariants(tb.flight);
-  std::ostringstream os;
-  tb.flight.ExportJsonLines(os);
-  out.jsonl = os.str();
-  out.completed = gen.completed();
-  out.issued = gen.issued();
+  settings(sc->testbed);
+  const ScenarioReport r = RunScenario(*sc, nullptr, [&out](Testbed& tb) {
+    out.report = fault::CheckSoakInvariants(tb.flight);
+    out.pools = fault::CheckPoolContinuity(tb.flight);
+    std::ostringstream os;
+    tb.flight.ExportJsonLines(os);
+    out.jsonl = os.str();
+    for (int i = 0; i < tb.controller_count(); ++i) {
+      yoda::Controller* c = tb.ControllerAt(i);
+      out.crashed_controllers += c->crashed() ? 1 : 0;
+      if (!c->crashed() && c->ActingLeader()) {
+        ++out.acting_leaders;
+        out.plans_in_flight = c->actuator().plans_in_flight();
+      }
+    }
+  });
+  out.issued = r.requests_issued;
+  out.completed = r.requests_ok;
   return out;
 }
 
-std::string DescribeEpisodes(const std::vector<fault::ChaosEpisode>& episodes) {
-  std::string s;
-  for (const auto& ep : episodes) {
-    s += "  " + ep.Describe() + "\n";
+// What a failing soak prints: the violations, then the script that re-runs it.
+std::string Explain(const SoakOutcome& out) {
+  std::string s = "violations:\n";
+  for (const auto& v : out.report.violations) {
+    s += "  " + v + "\n";
   }
-  return s;
+  for (const auto& v : out.pools.violations) {
+    s += "  " + v + "\n";
+  }
+  return s + "script:\n" + out.script;
 }
 
 class ChaosSoak : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChaosSoak, InvariantsHoldUnderRandomFaults) {
-  const SoakOutcome out = RunSoak(GetParam());
-  ASSERT_FALSE(out.episodes.empty());
+  ASSERT_FALSE(SoakFaults(GetParam(), /*ha=*/false).empty());
+  const SoakOutcome out = RunSoakScript(SoakScript(GetParam(), /*ha=*/false));
   EXPECT_GT(out.issued, 100u);
   // The run must have made real progress despite the faults.
   EXPECT_GT(out.completed, out.issued / 2);
   EXPECT_GT(out.report.flows_checked, 0u);
-  std::string violations;
-  for (const auto& v : out.report.violations) {
-    violations += "  " + v + "\n";
-  }
-  EXPECT_TRUE(out.report.ok()) << "violations:\n"
-                               << violations << "fault timeline:\n"
-                               << DescribeEpisodes(out.episodes);
+  EXPECT_TRUE(out.report.ok() && out.pools.ok()) << Explain(out);
 }
 
-// Seeds 1..8: the ISSUE's >= 8-seed soak matrix.
+// Seeds 1..8: the 8-seed soak matrix.
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSoak, ::testing::Range<std::uint64_t>(1, 9));
 
 // Crash an assigned instance while an assignment rollout is in flight: the
@@ -148,42 +184,24 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSoak, ::testing::Range<std::uint64_t>(1, 9)
 // parked behind the convergence barrier when the instance dies. The failure
 // reconcile (scrub + evict + headroom repair) overtakes the rollout; epoch
 // gating must make the overtaken plan's stragglers harmless, and no VIP may
-// ever see an empty mux pool along the way.
+// ever see an empty mux pool along the way. The explicit per-VIP demand is
+// not a DSL verb, so this test drives the testbed directly.
 TEST(ChaosRolloutCrash, MidRolloutCrashNeverEmptiesAPool) {
   TestbedConfig cfg;
   cfg.seed = 11;
   cfg.yoda_instances = 4;
   cfg.backends = 4;
   cfg.clients = 2;
-  cfg.controller.monitor_interval = sim::Msec(50);
+  SoakTestbed(cfg);
   cfg.controller.fail_after_misses = 2;
-  cfg.instance_template.flow_idle_timeout = sim::Msec(400);
-  cfg.instance_template.idle_scan_interval = sim::Msec(100);
-  cfg.instance_template.server_syn_timeout = sim::Msec(150);
   Testbed tb(cfg);
   tb.DefineDefaultVipAndStart();
 
-  OpenLoopGenerator::Config gcfg;
-  gcfg.requests_per_second = 200;
-  gcfg.duration = sim::Msec(1000);
-  gcfg.target = tb.vip();
-  gcfg.fetch.http_timeout = sim::Sec(2);
-  gcfg.fetch.retries = 1;
-  for (const WebObject& o : tb.catalog->objects()) {
-    if (o.size <= 40'000) {
-      gcfg.urls.push_back(o.url);
-    }
-    if (gcfg.urls.size() == 8) {
-      break;
-    }
-  }
-  ASSERT_FALSE(gcfg.urls.empty());
-  std::vector<BrowserClient*> clients;
-  for (auto& c : tb.clients) {
-    clients.push_back(c.get());
-  }
-  OpenLoopGenerator gen(tb.SimFor(0), clients, cfg.seed ^ 0x10adULL, gcfg);
-  gen.Start();
+  OpenLoop load(tb, cfg.seed);
+  FetchOptions fetch;
+  fetch.http_timeout = sim::Sec(2);
+  fetch.retries = 1;
+  load.Start(0, tb.vip(), 200, sim::Msec(1000), fetch);
 
   // Round 1 shrinks the bootstrap all-to-all pool to 2 instances; round 2
   // grows it to 3 — a genuine make/barrier/break rollout whose staggered
@@ -222,7 +240,8 @@ TEST(ChaosRolloutCrash, MidRolloutCrashNeverEmptiesAPool) {
     violations += "  " + v + "\n";
   }
   EXPECT_TRUE(report.ok()) << "violations:\n" << violations;
-  EXPECT_GT(gen.completed(), gen.issued() / 2);
+  const OpenLoop::Tally tally = load.Totals();
+  EXPECT_GT(tally.ok, tally.issued / 2);
 
   // No VIP with >= 1 pool member ever dropped to zero members mid-update.
   const fault::PoolContinuityReport pools = fault::CheckPoolContinuity(tb.flight);
@@ -238,127 +257,32 @@ TEST(ChaosRolloutCrash, MidRolloutCrashNeverEmptiesAPool) {
 
 // --- controller-HA chaos soak -----------------------------------------------
 //
-// Same harness, but the control plane runs as 3 lease-contending replicas and
-// the fault timeline additionally draws leader-kill episodes (crash + warm
-// restart of a random controller replica — which may hit a standby; that is
-// part of the chaos). Extra invariants on top of the data-plane set:
+// Same harness, with 3 controller replicas and leader kills in the timeline.
+// Extra invariants on top of the data-plane set:
 //   - at most one valid lease holder per fencing token, ever (token strictly
 //     increases across acquisitions — checked by CheckSoakInvariants);
-//   - pool continuity: no VIP blacks out across controller failovers;
+//   - pool continuity across controller failovers;
 //   - the fleet ends with exactly one acting leader.
-
-SoakOutcome RunHaSoak(std::uint64_t seed) {
-  TestbedConfig cfg;
-  cfg.seed = seed;
-  cfg.yoda_instances = 3;
-  cfg.backends = 4;
-  cfg.clients = 4;
-  cfg.controllers = 3;
-  cfg.instance_template.flow_idle_timeout = sim::Msec(400);
-  cfg.instance_template.idle_scan_interval = sim::Msec(100);
-  cfg.instance_template.server_syn_timeout = sim::Msec(150);
-  cfg.controller.monitor_interval = sim::Msec(50);
-  cfg.controller.fail_after_misses = 3;
-  cfg.controller.readmit_instances = true;
-  cfg.controller.readmit_after_successes = 2;
-  cfg.kv_client.max_retries = 2;
-  cfg.kv_client.read_mode = kv::ReadMode::kHedged;
-  cfg.kv_client.hedge_delay = sim::Msec(2);
-  cfg.kv_client.op_timeout = sim::Msec(20);
-  Testbed tb(cfg);
-  tb.StartAllControllers();
-  yoda::Controller* leader = tb.AwaitLeader();
-  EXPECT_NE(leader, nullptr);
-  leader->DefineVip(tb.vip(), 80, tb.EqualSplitRules(0, cfg.backends));
-
-  fault::ChaosOptions opts;
-  opts.window_start = sim::Msec(100);
-  opts.window_end = sim::Msec(900);
-  opts.episodes = 6;
-  opts.min_duration = sim::Msec(10);
-  opts.max_duration = sim::Msec(100);
-  for (int i = 0; i < cfg.yoda_instances; ++i) {
-    opts.instances.push_back(tb.instance_ip(i));
-  }
-  for (int i = 0; i < cfg.kv_servers; ++i) {
-    opts.kv_nodes.push_back(tb.kv_ip(i));
-  }
-  for (int i = 0; i < cfg.controllers; ++i) {
-    opts.controllers.push_back(tb.controller_ip(i));
-  }
-  opts.leader_kills = 2;
-  sim::Rng chaos_rng(seed ^ 0xc4a05c4a05ULL);
-  SoakOutcome out;
-  out.episodes = fault::RandomSchedule(*tb.faults, chaos_rng, opts);
-
-  OpenLoopGenerator::Config gcfg;
-  gcfg.requests_per_second = 250;
-  gcfg.duration = sim::Msec(1000);
-  gcfg.target = tb.vip();
-  gcfg.fetch.http_timeout = sim::Sec(2);
-  gcfg.fetch.retries = 1;
-  for (const WebObject& o : tb.catalog->objects()) {
-    if (o.size <= 40'000) {
-      gcfg.urls.push_back(o.url);
-    }
-    if (gcfg.urls.size() == 8) {
-      break;
-    }
-  }
-  EXPECT_FALSE(gcfg.urls.empty());
-  std::vector<BrowserClient*> clients;
-  for (auto& c : tb.clients) {
-    clients.push_back(c.get());
-  }
-  OpenLoopGenerator gen(tb.SimFor(0), clients, seed ^ 0x10adULL, gcfg);
-  gen.Start();
-
-  tb.sim.RunUntil(sim::Msec(1000) + sim::Sec(2) * 2 + sim::Sec(4));
-
-  out.report = fault::CheckSoakInvariants(tb.flight);
-  std::ostringstream os;
-  tb.flight.ExportJsonLines(os);
-  out.jsonl = os.str();
-  out.completed = gen.completed();
-  out.issued = gen.issued();
-
-  // Post-run control-plane sanity: after all warm restarts, exactly one
-  // replica is the acting leader and no rollout is stuck in flight.
-  int acting = 0;
-  for (int i = 0; i < tb.controller_count(); ++i) {
-    if (!tb.ControllerAt(i)->crashed() && tb.ControllerAt(i)->ActingLeader()) {
-      ++acting;
-    }
-  }
-  EXPECT_EQ(acting, 1);
-  const fault::PoolContinuityReport pools = fault::CheckPoolContinuity(tb.flight);
-  EXPECT_TRUE(pools.ok()) << (pools.violations.empty() ? "" : pools.violations.front());
-  return out;
-}
 
 class ChaosHaSoak : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChaosHaSoak, InvariantsHoldUnderLeaderKills) {
-  const SoakOutcome out = RunHaSoak(GetParam());
-  ASSERT_FALSE(out.episodes.empty());
+  ASSERT_FALSE(SoakFaults(GetParam(), /*ha=*/true).empty());
+  const SoakOutcome out = RunSoakScript(SoakScript(GetParam(), /*ha=*/true));
   EXPECT_GT(out.issued, 100u);
   EXPECT_GT(out.completed, out.issued / 2);
   // The lease-safety invariant ran over at least the initial acquisition.
   EXPECT_GE(out.report.lease_acquisitions, 1u);
-  std::string violations;
-  for (const auto& v : out.report.violations) {
-    violations += "  " + v + "\n";
-  }
-  EXPECT_TRUE(out.report.ok()) << "violations:\n"
-                               << violations << "fault timeline:\n"
-                               << DescribeEpisodes(out.episodes);
+  // After all warm restarts, exactly one replica is the acting leader.
+  EXPECT_EQ(out.acting_leaders, 1);
+  EXPECT_TRUE(out.report.ok() && out.pools.ok()) << Explain(out);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosHaSoak, ::testing::Range<std::uint64_t>(1, 5));
 
 TEST(ChaosHaSoakDeterminism, SameSeedProducesByteIdenticalTraces) {
-  const SoakOutcome first = RunHaSoak(2);
-  const SoakOutcome second = RunHaSoak(2);
+  const SoakOutcome first = RunSoakScript(SoakScript(2, /*ha=*/true));
+  const SoakOutcome second = RunSoakScript(SoakScript(2, /*ha=*/true));
   ASSERT_FALSE(first.jsonl.empty());
   EXPECT_EQ(first.jsonl, second.jsonl);
   EXPECT_EQ(first.completed, second.completed);
@@ -369,106 +293,89 @@ TEST(ChaosHaSoakDeterminism, SameSeedProducesByteIdenticalTraces) {
 // strictly larger fencing token, the fleet must keep serving, and the cluster
 // must end with one leader and settled pools.
 TEST(ChaosHaDoubleKill, BackToBackLeaderKillsNeverSplitTheBrain) {
-  TestbedConfig cfg;
-  cfg.seed = 17;
-  cfg.yoda_instances = 3;
-  cfg.backends = 4;
-  cfg.clients = 4;
-  cfg.controllers = 3;
-  cfg.instance_template.flow_idle_timeout = sim::Msec(400);
-  cfg.instance_template.idle_scan_interval = sim::Msec(100);
-  cfg.instance_template.server_syn_timeout = sim::Msec(150);
-  cfg.controller.monitor_interval = sim::Msec(50);
-  cfg.controller.fail_after_misses = 3;
-  Testbed tb(cfg);
-  tb.StartAllControllers();
-  yoda::Controller* boot_leader = tb.AwaitLeader();
-  ASSERT_NE(boot_leader, nullptr);
-  boot_leader->DefineVip(tb.vip(), 80, tb.EqualSplitRules(0, cfg.backends));
-
-  OpenLoopGenerator::Config gcfg;
-  gcfg.requests_per_second = 200;
-  gcfg.duration = sim::Msec(1500);
-  gcfg.target = tb.vip();
-  gcfg.fetch.http_timeout = sim::Sec(2);
-  gcfg.fetch.retries = 1;
-  for (const WebObject& o : tb.catalog->objects()) {
-    if (o.size <= 40'000) {
-      gcfg.urls.push_back(o.url);
-    }
-    if (gcfg.urls.size() == 8) {
-      break;
-    }
-  }
-  ASSERT_FALSE(gcfg.urls.empty());
-  std::vector<BrowserClient*> clients;
-  for (auto& c : tb.clients) {
-    clients.push_back(c.get());
-  }
-  OpenLoopGenerator gen(tb.SimFor(0), clients, cfg.seed ^ 0x10adULL, gcfg);
-  gen.Start();
-
-  // Kill whoever leads at 300 ms; kill the successor at 800 ms (past the
-  // 300 ms lease TTL, so a new leader exists to kill).
-  auto kill_current_leader = [&tb] {
-    for (int i = 0; i < tb.controller_count(); ++i) {
-      yoda::Controller* c = tb.ControllerAt(i);
-      if (!c->crashed() && c->ActingLeader()) {
-        tb.CrashController(i);
-        return;
-      }
-    }
-    FAIL() << "no acting leader to kill";
-  };
-  tb.SimFor(0)->At(sim::Msec(300), kill_current_leader);
-  tb.SimFor(0)->At(sim::Msec(800), kill_current_leader);
-
-  tb.sim.RunUntil(sim::Msec(1500) + sim::Sec(2) * 2 + sim::Sec(4));
-
+  // The second kill lands past the 300 ms lease TTL, so a new leader exists
+  // to kill.
+  const SoakOutcome out = RunSoakScript(SoakHead(17, 3) +
+                                            "at 0ms load 10.200.0.1 rate 200 duration 1500ms\n"
+                                            "at 300ms crash-leader\n"
+                                            "at 800ms crash-leader\n"
+                                            "run-until 9500ms\n",
+                                        SoakTestbed);
   // Three acquisitions (boot + two failovers), tokens strictly increasing.
-  const fault::SoakReport report = fault::CheckSoakInvariants(tb.flight);
-  EXPECT_GE(report.lease_acquisitions, 3u);
-  std::string violations;
-  for (const auto& v : report.violations) {
-    violations += "  " + v + "\n";
-  }
-  EXPECT_TRUE(report.ok()) << "violations:\n" << violations;
+  EXPECT_GE(out.report.lease_acquisitions, 3u);
+  EXPECT_TRUE(out.report.ok()) << Explain(out);
 
   // The data plane rode through both failovers.
-  EXPECT_GT(gen.completed(), gen.issued() / 2);
-  const fault::PoolContinuityReport pools = fault::CheckPoolContinuity(tb.flight);
-  EXPECT_GE(pools.vips_checked, 1u);
-  EXPECT_TRUE(pools.ok()) << (pools.violations.empty() ? "" : pools.violations.front());
+  EXPECT_GT(out.completed, out.issued / 2);
+  EXPECT_GE(out.pools.vips_checked, 1u);
+  EXPECT_TRUE(out.pools.ok()) << Explain(out);
 
   // One acting leader among the two survivors; both kills found their mark.
-  int acting = 0;
-  int dead = 0;
-  for (int i = 0; i < tb.controller_count(); ++i) {
-    yoda::Controller* c = tb.ControllerAt(i);
-    acting += (!c->crashed() && c->ActingLeader()) ? 1 : 0;
-    dead += c->crashed() ? 1 : 0;
-  }
-  EXPECT_EQ(acting, 1);
-  EXPECT_EQ(dead, 2);
-  EXPECT_EQ(tb.LeaderController()->actuator().plans_in_flight(), 0);
+  EXPECT_EQ(out.acting_leaders, 1);
+  EXPECT_EQ(out.crashed_controllers, 2);
+  EXPECT_EQ(out.plans_in_flight, 0);
 }
 
 TEST(ChaosSoakDeterminism, SameSeedProducesByteIdenticalTraces) {
-  const SoakOutcome first = RunSoak(3);
-  const SoakOutcome second = RunSoak(3);
+  const SoakOutcome first = RunSoakScript(SoakScript(3, /*ha=*/false));
+  const SoakOutcome second = RunSoakScript(SoakScript(3, /*ha=*/false));
   ASSERT_FALSE(first.jsonl.empty());
   EXPECT_EQ(first.jsonl, second.jsonl);
   EXPECT_EQ(first.completed, second.completed);
-  ASSERT_EQ(first.episodes.size(), second.episodes.size());
-  for (std::size_t i = 0; i < first.episodes.size(); ++i) {
-    EXPECT_EQ(first.episodes[i].Describe(), second.episodes[i].Describe());
-  }
+  EXPECT_EQ(first.script, second.script);
 }
 
 TEST(ChaosSoakDeterminism, DifferentSeedsProduceDifferentTimelines) {
-  const SoakOutcome a = RunSoak(5);
-  const SoakOutcome b = RunSoak(6);
-  EXPECT_NE(DescribeEpisodes(a.episodes), DescribeEpisodes(b.episodes));
+  EXPECT_NE(SoakFaults(5, /*ha=*/false), SoakFaults(6, /*ha=*/false));
+  const SoakOutcome a = RunSoakScript(SoakScript(5, /*ha=*/false));
+  const SoakOutcome b = RunSoakScript(SoakScript(6, /*ha=*/false));
+  EXPECT_NE(a.jsonl, b.jsonl);
+}
+
+// Every soak seed's script parses back into exactly its draws: one event per
+// fault line, whose time and every duration and probability read back as the
+// very value written.
+TEST(ChaosSoakScript, EverySeedParsesBackExactly) {
+  for (const bool ha : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= (ha ? 4u : 8u); ++seed) {
+      const std::vector<std::string> lines = SoakFaults(seed, ha);
+      std::string error;
+      const std::optional<Scenario> sc = ParseScenario(SoakScript(seed, ha), &error);
+      ASSERT_TRUE(sc.has_value()) << error;
+      ASSERT_EQ(sc->events.size(), lines.size() + 1);  // The load, then the faults.
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        const ScenarioEvent& ev = sc->events[i + 1];
+        EXPECT_EQ("at " + std::to_string(ev.at) + "ns " + ev.action + " " + ev.raw, lines[i]);
+        for (const std::string& arg : ev.args) {
+          if (arg.ends_with("ns")) {
+            EXPECT_EQ(std::to_string(ParseDuration(arg).value_or(-1)) + "ns", arg);
+          } else if (arg.find('.') != std::string::npos) {
+            double p = 0;
+            std::from_chars(arg.data(), arg.data() + arg.size(), p);
+            char buf[32];
+            const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, p);
+            EXPECT_EQ(std::string(buf, end), arg) << lines[i];
+          }
+        }
+      }
+    }
+  }
+}
+
+// Soak seed 1's fault timeline, pinned: a change to the draw order or to the
+// line format shows here before it moves any soak run.
+TEST(ChaosSoakScript, SeedOneKeepsItsTimeline) {
+  const std::vector<std::string> want = {
+      "at 396872725ns kv-slow kv 0 16203929ns for 40254382ns",
+      "at 674471729ns partition instance 1 backend 1 for 59493970ns",
+      "at 394874100ns crash instance 0 for 71272369ns warm",
+      "at 402105286ns partition instance 0 backend 0 for 55913138ns",
+      "at 415334786ns gray-syn instance 1 0.7016563387737696 for 90732919ns",
+      "at 467146469ns crash instance 0 for 93894498ns cold",
+      "at 651360569ns kv-slow kv 2 7830858ns for 99897476ns",
+      "at 127356025ns kv-slow kv 1 3557399ns for 80255284ns",
+  };
+  EXPECT_EQ(SoakFaults(1, /*ha=*/false), want);
 }
 
 }  // namespace

@@ -69,10 +69,10 @@ std::string ShardedScenarioText(std::uint64_t seed, int threads) {
       << "vip 10.200.0.1\n"
       << "rule 10.200.0.1 name=r-all priority=1 url=* split=10.3.0.1,10.3.0.2,10.3.0.3\n"
       << "at 0ms load 10.200.0.1 rate 40 duration 1200ms\n"
-      << "at 400ms fail-instance 0\n"
-      << "at 700ms fail-backend 1\n"
-      << "at 900ms recover-instance 0\n"
-      << "at 1000ms recover-backend 1\n"
+      << "at 400ms crash instance 0\n"
+      << "at 700ms crash backend 1\n"
+      << "at 900ms restart instance 0\n"
+      << "at 1000ms restart backend 1\n"
       << "at 1100ms add-instance\n";
   return out.str();
 }
@@ -95,10 +95,10 @@ std::string IntraScenarioText(std::uint64_t seed, int threads) {
       << "vip 10.200.0.1\n"
       << "rule 10.200.0.1 name=r-all priority=1 url=* split=10.3.0.1,10.3.0.2,10.3.0.3\n"
       << "at 0ms load 10.200.0.1 rate 40 duration 1200ms\n"
-      << "at 400ms fail-instance 0\n"
-      << "at 700ms fail-backend 1\n"
-      << "at 900ms recover-instance 0\n"
-      << "at 1000ms recover-backend 1\n"
+      << "at 400ms crash instance 0\n"
+      << "at 700ms crash backend 1\n"
+      << "at 900ms restart instance 0\n"
+      << "at 1000ms restart backend 1\n"
       << "at 1100ms add-instance\n";
   return out.str();
 }
@@ -119,9 +119,9 @@ std::string IntraStatelessScenarioText(std::uint64_t seed, int threads) {
       << "rule 10.200.0.1 name=r-all priority=1 url=* split=10.3.0.1,10.3.0.2,10.3.0.3\n"
       << "store-mode stateless\n"
       << "at 0ms load 10.200.0.1 rate 40 duration 1200ms\n"
-      << "at 400ms fail-instance 0\n"
-      << "at 700ms fail-backend 1\n"
-      << "at 900ms recover-instance 0\n"
+      << "at 400ms crash instance 0\n"
+      << "at 700ms crash backend 1\n"
+      << "at 900ms restart instance 0\n"
       << "at 1000ms store-mode 10.200.0.1 stateful\n"
       << "at 1100ms add-instance\n";
   return out.str();

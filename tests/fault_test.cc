@@ -1,12 +1,15 @@
 // Unit tests for the fault-injection plane: overlay verdicts, partitions,
-// gray failures, crash/restart routing, timed scripts and the seeded-RNG
-// determinism of randomized chaos schedules. Warm/cold restart semantics are
-// covered by net_test's NetworkRestart.* and workload_test's testbed restart
-// test, since the plane has no crash semantics of its own.
+// gray failures, crash/restart routing, timed faults and the seeded-RNG
+// determinism of randomized chaos schedules, read back from their scenario
+// lines. Warm/cold restart semantics are covered by net_test's
+// NetworkRestart.* and workload_test's testbed restart test, since the plane
+// has no crash semantics of its own.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "src/sim/random.h"
 #include "src/sim/sharded_sim.h"
 #include "src/sim/simulator.h"
+#include "src/workload/scenario.h"
 
 namespace fault {
 namespace {
@@ -196,8 +200,9 @@ TEST_F(FaultPlaneTest, HandlersOverrideDefaultCrashRouting) {
 }
 
 TEST_F(FaultPlaneTest, ScheduleFiresAtAbsoluteTimeAsDaemon) {
-  plane.Schedule(sim::Msec(10), [this](FaultPlane& fp) { fp.Partition(ip_a, ip_b); });
-  plane.Schedule(sim::Msec(20), [this](FaultPlane& fp) { fp.Heal(ip_a, ip_b); });
+  // A timed fault is a daemon event that calls the plane when it fires.
+  simulator.At(sim::Msec(10), [this]() { plane.Partition(ip_a, ip_b); }, /*daemon=*/true);
+  simulator.At(sim::Msec(20), [this]() { plane.Heal(ip_a, ip_b); }, /*daemon=*/true);
   // Daemon events alone must not keep the simulation alive.
   simulator.Run();
   EXPECT_EQ(simulator.now(), 0);
@@ -207,7 +212,12 @@ TEST_F(FaultPlaneTest, ScheduleFiresAtAbsoluteTimeAsDaemon) {
   simulator.At(sim::Msec(25), [this]() { network.Send(Make(ip_a, ip_b)); });
   simulator.Run();
   EXPECT_EQ(b.received.size(), 1u);  // Mid-partition send died, later one passed.
-  EXPECT_EQ(plane.stats().events_applied, 2u);
+  const auto& events = simulator.recorder().system_events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].at, sim::Msec(10));
+  EXPECT_EQ(events[0].type, obs::EventType::kFaultInjected);
+  EXPECT_EQ(events[1].at, sim::Msec(20));
+  EXPECT_EQ(events[1].type, obs::EventType::kFaultCleared);
 }
 
 TEST_F(FaultPlaneTest, FaultEventsMirroredIntoRecorder) {
@@ -238,74 +248,92 @@ TEST(FaultKindNames, AllNamed) {
 ChaosOptions SmallOptions() {
   ChaosOptions opts;
   opts.episodes = 12;
-  opts.instances = {net::MakeIp(10, 1, 0, 1), net::MakeIp(10, 1, 0, 2)};
-  opts.kv_nodes = {net::MakeIp(10, 2, 0, 1)};
-  opts.links = {{net::MakeIp(10, 1, 0, 1), net::MakeIp(10, 2, 0, 1)}};
+  opts.instances = {"instance 0", "instance 1"};
+  opts.kv_nodes = {"kv 0"};
+  opts.links = {{"instance 0", "kv 0"}};
   return opts;
+}
+
+// One drawn episode, read back from its scenario line:
+// `at <t> <verb> <kind> <i> ... for <d> ...`.
+struct Drawn {
+  sim::Time at = 0;
+  std::string verb;
+  std::string target;
+  sim::Duration span = 0;
+};
+
+Drawn ReadBack(const std::string& line) {
+  std::istringstream in(line);
+  std::vector<std::string> toks;
+  for (std::string tok; in >> tok;) {
+    toks.push_back(tok);
+  }
+  Drawn d;
+  EXPECT_GE(toks.size(), 7u) << line;
+  if (toks.size() < 7) {
+    return d;
+  }
+  EXPECT_EQ(toks[0], "at") << line;
+  d.at = workload::ParseDuration(toks[1]).value_or(-1);
+  d.verb = toks[2];
+  d.target = toks[3] + " " + toks[4];
+  auto it = std::find(toks.begin(), toks.end(), "for");
+  EXPECT_TRUE(it != toks.end() && it + 1 != toks.end()) << line;
+  if (it != toks.end() && it + 1 != toks.end()) {
+    d.span = workload::ParseDuration(*(it + 1)).value_or(-1);
+  }
+  return d;
 }
 
 TEST(ChaosSchedule, SameSeedSameTimeline) {
   auto draw = [](std::uint64_t seed) {
-    sim::ShardedSim engine({.shards = 1});
-    net::Network network(&engine, 1);
-    FaultPlane plane(&engine.shard(0), &network, 1);
     sim::Rng rng(seed);
-    std::vector<std::string> described;
-    for (const ChaosEpisode& ep : RandomSchedule(plane, rng, SmallOptions())) {
-      described.push_back(ep.Describe());
-    }
-    return described;
+    return RandomSchedule(rng, SmallOptions());
   };
   EXPECT_EQ(draw(1234), draw(1234));
   EXPECT_NE(draw(1234), draw(4321));
 }
 
 TEST(ChaosSchedule, EpisodesStayInsideWindowAndDurations) {
-  sim::ShardedSim engine({.shards = 1});
-  net::Network network(&engine, 1);
-  FaultPlane plane(&engine.shard(0), &network, 1);
   sim::Rng rng(9);
   ChaosOptions opts = SmallOptions();
-  const auto episodes = RandomSchedule(plane, rng, opts);
-  ASSERT_EQ(episodes.size(), static_cast<std::size_t>(opts.episodes));
-  for (const ChaosEpisode& ep : episodes) {
-    EXPECT_GE(ep.at, opts.window_start);
+  const std::vector<std::string> lines = RandomSchedule(rng, opts);
+  ASSERT_EQ(lines.size(), static_cast<std::size_t>(opts.episodes));
+  for (const std::string& line : lines) {
+    const Drawn ep = ReadBack(line);
+    EXPECT_GE(ep.at, opts.window_start) << line;
     // Crash episodes may be shifted right to avoid overlapping an earlier
     // crash of the same target; everything else stays inside the window.
-    if (ep.kind != FaultKind::kCrash) {
-      EXPECT_LE(ep.at, opts.window_end);
+    if (ep.verb != "crash") {
+      EXPECT_LE(ep.at, opts.window_end) << line;
     }
-    EXPECT_GE(ep.until - ep.at, opts.min_duration);
-    EXPECT_LE(ep.until - ep.at, opts.max_duration);
+    EXPECT_GE(ep.span, opts.min_duration) << line;
+    EXPECT_LE(ep.span, opts.max_duration) << line;
   }
 }
 
 TEST(ChaosSchedule, CrashEpisodesNeverOverlapPerTarget) {
-  sim::ShardedSim engine({.shards = 1});
-  net::Network network(&engine, 1);
-  FaultPlane plane(&engine.shard(0), &network, 1);
   ChaosOptions opts = SmallOptions();
   opts.episodes = 40;  // Plenty of crash draws on two targets.
   sim::Rng rng(77);
-  std::map<net::IpAddr, sim::Time> last_until;
-  for (const ChaosEpisode& ep : RandomSchedule(plane, rng, opts)) {
-    if (ep.kind != FaultKind::kCrash) {
+  std::map<std::string, sim::Time> last_until;
+  for (const std::string& line : RandomSchedule(rng, opts)) {
+    const Drawn ep = ReadBack(line);
+    if (ep.verb != "crash") {
       continue;
     }
     auto it = last_until.find(ep.target);
     if (it != last_until.end()) {
-      EXPECT_GT(ep.at, it->second) << ep.Describe();
+      EXPECT_GT(ep.at, it->second) << line;
     }
-    last_until[ep.target] = ep.until;
+    last_until[ep.target] = ep.at + ep.span;
   }
 }
 
 TEST(ChaosSchedule, EmptyCandidateListsYieldNoEpisodes) {
-  sim::ShardedSim engine({.shards = 1});
-  net::Network network(&engine, 1);
-  FaultPlane plane(&engine.shard(0), &network, 1);
   sim::Rng rng(3);
-  EXPECT_TRUE(RandomSchedule(plane, rng, ChaosOptions{}).empty());
+  EXPECT_TRUE(RandomSchedule(rng, ChaosOptions{}).empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <string>
 #include <tuple>
@@ -19,7 +20,13 @@ TEST(ParseDuration, Units) {
   EXPECT_EQ(ParseDuration("2m"), sim::Minutes(2));
   EXPECT_EQ(ParseDuration("7us"), sim::Usec(7));
   EXPECT_EQ(ParseDuration("9"), sim::Sec(9));
+  EXPECT_EQ(ParseDuration("40ns"), sim::Nsec(40));
+  EXPECT_EQ(ParseDuration("9223372036854775807ns"), std::numeric_limits<sim::Duration>::max());
   EXPECT_FALSE(ParseDuration("ms").has_value());
+  // Beyond the int64 nanosecond clock: rejected, never wrapped.
+  EXPECT_FALSE(ParseDuration("9223372036854775808ns").has_value());
+  EXPECT_FALSE(ParseDuration("10000000000s").has_value());
+  EXPECT_FALSE(ParseDuration("153722868m").has_value());
   EXPECT_FALSE(ParseDuration("5h").has_value());
   EXPECT_FALSE(ParseDuration("abc").has_value());
 }
@@ -44,7 +51,7 @@ TEST(ParseScenario, MinimalScenario) {
     vip 10.200.0.1
     rule 10.200.0.1 name=r priority=1 url=* split=10.3.0.1,10.3.0.2
     at 0ms load 10.200.0.1 rate 50 duration 2s
-    at 1s fail-instance 0
+    at 1s crash instance 0
   )", &error);
   ASSERT_TRUE(sc.has_value()) << error;
   EXPECT_EQ(sc->testbed.seed, 9u);
@@ -53,7 +60,7 @@ TEST(ParseScenario, MinimalScenario) {
   ASSERT_EQ(sc->vips.size(), 1u);
   EXPECT_EQ(sc->vips[0].vip_rules.size(), 1u);
   ASSERT_EQ(sc->events.size(), 2u);
-  EXPECT_EQ(sc->events[1].action, "fail-instance");
+  EXPECT_EQ(sc->events[1].action, "crash");
   EXPECT_EQ(sc->events[1].at, sim::Sec(1));
 }
 
@@ -86,15 +93,44 @@ TEST(ParseScenario, RejectsTimelineActionsItCannotApply) {
   // Every action sits on line 3, after two lines that define the testbed.
   const std::string head = "instances 2\nvip 10.200.0.1\n";
   const std::vector<std::string> bad = {
-      "at 1s fail-instance 40",         // Names no instance.
-      "at 1s fail-instance 2",          // One past the last (no spares).
-      "at 1s fail-backend -1",          // Negative index.
-      "at 1s crash-controller 1",       // One controller.
-      "at 1s fail-kv 3",                // Three KV servers: 0..2.
-      "at 1s fial-instance 0",          // Unknown action.
-      "at 1s recover-backend",          // Missing index.
-      "at 1s fail-kv one",              // Non-numeric index.
-      "at 1s recover-instance 0 1",     // One index only.
+      "at 1s crash instance 40",        // Names no instance.
+      "at 1s crash instance 2",         // One past the last (no spares).
+      "at 1s crash backend -1",         // Negative index.
+      "at 1s crash controller 1",       // One controller.
+      "at 1s crash kv 3",               // Three KV servers: 0..2.
+      "at 1s crsh instance 0",          // Unknown action.
+      "at 1s fail-instance 0",          // The old spelling.
+      "at 1s recover-backend 0",
+      "at 1s restart backend",          // Missing index.
+      "at 1s crash kv one",             // Non-numeric index.
+      "at 1s crash proxy 0",            // No such component kind.
+      "at 1s crash 0",
+      "at 1s restart instance 0 1",     // One index only.
+      "at 1s restart instance 0 hot",   // warm or cold.
+      "at 1s restart instance 0 for 5ms",  // A restart clears nothing.
+      "at 1s crash instance 0 5ms",     // The duration needs `for`.
+      "at 1s crash instance 0 for",
+      "at 1s crash instance 0 for 0ms",  // Positive durations only.
+      "at 1s crash instance 0 for 5ms lukewarm",
+      "at 1s crash instance 0 for 5ms cold now",
+      "at 1s link-loss instance 0 backend 0 0.5",  // Overlays need `for`.
+      "at 1s link-loss instance 0 backend 0 1.5 for 1s",  // p in (0, 1].
+      "at 1s link-loss instance 0 backend 0 0 for 1s",
+      "at 1s link-loss instance 0 backend 0 nan for 1s",
+      "at 1s link-loss instance 0 backend 9 0.5 for 1s",
+      "at 1s link-loss instance 0 0.5 for 1s",  // Two ends.
+      "at 1s partition instance 0 backend 0",
+      "at 1s partition instance 0 for 1s",
+      "at 1s partition instance 0 backend 0 for soon",
+      "at 1s node-delay instance 0 for 1s",  // Missing delay.
+      "at 1s node-delay instance 0 0ms for 1s",
+      "at 1s node-delay instance 5 1ms for 1s",
+      "at 1s gray-syn instance 0 for 1s",  // Missing probability.
+      "at 1s gray-syn instance 0 -0.5 for 1s",
+      "at 1s gray-syn instance 0 0.5",
+      "at 1s kv-slow instance 0 5ms for 1s",  // Only a KV server is slow.
+      "at 1s kv-slow kv 0 5ms",
+      "at 1s kv-slow kv 3 5ms for 1s",
       "at 1s assign now",               // Takes no argument.
       "at 0ms load 10.200.0.1 rate 50",                     // Malformed load.
       "at 0ms load 10.200.0.1 rate fast duration 2s",
@@ -104,11 +140,43 @@ TEST(ParseScenario, RejectsTimelineActionsItCannotApply) {
       "at 1s update-rules 10.200.0.1 nonsense",
       "at 1s update-rules 10.200.0.1",
       "at 1s store-mode 10.200.0.1 sideways",
+      // Times beyond the int64 nanosecond clock, alone or summed.
+      "at 10000000000s crash instance 0",
+      "at 99999999999999999999ns crash instance 0",
+      "at 1s crash instance 0 for 10000000000s",
+      "at 9223372036854775807ns crash instance 0 for 1ns",
+      "at 0ms load 10.200.0.1 rate 50 duration 10000000000s",
+      "at 9223372036854775000ns load 10.200.0.1 rate 50 duration 1s",
+      "at 1s partition instance 0 backend 0 for 10000000000s",
+      "run-until 10000000000s",
   };
   for (const std::string& action : bad) {
     std::string error;
     EXPECT_FALSE(ParseScenario(head + action + "\n", &error).has_value()) << action;
     EXPECT_NE(error.find("line 3"), std::string::npos) << action << " -> " << error;
+  }
+  // The packet overlays are well formed, but an intra-threads run evaluates
+  // deliveries on every shard, so it rejects them; faults that act on a
+  // component pass.
+  const std::vector<std::string> overlays = {
+      "at 1s link-loss instance 0 backend 0 0.5 for 1s",
+      "at 1s partition instance 0 kv 1 for 1s",
+      "at 1s node-delay instance 0 5ms for 1s",
+      "at 1s gray-syn instance 1 0.5 for 1s",
+  };
+  for (const std::string& action : overlays) {
+    std::string error;
+    EXPECT_TRUE(ParseScenario(head + action + "\n", &error).has_value())
+        << action << ": " << error;
+    EXPECT_FALSE(ParseScenario(head + action + "\nintra-threads 2\n", &error).has_value())
+        << action;
+    EXPECT_NE(error.find("line 3"), std::string::npos) << action << " -> " << error;
+  }
+  for (const char* action : {"at 1s crash instance 0 for 5ms cold", "at 1s restart backend 1 warm",
+                             "at 1s kv-slow kv 2 5ms for 1s"}) {
+    std::string error;
+    EXPECT_TRUE(ParseScenario(head + action + "\nintra-threads 2\n", &error).has_value())
+        << action << ": " << error;
   }
 }
 
@@ -143,10 +211,11 @@ TEST(ParseScenario, ActionIndicesRangeOverTheWholeFile) {
   // Counts may follow the action that uses them, and spares are instances.
   std::string error;
   EXPECT_TRUE(ParseScenario("vip 10.200.0.1\n"
-                            "at 1s fail-instance 3\n"
-                            "at 2s recover-instance 3\n"
-                            "at 3s fail-kv 4\n"
-                            "at 4s restart-controller 2\n"
+                            "at 1s crash instance 3\n"
+                            "at 2s restart instance 3\n"
+                            "at 3s crash kv 4\n"
+                            "at 4s restart controller 2\n"
+                            "at 5s link-loss backend 2 controller 2 0.5 for 1s\n"
                             "instances 2\nspares 2\nkv-servers 5\ncontrollers 3\n",
                             &error)
                   .has_value())
@@ -177,7 +246,7 @@ TEST(RunScenario, FailureEventIsTransparent) {
     vip 10.200.0.1
     rule 10.200.0.1 name=r priority=1 url=* split=10.3.0.1,10.3.0.2
     at 0ms load 10.200.0.1 rate 60 duration 4s
-    at 1s fail-instance 0
+    at 1s crash instance 0
   )");
   ASSERT_TRUE(sc.has_value());
   ScenarioReport report = RunScenario(*sc);
@@ -187,9 +256,10 @@ TEST(RunScenario, FailureEventIsTransparent) {
 }
 
 TEST(ScenarioTest, EveryScriptedFaultIsOnTheTimeline) {
-  // Each fail/recover verb goes through the fault plane, so the trace's
-  // system log holds exactly one kFaultInjected per verb, at its scripted
-  // time, naming the component's address and the kind of fault.
+  // Each fault verb goes through the fault plane, so the trace's system log
+  // holds one kFaultInjected per verb, at its scripted time, naming the
+  // component's address and the kind of fault; a `for <d>` adds the clear
+  // `d` later (a crash's clear is its restart).
   auto sc = ParseScenario(R"(
     seed 4
     instances 3
@@ -197,32 +267,86 @@ TEST(ScenarioTest, EveryScriptedFaultIsOnTheTimeline) {
     vip 10.200.0.1
     rule 10.200.0.1 name=r priority=1 url=* split=10.3.0.1,10.3.0.2,10.3.0.3
     at 0ms load 10.200.0.1 rate 40 duration 2s
-    at 500ms fail-instance 1
-    at 900ms recover-instance 1
-    at 1000ms fail-backend 2
-    at 1300ms recover-backend 2
-    at 1500ms fail-kv 0
+    at 500ms crash instance 1
+    at 900ms restart instance 1
+    at 1000ms crash backend 2 for 300ms cold
+    at 1100ms link-loss instance 0 backend 0 0.25 for 150ms
+    at 1150ms partition instance 2 kv 1 for 120ms
+    at 1200ms node-delay instance 0 5ms for 80ms
+    at 1210ms gray-syn instance 2 0.5 for 100ms
+    at 1400ms kv-slow kv 1 10ms for 100ms
+    at 1450ms crash kv 0 for 200ms
+    at 1700ms restart instance 1 cold
   )");
   ASSERT_TRUE(sc.has_value());
-  using Fault = std::tuple<sim::Time, net::IpAddr, fault::FaultKind>;
+  using Fault = std::tuple<sim::Time, obs::EventType, net::IpAddr, fault::FaultKind>;
   std::vector<Fault> faults;
   RunScenario(*sc, nullptr, [&faults](Testbed& tb) {
     for (int s = 0; s < tb.lane_count(); ++s) {
       for (const obs::TraceEvent& ev : tb.flight_lane(s).system_events()) {
-        if (ev.type == obs::EventType::kFaultInjected) {
-          faults.emplace_back(ev.at, ev.where, static_cast<fault::FaultKind>(ev.detail));
+        if (ev.type == obs::EventType::kFaultInjected ||
+            ev.type == obs::EventType::kFaultCleared) {
+          faults.emplace_back(ev.at, ev.type, ev.where, static_cast<fault::FaultKind>(ev.detail));
         }
       }
     }
   });
+  constexpr auto kInjected = obs::EventType::kFaultInjected;
+  constexpr auto kCleared = obs::EventType::kFaultCleared;
+  const net::IpAddr instance0 = net::MakeIp(10, 1, 0, 1);
+  const net::IpAddr instance1 = net::MakeIp(10, 1, 0, 2);
+  const net::IpAddr instance2 = net::MakeIp(10, 1, 0, 3);
+  const net::IpAddr backend2 = net::MakeIp(10, 3, 0, 3);
+  const net::IpAddr kv0 = net::MakeIp(10, 2, 0, 1);
+  const net::IpAddr kv1 = net::MakeIp(10, 2, 0, 2);
+  using K = fault::FaultKind;
   const std::vector<Fault> want = {
-      {sim::Msec(500), net::MakeIp(10, 1, 0, 2), fault::FaultKind::kCrash},
-      {sim::Msec(900), net::MakeIp(10, 1, 0, 2), fault::FaultKind::kRestartWarm},
-      {sim::Msec(1000), net::MakeIp(10, 3, 0, 3), fault::FaultKind::kCrash},
-      {sim::Msec(1300), net::MakeIp(10, 3, 0, 3), fault::FaultKind::kRestartWarm},
-      {sim::Msec(1500), net::MakeIp(10, 2, 0, 1), fault::FaultKind::kCrash},
+      {sim::Msec(500), kInjected, instance1, K::kCrash},
+      {sim::Msec(900), kInjected, instance1, K::kRestartWarm},
+      {sim::Msec(1000), kInjected, backend2, K::kCrash},
+      {sim::Msec(1100), kInjected, instance0, K::kLinkLoss},
+      {sim::Msec(1150), kInjected, instance2, K::kPartition},
+      {sim::Msec(1200), kInjected, instance0, K::kNodeDelay},
+      {sim::Msec(1210), kInjected, instance2, K::kGray},
+      {sim::Msec(1250), kCleared, instance0, K::kLinkLoss},
+      {sim::Msec(1270), kCleared, instance2, K::kPartition},
+      {sim::Msec(1280), kCleared, instance0, K::kNodeDelay},
+      {sim::Msec(1300), kInjected, backend2, K::kRestartCold},
+      {sim::Msec(1310), kCleared, instance2, K::kGray},
+      {sim::Msec(1400), kInjected, kv1, K::kKvSlow},
+      {sim::Msec(1450), kInjected, kv0, K::kCrash},
+      {sim::Msec(1500), kCleared, kv1, K::kKvSlow},
+      {sim::Msec(1650), kInjected, kv0, K::kRestartWarm},
+      {sim::Msec(1700), kInjected, instance1, K::kRestartCold},
   };
   EXPECT_EQ(faults, want);
+}
+
+TEST(RunScenario, SpansEndingAtTheClocksEndDoNotWrap) {
+  // With three controllers the setup runs until one holds the lease, so the
+  // timeline opens after 0 ms. Counted from their `at`, these spans end on
+  // the clock's last nanosecond; counted from that later instant, they would
+  // overflow into the past.
+  auto sc = ParseScenario(R"(
+    seed 2
+    instances 2
+    controllers 3
+    vip 10.200.0.1
+    rule 10.200.0.1 name=r priority=1 url=* split=10.3.0.1,10.3.0.2
+    at 0ms load 10.200.0.1 rate 40 duration 9223372036854775807ns
+    at 0ms crash instance 0 for 9223372036854775807ns
+    run-until 1s
+  )");
+  ASSERT_TRUE(sc.has_value());
+  int restarts = 0;
+  const ScenarioReport report = RunScenario(*sc, nullptr, [&restarts](Testbed& tb) {
+    for (const obs::TraceEvent& ev : tb.flight.system_events()) {
+      restarts += ev.type == obs::EventType::kFaultInjected &&
+                  ev.detail == static_cast<std::uint64_t>(fault::FaultKind::kRestartWarm);
+    }
+  });
+  EXPECT_GT(report.requests_issued, 20u);  // The load runs the whole second.
+  EXPECT_EQ(restarts, 0);                  // The restart lies past the run.
 }
 
 TEST(RunScenario, TlsLoadWorks) {

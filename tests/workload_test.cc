@@ -7,6 +7,7 @@
 #include "src/workload/browser_client.h"
 #include "src/workload/http_server_node.h"
 #include "src/workload/object_catalog.h"
+#include "src/workload/open_loop.h"
 #include "src/workload/testbed.h"
 #include "src/workload/trace.h"
 
@@ -234,21 +235,13 @@ TEST(OpenLoop, GeneratesApproximatelyTargetRate) {
   cfg.yoda_instances = 2;
   Testbed tb(cfg);
   tb.DefineDefaultVipAndStart();
-  OpenLoopGenerator::Config gcfg;
-  gcfg.requests_per_second = 200;
-  gcfg.duration = sim::Sec(5);
-  gcfg.target = tb.vip();
-  gcfg.urls = {tb.catalog->objects()[0].url};
-  std::vector<BrowserClient*> clients;
-  for (auto& c : tb.clients) {
-    clients.push_back(c.get());
-  }
-  OpenLoopGenerator gen(tb.SimFor(0), clients, 3, gcfg);
-  gen.Start();
+  OpenLoop load(tb, 3);
+  load.Start(0, tb.vip(), 200, sim::Sec(5));
   tb.sim.Run();
-  EXPECT_NEAR(static_cast<double>(gen.issued()), 1000.0, 120.0);
-  EXPECT_GT(gen.completed(), gen.issued() * 95 / 100);
-  EXPECT_GT(gen.latency_ms().Mean(), 50.0);
+  const OpenLoop::Tally t = load.Totals();
+  EXPECT_NEAR(static_cast<double>(t.issued), 1000.0, 120.0);
+  EXPECT_GT(t.ok, t.issued * 95 / 100);
+  EXPECT_GT(t.latency_ms.Mean(), 50.0);
 }
 
 TEST(TraceGen, MatchesPaperScale) {

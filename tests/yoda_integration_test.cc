@@ -8,6 +8,7 @@
 
 #include "src/kv/hash_ring.h"
 #include "src/rules/policy.h"
+#include "src/workload/open_loop.h"
 #include "src/workload/testbed.h"
 
 namespace yoda {
@@ -336,24 +337,12 @@ TEST_F(YodaE2E, AutoScaleActivatesSparesUnderLoad) {
   cfg.controller.scale_out_cpu = 0.05;  // Trip easily in a small test.
   cfg.controller.scale_out_step = 2;
   Build(cfg);
-  workload::OpenLoopGenerator::Config gcfg;
-  gcfg.requests_per_second = 400;
-  gcfg.duration = sim::Sec(3);
-  gcfg.target = tb->vip();
-  std::vector<std::string> urls;
-  for (int i = 0; i < 10; ++i) {
-    urls.push_back(tb->catalog->objects()[static_cast<std::size_t>(i)].url);
-  }
-  gcfg.urls = urls;
-  std::vector<workload::BrowserClient*> clients;
-  for (auto& c : tb->clients) {
-    clients.push_back(c.get());
-  }
-  workload::OpenLoopGenerator gen(tb->SimFor(0), clients, 7, gcfg);
-  gen.Start();
+  workload::OpenLoop load(*tb, 7);
+  load.Start(0, tb->vip(), 400, sim::Sec(3));
   tb->sim.Run();
   EXPECT_EQ(tb->controller->ActiveInstances().size(), 4u);
-  EXPECT_GT(gen.completed(), gen.issued() * 9 / 10);
+  const workload::OpenLoop::Tally t = load.Totals();
+  EXPECT_GT(t.ok, t.issued * 9 / 10);
 }
 
 TEST_F(YodaE2E, PolicyUpdateShiftsNewTrafficOnly) {

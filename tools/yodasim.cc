@@ -26,7 +26,7 @@ vip 10.200.0.1
 rule 10.200.0.1 name=r-all priority=1 url=* split=10.3.0.1,10.3.0.2,10.3.0.3,10.3.0.4
 
 at 0ms load 10.200.0.1 rate 150 duration 12s
-at 4s fail-instance 0
+at 4s crash instance 0
 at 8s add-instance
 
 # Uncomment to run as 8 independent cells on 4 threads (results are
