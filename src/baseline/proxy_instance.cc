@@ -89,7 +89,7 @@ void ProxyInstance::AcceptClient(const net::Packet& syn) {
 
   s->client_ep = std::make_unique<net::TcpEndpoint>(
       sim_, [this](net::Packet p) { net_->Send(std::move(p)); }, cfg_.tcp);
-  s->client_ep->set_on_data([this, id](std::string_view bytes) { OnClientData(id, bytes); });
+  s->client_ep->set_on_data([this, id](const net::Payload& bytes) { OnClientData(id, bytes); });
   s->client_ep->set_on_closed([this, id]() {
     auto it = conns_.find(id);
     if (it == conns_.end()) {
@@ -110,7 +110,7 @@ void ProxyInstance::AcceptClient(const net::Packet& syn) {
   s->client_ep->AcceptFrom(syn, static_cast<std::uint32_t>(rng_.UniformInt(1, 1u << 30)));
 }
 
-void ProxyInstance::OnClientData(std::uint64_t id, std::string_view bytes) {
+void ProxyInstance::OnClientData(std::uint64_t id, const net::Payload& bytes) {
   auto it = conns_.find(id);
   if (it == conns_.end()) {
     return;
@@ -119,9 +119,9 @@ void ProxyInstance::OnClientData(std::uint64_t id, std::string_view bytes) {
   cpu_.ChargePacket();
   stats_.spliced_bytes += bytes.size();
   if (s.server_connected) {
-    // Tunnel onward after the proxy's processing delay.
-    std::string data(bytes);
-    sim_->After(cfg_.cpu_costs.forward_delay, [this, id, data = std::move(data)]() {
+    // Tunnel onward after the proxy's processing delay; the received slice
+    // is sent on as it is.
+    sim_->After(cfg_.cpu_costs.forward_delay, [this, id, data = bytes]() {
       auto cit = conns_.find(id);
       if (cit != conns_.end() && cit->second->server_ep != nullptr && !failed_) {
         cit->second->server_ep->Send(data);
@@ -196,15 +196,14 @@ void ProxyInstance::ConnectBackend(std::uint64_t id, const rules::Backend& backe
       sp.to_server.clear();
     }
   });
-  s.server_ep->set_on_data([this, id](std::string_view bytes) {
+  s.server_ep->set_on_data([this, id](const net::Payload& bytes) {
     auto cit = conns_.find(id);
     if (cit == conns_.end()) {
       return;
     }
     cpu_.ChargePacket();
     stats_.spliced_bytes += bytes.size();
-    std::string data(bytes);
-    sim_->After(cfg_.cpu_costs.forward_delay, [this, id, data = std::move(data)]() {
+    sim_->After(cfg_.cpu_costs.forward_delay, [this, id, data = bytes]() {
       auto c2 = conns_.find(id);
       if (c2 != conns_.end() && c2->second->client_ep != nullptr && !failed_) {
         c2->second->client_ep->Send(data);

@@ -85,7 +85,7 @@ class ProxyInstance : public net::Node {
   };
 
   void AcceptClient(const net::Packet& syn);
-  void OnClientData(std::uint64_t id, std::string_view bytes);
+  void OnClientData(std::uint64_t id, const net::Payload& bytes);
   void ConnectBackend(std::uint64_t id, const rules::Backend& backend);
   void MaybeGarbageCollect(std::uint64_t id);
 

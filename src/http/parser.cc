@@ -1,6 +1,8 @@
 #include "src/http/parser.h"
 
+#include <algorithm>
 #include <charconv>
+#include <utility>
 #include <vector>
 
 namespace http {
@@ -51,6 +53,22 @@ std::optional<std::size_t> ContentLength(const HeaderMap& headers) {
     return std::nullopt;
   }
   return n;
+}
+
+// Returns the offset in `in` just past the blank line that ends a header
+// block whose earlier bytes are `head`, or npos if `in` does not end it. The
+// blank line may straddle the two, so the last bytes of `head` and the first
+// of `in` are searched together (at most six bytes, no allocation).
+std::size_t HeadEnd(std::string_view head, std::string_view in) {
+  const std::size_t keep = std::min<std::size_t>(head.size(), 3);
+  std::string edge(head.substr(head.size() - keep));
+  edge.append(in.substr(0, 3));
+  const std::size_t at = edge.find("\r\n\r\n");
+  if (at != std::string::npos) {
+    return at + 4 - keep;
+  }
+  const std::size_t pos = in.find("\r\n\r\n");
+  return pos == std::string_view::npos ? pos : pos + 4;
 }
 
 // Moves a buffer that holds exactly the body out whole, so the message owns
@@ -144,93 +162,111 @@ Request RequestParser::TakeRequest() {
   return out;
 }
 
-ParseStatus ResponseParser::Feed(std::string_view bytes) {
+ParseStatus ResponseParser::Feed(net::Payload bytes) {
   if (status_ == ParseStatus::kError) {
     return status_;
   }
-  buf_.append(bytes);
-  return Advance();
+  if (status_ == ParseStatus::kComplete) {
+    if (!bytes.empty()) {
+      pending_.push_back(std::move(bytes));
+    }
+    return status_;
+  }
+  if (!have_headers_) {
+    const std::size_t end = HeadEnd(head_, bytes.view());
+    head_.append(bytes.view().substr(0, end));
+    if (end == std::string_view::npos) {
+      return status_;
+    }
+    bytes = bytes.substr(end);
+    if (!ParseHead()) {
+      status_ = ParseStatus::kError;
+      return status_;
+    }
+    have_headers_ = true;
+  }
+  const std::size_t take = std::min(bytes.size(), body_needed_ - body_bytes_);
+  if (take > 0) {
+    const net::Payload piece = bytes.substr(0, take);
+    if (body_.empty() || !body_.back().Extend(piece)) {
+      body_.push_back(piece);
+    }
+    body_bytes_ += take;
+  }
+  if (body_bytes_ < body_needed_) {
+    return status_;
+  }
+  response_.body.reserve(body_bytes_);
+  for (const net::Payload& piece : body_) {
+    response_.body.append(piece.view());
+  }
+  body_.clear();
+  body_bytes_ = 0;
+  if (take < bytes.size()) {
+    pending_.push_back(bytes.substr(take));
+  }
+  status_ = ParseStatus::kComplete;
+  return status_;
 }
 
-ParseStatus ResponseParser::Advance() {
-  if (!have_headers_) {
-    std::size_t end = HeaderBlockEnd(buf_);
-    if (end == std::string::npos) {
-      status_ = ParseStatus::kNeedMore;
-      return status_;
-    }
-    auto lines = SplitLines(std::string_view(buf_).substr(0, end));
-    if (lines.empty()) {
-      error_ = "empty response";
-      status_ = ParseStatus::kError;
-      return status_;
-    }
-    // Status line: VERSION SP CODE SP REASON.
-    std::string_view sl = lines[0];
-    std::size_t sp1 = sl.find(' ');
-    if (sp1 == std::string_view::npos) {
-      error_ = "malformed status line";
-      status_ = ParseStatus::kError;
-      return status_;
-    }
-    std::size_t sp2 = sl.find(' ', sp1 + 1);
-    response_ = Response{};
-    response_.version = std::string(sl.substr(0, sp1));
-    std::string_view code = sp2 == std::string_view::npos ? sl.substr(sp1 + 1)
-                                                          : sl.substr(sp1 + 1, sp2 - sp1 - 1);
-    int status_code = 0;
-    auto [p, ec] = std::from_chars(code.data(), code.data() + code.size(), status_code);
-    if (ec != std::errc() || p != code.data() + code.size()) {
-      error_ = "malformed status code";
-      status_ = ParseStatus::kError;
-      return status_;
-    }
-    response_.status = status_code;
-    if (sp2 != std::string_view::npos) {
-      response_.reason = std::string(sl.substr(sp2 + 1));
-    }
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-      std::string name;
-      std::string value;
-      if (!ParseHeaderLine(lines[i], &name, &value)) {
-        error_ = "malformed header line";
-        status_ = ParseStatus::kError;
-        return status_;
-      }
-      response_.headers[name] = value;
-    }
-    auto cl = ContentLength(response_.headers);
-    if (!cl) {
-      error_ = "bad content-length";
-      status_ = ParseStatus::kError;
-      return status_;
-    }
-    body_needed_ = *cl;
-    have_headers_ = true;
-    buf_.erase(0, end + 4);
+bool ResponseParser::ParseHead() {
+  auto lines = SplitLines(std::string_view(head_).substr(0, head_.size() - 4));
+  if (lines.empty()) {
+    error_ = "empty response";
+    return false;
   }
-  if (buf_.size() == body_needed_) {
-    response_.body = TakeBuffer(&buf_);
-    status_ = ParseStatus::kComplete;
-  } else if (buf_.size() > body_needed_) {
-    // Pipelined bytes follow the body; they stay buffered for the next message.
-    response_.body = buf_.substr(0, body_needed_);
-    buf_.erase(0, body_needed_);
-    status_ = ParseStatus::kComplete;
-  } else {
-    status_ = ParseStatus::kNeedMore;
+  // Status line: VERSION SP CODE SP REASON.
+  std::string_view sl = lines[0];
+  std::size_t sp1 = sl.find(' ');
+  if (sp1 == std::string_view::npos) {
+    error_ = "malformed status line";
+    return false;
   }
-  return status_;
+  std::size_t sp2 = sl.find(' ', sp1 + 1);
+  response_ = Response{};
+  response_.version = std::string(sl.substr(0, sp1));
+  std::string_view code = sp2 == std::string_view::npos ? sl.substr(sp1 + 1)
+                                                        : sl.substr(sp1 + 1, sp2 - sp1 - 1);
+  int status_code = 0;
+  auto [p, ec] = std::from_chars(code.data(), code.data() + code.size(), status_code);
+  if (ec != std::errc() || p != code.data() + code.size()) {
+    error_ = "malformed status code";
+    return false;
+  }
+  response_.status = status_code;
+  if (sp2 != std::string_view::npos) {
+    response_.reason = std::string(sl.substr(sp2 + 1));
+  }
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    std::string name;
+    std::string value;
+    if (!ParseHeaderLine(lines[i], &name, &value)) {
+      error_ = "malformed header line";
+      return false;
+    }
+    response_.headers[name] = value;
+  }
+  auto cl = ContentLength(response_.headers);
+  if (!cl) {
+    error_ = "bad content-length";
+    return false;
+  }
+  body_needed_ = *cl;
+  return true;
 }
 
 Response ResponseParser::TakeResponse() {
   Response out = std::move(response_);
   response_ = Response{};
+  head_.clear();
   have_headers_ = false;
   body_needed_ = 0;
   status_ = ParseStatus::kNeedMore;
-  if (!buf_.empty()) {
-    Advance();
+  // A pipelined response may already be complete.
+  std::vector<net::Payload> pending = std::move(pending_);
+  pending_.clear();
+  for (net::Payload& piece : pending) {
+    Feed(std::move(piece));
   }
   return out;
 }

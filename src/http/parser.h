@@ -5,6 +5,12 @@
 // available, then surface it. They also expose `HaveHeaders()` early, which
 // is what a Yoda instance needs: the backend is selected as soon as the
 // request *header* is complete, before any body arrives.
+//
+// The response parser is fed the receiver's segment slices. It copies only
+// header bytes; the body stays in the slices it arrived in, sharing the
+// sender's buffers, until it is complete and joined once into
+// Response::body. A client with many responses in flight therefore holds no
+// copy of their bodies.
 
 #ifndef SRC_HTTP_PARSER_H_
 #define SRC_HTTP_PARSER_H_
@@ -13,8 +19,10 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/http/message.h"
+#include "src/net/payload.h"
 
 namespace http {
 
@@ -58,7 +66,9 @@ class RequestParser {
 
 class ResponseParser {
  public:
-  ParseStatus Feed(std::string_view bytes);
+  // Consumes `bytes` into the response being parsed. Bytes that follow a
+  // complete response stay pending, as slices, until TakeResponse.
+  ParseStatus Feed(net::Payload bytes);
   bool HaveHeaders() const { return have_headers_; }
   const Response& response() const { return response_; }
   Response TakeResponse();
@@ -66,9 +76,13 @@ class ResponseParser {
   const std::string& error() const { return error_; }
 
  private:
-  ParseStatus Advance();
+  // Parses head_ (status line and headers); false on malformed input.
+  bool ParseHead();
 
-  std::string buf_;
+  std::string head_;                // Header bytes of the response being parsed.
+  std::vector<net::Payload> body_;  // Its body bytes so far, as received.
+  std::size_t body_bytes_ = 0;
+  std::vector<net::Payload> pending_;  // Bytes after a complete response.
   Response response_;
   bool have_headers_ = false;
   std::size_t body_needed_ = 0;

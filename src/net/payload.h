@@ -71,6 +71,17 @@ class Payload {
     return out;
   }
 
+  // Grows this payload by `next` in place when `next` continues it in the
+  // same buffer, as consecutive segments cut from one send do; returns
+  // whether it did.
+  bool Extend(const Payload& next) {
+    if (buf_ == nullptr || next.buf_ != buf_ || next.off_ != off_ + len_) {
+      return false;
+    }
+    len_ += next.len_;
+    return true;
+  }
+
   std::size_t find(std::string_view needle, std::size_t pos = 0) const {
     return view().find(needle, pos);
   }

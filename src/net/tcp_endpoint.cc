@@ -86,13 +86,17 @@ void TcpEndpoint::AcceptFrom(const Packet& syn, std::uint32_t isn) {
   ArmRto(cfg_.syn_rto);
 }
 
-void TcpEndpoint::Send(std::string data) {
+void TcpEndpoint::Send(std::initializer_list<Payload> pieces) {
   if (state_ == TcpState::kClosed || state_ == TcpState::kReset || close_requested_) {
     return;
   }
-  if (!data.empty()) {
-    sendq_bytes_ += static_cast<std::uint32_t>(data.size());
-    sendq_.emplace_back(std::move(data));
+  // Every piece is queued before anything is sent, so the segment boundaries
+  // do not depend on how the message was split into pieces.
+  for (const Payload& piece : pieces) {
+    if (!piece.empty()) {
+      sendq_bytes_ += static_cast<std::uint32_t>(piece.size());
+      sendq_.push_back(piece);
+    }
   }
   if (state_ == TcpState::kEstablished || state_ == TcpState::kCloseWait) {
     TrySendData();
@@ -214,7 +218,7 @@ Payload TcpEndpoint::SendqSlice(std::uint32_t off, std::uint32_t len) const {
   if (off + len <= chunk->size()) {
     return chunk->substr(off, len);  // Shares the chunk's buffer.
   }
-  // The segment straddles Send boundaries: join its pieces into one buffer.
+  // The segment straddles two pieces: join its parts into one buffer.
   std::string joined;
   joined.reserve(len);
   for (; joined.size() < len; ++chunk, off = 0) {
@@ -414,10 +418,9 @@ void TcpEndpoint::ProcessPayload(const Packet& p) {
     SendAck();
     return;
   }
-  // Overlapping or exactly in order: trim the old prefix.
-  const std::uint32_t skip = rcv_nxt_ - seg_seq;
-  std::string_view fresh = p.payload.view();
-  fresh.remove_prefix(skip);
+  // Overlapping or exactly in order: trim the old prefix. What is delivered
+  // is a slice of the segment, so the receiver can keep it without a copy.
+  const Payload fresh = p.payload.substr(rcv_nxt_ - seg_seq);
   rcv_nxt_ += static_cast<std::uint32_t>(fresh.size());
   stats_.bytes_delivered += fresh.size();
   if (on_data_) {
@@ -432,8 +435,7 @@ void TcpEndpoint::ProcessPayload(const Packet& p) {
       break;
     }
     if (SeqGt(s + len, rcv_nxt_)) {
-      std::string_view tail = it->second.view();
-      tail.remove_prefix(rcv_nxt_ - s);
+      const Payload tail = it->second.substr(rcv_nxt_ - s);
       rcv_nxt_ += static_cast<std::uint32_t>(tail.size());
       stats_.bytes_delivered += tail.size();
       if (on_data_) {

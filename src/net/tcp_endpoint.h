@@ -16,9 +16,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/net/packet.h"
@@ -69,7 +68,9 @@ struct TcpEndpointStats {
 class TcpEndpoint {
  public:
   using PacketSink = std::function<void(Packet)>;
-  using DataFn = std::function<void(std::string_view)>;
+  // Receives the in-order bytes of each segment as a slice of the segment's
+  // own buffer; a callback taking std::string_view converts from it.
+  using DataFn = std::function<void(const Payload&)>;
   using EventFn = std::function<void()>;
 
   TcpEndpoint(sim::Simulator* simulator, PacketSink sink, TcpConfig config = {});
@@ -85,9 +86,13 @@ class TcpEndpoint {
   void AcceptFrom(const Packet& syn, std::uint32_t isn);
 
   // Queues application bytes for transmission (valid once connected or while
-  // connecting; bytes flow when ESTABLISHED). The string is moved into the
-  // send queue and segments are slices of it, so pass it with std::move.
-  void Send(std::string data);
+  // connecting; bytes flow when ESTABLISHED). One call queues a whole message
+  // as its pieces, `Send({head, body})`, and the message is cut into the
+  // segments one string of the same bytes would give. Segments are slices of
+  // the pieces, so no byte is copied; a std::string converts to a piece, so
+  // pass it with std::move.
+  void Send(std::initializer_list<Payload> pieces);
+  void Send(Payload data) { Send({std::move(data)}); }
 
   // Graceful close: FIN after queued data drains.
   void Close();
@@ -146,7 +151,7 @@ class TcpEndpoint {
   Port dport_ = 0;
 
   // Send side. sendq_ holds the bytes from snd_una_ onward, one non-empty
-  // chunk per Send call (sendq_bytes_ in all); the first
+  // chunk per piece passed to Send (sendq_bytes_ in all); the first
   // (snd_nxt_ - snd_una_) of them are in flight. Segments are slices of the
   // chunks and ACKs drop or slice them, so no byte is copied unless a
   // segment straddles two chunks.

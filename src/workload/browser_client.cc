@@ -183,11 +183,13 @@ void BrowserClient::StartAttempt(std::shared_ptr<Fetch> fetch) {
     fetch->ep->set_on_connected(send_request);
   }
 
-  fetch->ep->set_on_data([this, fetch, send_request](std::string_view raw) {
+  fetch->ep->set_on_data([this, fetch, send_request](const net::Payload& raw) {
     if (fetch->finished) {
       return;
     }
-    std::string_view bytes = raw;
+    // The parser keeps the body as these slices of the received segments. A
+    // TLS record's plaintext is new bytes, fed as one buffer.
+    net::Payload bytes = raw;
     std::string plaintext;
     if (fetch->opts.use_tls) {
       fetch->tls_reader.Feed(raw);
@@ -213,9 +215,9 @@ void BrowserClient::StartAttempt(std::shared_ptr<Fetch> fetch) {
       if (plaintext.empty()) {
         return;
       }
-      bytes = plaintext;
+      bytes = std::move(plaintext);
     }
-    if (fetch->parser.Feed(bytes) != http::ParseStatus::kComplete) {
+    if (fetch->parser.Feed(std::move(bytes)) != http::ParseStatus::kComplete) {
       return;
     }
     // Pipelined responses can complete several at once; drain them in order.

@@ -1,5 +1,6 @@
 #include "src/workload/http_server_node.h"
 
+#include <string>
 #include <utility>
 
 #include "src/sim/placement.h"
@@ -159,37 +160,46 @@ void HttpServerNode::Accept(const net::Packet& syn) {
 void HttpServerNode::Serve(net::FiveTuple peer, const http::Request& req) {
   ++stats_.requests;
   ++window_requests_;
-  sim_->After(cfg_.processing_delay, [this, peer, req]() {
+  sim_->After(cfg_.processing_delay, [this, peer, url = req.url, version = req.version,
+                                      keep_alive = req.KeepAlive()]() {
     auto it = conns_.find(peer);
     if (it == conns_.end() || failed_) {
       return;
     }
     net::TcpEndpoint* ep = it->second->ep.get();
     http::Response resp;
-    const WebObject* obj = catalog_ == nullptr ? nullptr : catalog_->Find(req.url);
+    ObjectCatalog::Body body;
+    const WebObject* obj = catalog_ == nullptr ? nullptr : catalog_->Find(url);
     if (obj != nullptr) {
-      resp = http::MakeOk(catalog_->BodyFor(*obj), req.version);
+      // The head frames the whole object; its bytes follow as the tag and
+      // the shared filler, never assembled into one string.
+      body = catalog_->BodyOf(*obj);
+      resp = http::MakeOk("", version);
+      resp.SetHeader("content-length", std::to_string(obj->size));
       resp.SetHeader("content-type", obj->content_type);
     } else if (catalog_ == nullptr) {
       // No catalog: echo service used by unit tests.
-      resp = http::MakeOk("echo:" + req.url, req.version);
+      resp = http::MakeOk("echo:" + url, version);
     } else {
       ++stats_.not_found;
-      resp = http::MakeNotFound(req.version);
+      resp = http::MakeNotFound(version);
     }
-    const bool keep_alive = req.KeepAlive();
     resp.SetHeader("connection", keep_alive ? "keep-alive" : "close");
     std::string wire = resp.Serialize();
+    wire += body.tag;
     Conn& conn_ref = *it->second;
     if (conn_ref.tls_ready) {
-      // Encrypt the response into an application-data record.
+      // Encrypt the response into an application-data record. Sealing
+      // rewrites every byte, so it works on one contiguous copy.
+      wire += body.filler.view();
+      body.filler = net::Payload();
       std::string sealed = tls::Crypt(
           conn_ref.tls_key, tls::kServerDirectionOffset + conn_ref.tls_out_offset, wire);
       conn_ref.tls_out_offset += wire.size();
       wire = tls::EncodeRecord({tls::RecordType::kApplicationData, std::move(sealed)});
     }
-    stats_.bytes_sent += wire.size();
-    ep->Send(std::move(wire));
+    stats_.bytes_sent += wire.size() + body.filler.size();
+    ep->Send({std::move(wire), std::move(body.filler)});
     if (!keep_alive) {
       ep->Close();
     }

@@ -1,6 +1,7 @@
 #include "src/workload/object_catalog.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace workload {
 namespace {
@@ -37,7 +38,8 @@ const char* ContentTypeFor(int kind) {
 
 }  // namespace
 
-ObjectCatalog::ObjectCatalog(sim::Rng& rng, CatalogConfig cfg) {
+ObjectCatalog::ObjectCatalog(sim::Rng& rng, CatalogConfig cfg)
+    : filler_(std::string(cfg.max_size, 'x')) {
   objects_.reserve(cfg.objects);
   for (std::size_t i = 0; i < cfg.objects; ++i) {
     WebObject o;
@@ -73,14 +75,11 @@ const WebObject* ObjectCatalog::Find(const std::string& url) const {
   return it == by_url_.end() ? nullptr : &objects_[it->second];
 }
 
-std::string ObjectCatalog::BodyFor(const WebObject& object) const {
-  std::string body(object.size, 'x');
-  // Stamp the URL at the front so responses are distinguishable in tests.
-  const std::string tag = object.url + "\n";
-  std::copy(tag.begin(), tag.begin() + static_cast<std::ptrdiff_t>(
-                                           std::min(tag.size(), body.size())),
-            body.begin());
-  return body;
+ObjectCatalog::Body ObjectCatalog::BodyOf(const WebObject& object) const {
+  std::string tag = object.url + "\n";
+  tag.resize(std::min(tag.size(), object.size));
+  net::Payload filler = filler_.substr(0, object.size - tag.size());
+  return Body{std::move(tag), std::move(filler)};
 }
 
 std::size_t ObjectCatalog::MedianSize() const {

@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/net/payload.h"
 #include "src/sim/random.h"
 
 namespace workload {
@@ -40,11 +41,18 @@ struct CatalogConfig {
 
 class ObjectCatalog {
  public:
+  // An object's body as two pieces: the URL tag it starts with, so responses
+  // are distinguishable in tests, and the filler bytes after it, a slice of
+  // one buffer that every body shares.
+  struct Body {
+    std::string tag;
+    net::Payload filler;
+  };
+
   ObjectCatalog(sim::Rng& rng, CatalogConfig config = {});
 
   const WebObject* Find(const std::string& url) const;
-  // Deterministic body bytes for an object (generated on demand).
-  std::string BodyFor(const WebObject& object) const;
+  Body BodyOf(const WebObject& object) const;
 
   const std::vector<WebObject>& objects() const { return objects_; }
   const std::vector<Page>& pages() const { return pages_; }
@@ -56,6 +64,7 @@ class ObjectCatalog {
   std::vector<WebObject> objects_;
   std::vector<Page> pages_;
   std::unordered_map<std::string, std::size_t> by_url_;
+  net::Payload filler_;  // max_size bytes.
 };
 
 }  // namespace workload

@@ -149,7 +149,7 @@ TEST(ResponseParser, SplitAcrossSegments) {
 }
 
 // Keep-alive pipelining: bytes of the next response follow the first body
-// in one Feed, so the first body is copied out and the rest stays buffered.
+// in one Feed, so they stay pending until the first response is taken.
 TEST(ResponseParser, PipelinedResponsesQueue) {
   ResponseParser p;
   ASSERT_EQ(p.Feed("HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabc"
@@ -163,10 +163,49 @@ TEST(ResponseParser, PipelinedResponsesQueue) {
   EXPECT_EQ(second.status, 404);
   EXPECT_EQ(second.body, "xy");
   EXPECT_EQ(p.status(), ParseStatus::kNeedMore);
+
+  // A body fed as many pieces, the last of which also carries the start of
+  // the next response: once as slices of one buffer, as a TCP receiver
+  // delivers a sender's segments, and once as separate buffers.
+  const net::Payload wire(
+      "HTTP/1.1 200 OK\r\nContent-Length: 26\r\n\r\nabcdefghijklmnopqrstuvwxyz"
+      "HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\n!");
+  const std::size_t body_at = wire.find("abc");
+  const std::size_t next_at = wire.find("HTTP", body_at);
+  for (const bool slices : {true, false}) {
+    SCOPED_TRACE(slices ? "slices" : "copies");
+    auto piece = [&](std::size_t from, std::size_t to) {
+      const net::Payload slice = wire.substr(from, to - from);
+      return slices ? slice : net::Payload(slice.str());
+    };
+    std::size_t from = 0;
+    for (const std::size_t to : {body_at - 3, body_at + 1, body_at + 9, body_at + 20}) {
+      EXPECT_EQ(p.Feed(piece(from, to)), ParseStatus::kNeedMore);
+      from = to;
+    }
+    ASSERT_EQ(p.Feed(piece(from, next_at + 20)), ParseStatus::kComplete);
+    Response third = p.TakeResponse();
+    EXPECT_EQ(third.body, "abcdefghijklmnopqrstuvwxyz");
+    EXPECT_EQ(p.status(), ParseStatus::kNeedMore);
+    ASSERT_EQ(p.Feed(piece(next_at + 20, wire.size())), ParseStatus::kComplete);
+    EXPECT_EQ(p.TakeResponse().body, "!");
+    EXPECT_EQ(p.status(), ParseStatus::kNeedMore);
+  }
+
+  // A zero-length body followed by pipelined bytes.
+  ASSERT_EQ(p.Feed("HTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n"
+                   "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"),
+            ParseStatus::kComplete);
+  Response empty = p.TakeResponse();
+  EXPECT_EQ(empty.status, 204);
+  EXPECT_EQ(empty.body, "");
+  EXPECT_EQ(p.status(), ParseStatus::kComplete);
+  EXPECT_EQ(p.TakeResponse().body, "ok");
+  EXPECT_EQ(p.status(), ParseStatus::kNeedMore);
 }
 
-// Keep-alive without pipelining: the buffer holds exactly the first body,
-// which is moved out whole; the parser must then take the next response.
+// Keep-alive without pipelining: the fed bytes end exactly with the first
+// body; the parser must then take the next response.
 TEST(ResponseParser, NextResponseAfterBodyMovedOut) {
   ResponseParser p;
   const std::string body(5000, 'b');

@@ -419,6 +419,106 @@ TEST(TcpSendQueue, SegmentsAreSlicesOfTheSendBuffer) {
   }
 }
 
+// An endpoint that has completed an active open toward 10.0.0.2:80 (its own
+// ISN 5,000, the peer's 9,000), with the handshake's packets cleared from
+// `sent`.
+std::unique_ptr<TcpEndpoint> EstablishedEndpoint(sim::Simulator* simulator,
+                                                 std::vector<Packet>* sent) {
+  auto ep = std::make_unique<TcpEndpoint>(
+      simulator, [sent](Packet p) { sent->push_back(std::move(p)); }, TcpConfig{});
+  ep->Connect(MakeIp(10, 0, 0, 1), 999, MakeIp(10, 0, 0, 2), 80, 5'000);
+  ep->HandlePacket(MakeSynAck(sent->at(0), 9'000));
+  sent->clear();
+  return ep;
+}
+
+// Queuing a message as pieces in one call must cut it into exactly the
+// segments the joined string gives: same sequence numbers, lengths, bytes
+// and PSH flags, the segment that straddles the two pieces included. (Two
+// Send calls would not: the first piece would leave as a short segment of
+// its own.)
+TEST(TcpSendQueue, PiecesSegmentLikeOneString) {
+  const std::uint32_t mss = TcpConfig{}.mss;
+  std::string a(2'000, 'a');
+  std::string b(3'200, 'b');
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = static_cast<char>('A' + i % 26);
+  }
+  const Payload head(a);
+  const Payload body(b);
+
+  sim::Simulator simulator;
+  std::vector<Packet> joined_sent;
+  std::vector<Packet> pieces_sent;
+  auto joined = EstablishedEndpoint(&simulator, &joined_sent);
+  auto pieces = EstablishedEndpoint(&simulator, &pieces_sent);
+  ASSERT_TRUE(joined->established());
+  ASSERT_TRUE(pieces->established());
+  joined->Send(a + b);
+  pieces->Send({head, body});
+
+  ASSERT_EQ(pieces_sent.size(), joined_sent.size());
+  ASSERT_EQ(pieces_sent.size(), 4u);  // 5,200 bytes in 1,400-byte segments.
+  for (std::size_t i = 0; i < pieces_sent.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(pieces_sent[i].seq, joined_sent[i].seq);
+    EXPECT_EQ(pieces_sent[i].payload.size(), joined_sent[i].payload.size());
+    EXPECT_EQ(pieces_sent[i].payload, joined_sent[i].payload.view());
+    EXPECT_EQ(pieces_sent[i].flags, joined_sent[i].flags);
+    EXPECT_EQ(pieces_sent[i].has(kPsh), i + 1 == pieces_sent.size());
+  }
+  // Segment 1 spans bytes 1,400..2,800, across the 2,000-byte head. The
+  // others are slices of the pieces themselves.
+  EXPECT_EQ(pieces_sent[0].payload.data(), head.data());
+  EXPECT_EQ(pieces_sent[2].payload.data(), body.data() + 2 * mss - a.size());
+  EXPECT_EQ(pieces_sent[3].payload.data(), body.data() + 3 * mss - a.size());
+}
+
+// The bytes handed to on_data are slices of the received segment, for an
+// in-order segment, an overlapping one (trimmed) and a stashed out-of-order
+// one drained later.
+TEST(TcpReceive, DeliveredBytesShareTheSegmentBuffer) {
+  sim::Simulator simulator;
+  std::vector<Packet> sent;
+  auto ep = EstablishedEndpoint(&simulator, &sent);
+  ASSERT_TRUE(ep->established());
+  std::vector<Payload> delivered;
+  ep->set_on_data([&delivered](const Payload& bytes) { delivered.push_back(bytes); });
+
+  auto segment = [](std::uint32_t seq, std::string bytes) {
+    Packet p;
+    p.src = MakeIp(10, 0, 0, 2);
+    p.dst = MakeIp(10, 0, 0, 1);
+    p.sport = 80;
+    p.dport = 999;
+    p.seq = seq;
+    p.ack = 5'001;
+    p.flags = kAck;
+    p.payload = std::move(bytes);
+    return p;
+  };
+  const Packet first = segment(9'001, "0123456789");
+  const Packet overlap = segment(9'006, "56789abcde");  // Its first 5 bytes are old.
+  const Packet later = segment(9'021, "klmnopqrst");    // Arrives before the gap.
+  const Packet gap = segment(9'016, "fghij");
+
+  ep->HandlePacket(first);
+  ep->HandlePacket(overlap);
+  ep->HandlePacket(later);
+  ASSERT_EQ(delivered.size(), 2u);  // The future segment is stashed.
+  ep->HandlePacket(gap);
+
+  ASSERT_EQ(delivered.size(), 4u);
+  EXPECT_EQ(delivered[0], "0123456789");
+  EXPECT_EQ(delivered[0].data(), first.payload.data());
+  EXPECT_EQ(delivered[1], "abcde");
+  EXPECT_EQ(delivered[1].data(), overlap.payload.data() + 5);
+  EXPECT_EQ(delivered[2], "fghij");
+  EXPECT_EQ(delivered[2].data(), gap.payload.data());
+  EXPECT_EQ(delivered[3], "klmnopqrst");
+  EXPECT_EQ(delivered[3].data(), later.payload.data());
+}
+
 TEST_F(TcpTest, FastRetransmitOnDupAcks) {
   // Lossy enough to trigger dup-acks on a long transfer.
   network.set_loss_rate(0.03);

@@ -42,7 +42,12 @@ TEST(ObjectCatalog, LookupAndBody) {
   const WebObject* found = catalog.Find(obj.url);
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->url, obj.url);
-  EXPECT_EQ(catalog.BodyFor(obj).size(), obj.size);
+  const ObjectCatalog::Body body = catalog.BodyOf(obj);
+  EXPECT_EQ(body.tag.size() + body.filler.size(), obj.size);
+  EXPECT_EQ(body.tag, obj.url + "\n");
+  EXPECT_EQ(body.filler.view().find_first_not_of('x'), std::string_view::npos);
+  // Every body's filler is a slice of one buffer, not a copy per object.
+  EXPECT_EQ(catalog.BodyOf(catalog.objects()[6]).filler.data(), body.filler.data());
   EXPECT_EQ(catalog.Find("/no/such/object"), nullptr);
 }
 
