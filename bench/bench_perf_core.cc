@@ -1,5 +1,6 @@
 // Core fast-path microbenchmarks: the substrate every experiment funnels
-// through. Four suites measure the simulator and fabric hot paths directly:
+// through. Five suites measure the simulator, fabric and engine hot paths
+// directly:
 //
 //   timer_schedule_fire  — self-rescheduling event chains (the dominant
 //                          packet-delivery pattern: schedule from a callback,
@@ -8,10 +9,13 @@
 //   timer_cancel_churn   — RTO-style arm/cancel/re-arm where ~90% of timers
 //                          never fire (the TCP retransmit pattern);
 //   fabric_pps           — packet deliveries/sec through Network::Send with a
-//                          512 B payload bouncing between two nodes.
+//                          512 B payload bouncing between two nodes;
+//   epoch_barrier        — epochs/sec of a sharded engine whose windows hold
+//                          one cross-shard mail hop each, so the barrier
+//                          crossings are all it does.
 //
 // End-to-end throughput is perfbench's job (perfbench/run.py). The last line
-// of output is one JSON object with the four figures; bench/perf_gate.py
+// of output is one JSON object with the five figures; bench/perf_gate.py
 // compares it with the "micro" section of BENCH_perfbench.json.
 //
 // Usage: bench_perf_core (no flags)
@@ -22,6 +26,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/net/network.h"
@@ -210,6 +215,32 @@ double BenchFabricPps(std::uint64_t total) {
   return pps;
 }
 
+// --- epoch_barrier ----------------------------------------------------------
+// A token hops around 8 shards, one mail per 200 us window, on 3 workers (or
+// as many hardware threads as there are, if fewer). Every epoch runs one
+// event, so epochs/sec is the rate of the engine's two barrier crossings per
+// epoch; a barrier that sleeps on every crossing runs several times slower.
+double BenchEpochBarrier(int hops) {
+  const int workers = std::clamp(static_cast<int>(std::thread::hardware_concurrency()), 1, 3);
+  sim::ShardedSim engine({.shards = 8, .workers = workers, .window = sim::Usec(200)});
+  int left = hops;
+  std::function<void(int)> hop = [&](int shard) {
+    if (--left == 0) {
+      return;
+    }
+    const int next = (shard + 1) % engine.shards();
+    engine.Post(next, engine.shard(shard).now() + engine.window(), [&hop, next]() { hop(next); });
+  };
+  engine.shard(0).At(sim::Usec(1), [&hop]() { hop(0); });
+  const auto t0 = std::chrono::steady_clock::now();
+  engine.Run();
+  const double wall = WallSeconds(t0);
+  const double rate = static_cast<double>(engine.epochs()) / wall;
+  std::printf("  epoch_barrier: %llu epochs on %d workers in %.3f s -> %.0f epochs/s\n",
+              static_cast<unsigned long long>(engine.epochs()), workers, wall, rate);
+  return rate;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -224,10 +255,12 @@ int main(int argc, char** argv) {
   const double fire_fn = BestOf3([] { return BenchTimerScheduleFireFn(8'000'000); });
   const double churn = BestOf3([] { return BenchTimerCancelChurn(4'000'000); });
   const double pps = BestOf3([] { return BenchFabricPps(4'000'000); });
+  const double epochs = BestOf3([] { return BenchEpochBarrier(100'000); });
   std::printf(
       "{\"timer_schedule_fire_events_per_sec\": %.1f, "
       "\"timer_schedule_fire_fn_events_per_sec\": %.1f, "
-      "\"timer_cancel_churn_ops_per_sec\": %.1f, \"fabric_packets_per_sec\": %.1f}\n",
-      fire, fire_fn, churn, pps);
+      "\"timer_cancel_churn_ops_per_sec\": %.1f, \"fabric_packets_per_sec\": %.1f, "
+      "\"epoch_barrier_epochs_per_sec\": %.1f}\n",
+      fire, fire_fn, churn, pps, epochs);
   return 0;
 }

@@ -22,7 +22,7 @@ own rule:
           peak_rss_mb fail above 2x. Host speed drifts by tens of percent
           over minutes, so these catch only gross regressions. Each is the
           median of the 3 untraced runs.
-  micro   bench_perf_core's four throughputs; each fails below 1/2.
+  micro   bench_perf_core's five throughputs; each fails below 1/2.
 
 A workload or key that is in the file but not measured, or measured but not
 in the file, fails too. A check also writes what it measured, in the file's

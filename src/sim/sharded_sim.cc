@@ -2,22 +2,57 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 namespace sim {
 
 namespace {
-constexpr Time kNever = std::numeric_limits<Time>::max();
 // Shard index the current thread is executing an event for; -1 outside the
 // epoch loop. Thread-local so worker threads and the main thread each see
-// their own shard while phases run concurrently.
+// their own shard while windows run concurrently.
 thread_local int tls_current_shard = -1;
+
+// The barrier's wait policy. A waiter checks the generation word between
+// kSpinPauses pause instructions (about a microsecond), then between up to
+// kYields yields of the CPU (about 50 us on an otherwise idle core, which
+// covers most of an epoch's imbalance without a futex round trip), and only
+// then sleeps on the word. The yields keep a pool with more workers than
+// free cores moving: a yield hands the core to a worker that has yet to
+// arrive, where a spinner would hold it for its time slice. Sleeping after a
+// bounded number keeps several oversubscribed pools (a parallel test run)
+// from filling the run queues with yielders.
+constexpr int kSpinPauses = 64;
+constexpr int kYields = 200;
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
 }  // namespace
+
+void ShardedSim::Barrier::Await(std::uint32_t gen) const {
+  for (int i = 0; i < kSpinPauses + kYields; ++i) {
+    // Polls relaxed and acquires once: a thread sanitizer's acquire load locks
+    // the word's sync state, which the polling workers would contend for.
+    if (gen_.load(std::memory_order_relaxed) != gen) {
+      gen_.load(std::memory_order_acquire);
+      return;
+    }
+    if (i < kSpinPauses) {
+      CpuRelax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  gen_.wait(gen);  // Returns once the generation has moved on.
+}
 
 ShardedSim::ShardedSim(Config cfg)
     : shards_(std::max(1, cfg.shards)),
       workers_(std::clamp(cfg.workers, 1, std::max(1, cfg.shards))),
-      window_(std::max<Duration>(1, cfg.window)) {
+      window_(std::max<Duration>(1, cfg.window)),
+      gate_(workers_),
+      reports_(static_cast<std::size_t>(workers_)) {
   sims_.reserve(static_cast<std::size_t>(shards_));
   for (int i = 0; i < shards_; ++i) {
     sims_.push_back(std::make_unique<Simulator>());
@@ -31,9 +66,9 @@ ShardedSim::ShardedSim(Config cfg)
 }
 
 ShardedSim::~ShardedSim() {
-  if (pool_started_) {
-    phase_.store(Phase::kExit, std::memory_order_relaxed);
-    gate_->arrive_and_wait();  // Release parked workers into the exit check.
+  if (!threads_.empty()) {
+    exiting_ = true;
+    gate_.ArriveAndWait([] {});  // Release the parked workers into the exit check.
     for (auto& t : threads_) {
       t.join();
     }
@@ -75,14 +110,6 @@ Time ShardedSim::now() const {
   return t;
 }
 
-std::uint64_t ShardedSim::MailInFlight() const {
-  std::uint64_t n = 0;
-  for (const auto& q : mail_) {
-    n += q->pushed() - q->popped();
-  }
-  return n;
-}
-
 void ShardedSim::Run() { EpochLoop(kNever); }
 
 void ShardedSim::RunUntil(Time deadline) {
@@ -91,14 +118,6 @@ void ShardedSim::RunUntil(Time deadline) {
   for (auto& s : sims_) {
     s->RunUntil(deadline);
   }
-}
-
-void ShardedSim::RunPhase(int worker) {
-  for (int s = worker; s < shards_; s += workers_) {
-    tls_current_shard = s;
-    sims_[static_cast<std::size_t>(s)]->RunUntil(window_end_);
-  }
-  tls_current_shard = -1;
 }
 
 void ShardedSim::DrainInto(int dst) {
@@ -114,77 +133,81 @@ void ShardedSim::DrainInto(int dst) {
   }
 }
 
-void ShardedSim::DrainPhase(int worker) {
-  for (int s = worker; s < shards_; s += workers_) {
-    DrainInto(s);
-  }
-}
-
-void ShardedSim::StartWorkers() {
-  if (pool_started_ || workers_ <= 1) {
-    return;
-  }
-  gate_ = std::make_unique<std::barrier<>>(workers_);
-  threads_.reserve(static_cast<std::size_t>(workers_ - 1));
-  for (int w = 1; w < workers_; ++w) {
-    threads_.emplace_back([this, w]() { WorkerMain(w); });
-  }
-  pool_started_ = true;
-}
-
 void ShardedSim::WorkerMain(int worker) {
   for (;;) {
-    gate_->arrive_and_wait();  // Park until the coordinator opens a window.
-    if (phase_.load(std::memory_order_relaxed) == Phase::kExit) {
+    gate_.ArriveAndWait([] {});  // Parked until a run starts or the engine closes.
+    if (exiting_) {
       return;
     }
-    RunPhase(worker);
-    gate_->arrive_and_wait();  // All windows ran; mailboxes now stable.
-    DrainPhase(worker);
-    gate_->arrive_and_wait();  // Mail integrated; coordinator resumes.
+    RunEpochs(worker);
   }
 }
 
 void ShardedSim::EpochLoop(Time deadline) {
   assert(!running_);
-  const bool bounded = deadline != kNever;
-  StartWorkers();
+  deadline_ = deadline;
   running_ = true;
-  for (;;) {
-    // Coordinator section: workers are parked (or W == 1), so reading the
-    // shard simulators here is race-free; the barriers order the accesses.
-    Time t = kNever;
-    bool non_daemon = MailInFlight() > 0;
-    for (auto& s : sims_) {
-      Time w = 0;
-      if (s->NextEventLowerBound(&w)) {
-        t = std::min(t, w);
+  if (workers_ > 1) {
+    // The pool starts with the first run, so the setup before it runs in a
+    // single-threaded process (a pool started at construction made
+    // failover_placed's setup 5% slower).
+    if (threads_.empty()) {
+      for (int w = 1; w < workers_; ++w) {
+        threads_.emplace_back([this, w]() { WorkerMain(w); });
       }
-      non_daemon = non_daemon || s->pending_non_daemon() > 0;
     }
-    if (!bounded && !non_daemon) {
-      break;  // Only daemon housekeeping remains: Run() semantics say stop.
-    }
-    if (t == kNever || t > deadline) {
-      break;  // Nothing left in range.
-    }
-    // t is a lower bound (coarse wheel levels report slot range starts), so a
-    // window may fire nothing; the bounded run then cascades the coarse slot
-    // and the next bound is strictly tighter — at most a handful of
-    // refinement epochs per idle gap.
-    window_end_ = bounded ? std::min(t + window_, deadline) : t + window_;
-    if (workers_ == 1) {
-      RunPhase(0);
-      DrainPhase(0);
-    } else {
-      gate_->arrive_and_wait();  // Open the window.
-      RunPhase(0);
-      gate_->arrive_and_wait();  // Run phase done everywhere.
-      DrainPhase(0);
-      gate_->arrive_and_wait();  // Drain phase done everywhere.
-    }
+    gate_.ArriveAndWait([] {});  // Release the parked workers into this run.
   }
+  RunEpochs(0);
   running_ = false;
+}
+
+void ShardedSim::RunEpochs(int worker) {
+  Report& mine = reports_[static_cast<std::size_t>(worker)];
+  for (;;) {
+    // Between the second crossing and the first, this worker alone touches
+    // its shards' simulators and is the one consumer of their mailboxes.
+    mine = Report{};
+    for (int s = worker; s < shards_; s += workers_) {
+      DrainInto(s);
+      Time t = 0;
+      if (shard(s).NextEventLowerBound(&t)) {
+        mine.next = std::min(mine.next, t);
+      }
+      mine.non_daemon = mine.non_daemon || shard(s).pending_non_daemon() > 0;
+    }
+    gate_.ArriveAndWait([this]() { PlanWindow(); });
+    if (stop_) {
+      return;
+    }
+    for (int s = worker; s < shards_; s += workers_) {
+      tls_current_shard = s;
+      shard(s).RunUntil(window_end_);
+    }
+    tls_current_shard = -1;
+    gate_.ArriveAndWait([] {});  // Every window ran: the mailboxes are stable.
+  }
+}
+
+void ShardedSim::PlanWindow() {
+  Time t = kNever;
+  bool non_daemon = false;
+  for (const Report& r : reports_) {
+    t = std::min(t, r.next);
+    non_daemon = non_daemon || r.non_daemon;
+  }
+  // Run() stops once only daemon housekeeping remains; both stop once
+  // nothing is left in range.
+  stop_ = (deadline_ == kNever && !non_daemon) || t == kNever || t > deadline_;
+  if (stop_) {
+    return;
+  }
+  // t is a lower bound (coarse wheel levels report slot range starts), so a
+  // window may fire nothing; the bounded run then cascades the coarse slot
+  // and the next bound is strictly tighter — at most a handful of
+  // refinement epochs per idle gap.
+  window_end_ = std::min(t + window_, deadline_);
+  ++epochs_;
 }
 
 }  // namespace sim

@@ -14,17 +14,12 @@
 // scheduler upholds this by construction: queue (src, dst) is pushed only by
 // the worker running shard src and popped only by the worker that owns shard
 // dst, with an epoch barrier between the producing and consuming phases.
-//
-// pushed()/popped() are monotone counters for occupancy accounting; their
-// difference is exact whenever producer and consumer are quiescent (i.e. at
-// an epoch barrier), which is the only place the scheduler reads it.
 
 #ifndef SRC_SIM_SPSC_QUEUE_H_
 #define SRC_SIM_SPSC_QUEUE_H_
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <utility>
 
@@ -67,7 +62,6 @@ class SpscQueue {
     }
     ::new (static_cast<void*>(s->slots + n * sizeof(T))) T(std::move(value));
     s->count.store(n + 1, std::memory_order_release);
-    pushed_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Consumer side only. Returns false when no published item is available.
@@ -93,14 +87,8 @@ class SpscQueue {
     *out = std::move(*item);
     item->~T();
     ++s->pos;
-    popped_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
-
-  // Monotone counters; (pushed - popped) is the exact occupancy when both
-  // sides are quiescent under a synchronizing barrier.
-  std::uint64_t pushed() const { return pushed_.load(std::memory_order_relaxed); }
-  std::uint64_t popped() const { return popped_.load(std::memory_order_relaxed); }
 
  private:
   struct Segment {
@@ -114,8 +102,6 @@ class SpscQueue {
 
   alignas(64) Segment* head_;  // Consumer-owned.
   alignas(64) Segment* tail_;  // Producer-owned.
-  std::atomic<std::uint64_t> pushed_{0};
-  std::atomic<std::uint64_t> popped_{0};
 };
 
 }  // namespace sim

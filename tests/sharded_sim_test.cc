@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <sstream>
@@ -24,14 +25,14 @@ TEST(SpscQueueTest, FifoAcrossSegments) {
   for (int i = 0; i < 1000; ++i) {
     q.Push(int{i});
   }
-  EXPECT_EQ(q.pushed(), 1000u);
   int v = 0;
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(q.Pop(&v));
-    EXPECT_EQ(v, i);
+  int popped = 0;
+  while (q.Pop(&v)) {
+    EXPECT_EQ(v, popped);
+    ++popped;
   }
+  EXPECT_EQ(popped, 1000);
   EXPECT_FALSE(q.Pop(&v));
-  EXPECT_EQ(q.popped(), 1000u);
 }
 
 TEST(SpscQueueTest, InterleavedPushPop) {
@@ -150,8 +151,9 @@ TEST(ShardedSimTest, RunUntilAdvancesAllClocks) {
 
 // The determinism workload: a ring of shards exchanging timestamped messages
 // with per-shard RNG streams, self-rescheduling local work, and cross-shard
-// sends at latencies >= the window. Records a full (shard, time, tag) trace.
-std::string RingTrace(int shards, int workers, std::uint64_t seed) {
+// sends at latencies >= the window. Records a full (shard, time, tag) trace
+// and the number of epoch windows the run took.
+std::string RingTrace(int shards, int workers, std::uint64_t seed, std::uint64_t* epochs) {
   sim::ShardedSim ss(
       {.shards = shards, .workers = workers, .window = sim::Usec(200)});
   std::ostringstream trace;
@@ -188,18 +190,57 @@ std::string RingTrace(int shards, int workers, std::uint64_t seed) {
   for (int s = 0; s < shards; ++s) {
     trace << per_shard[static_cast<std::size_t>(s)].str();
   }
+  *epochs = ss.epochs();
   return trace.str();
 }
 
 TEST(ShardedSimTest, TraceIdenticalAcrossWorkerCounts) {
   for (std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
-    const std::string w1 = RingTrace(8, 1, seed);
+    std::uint64_t w1_epochs = 0;
+    const std::string w1 = RingTrace(8, 1, seed, &w1_epochs);
     ASSERT_FALSE(w1.empty());
+    if (seed == 1) {
+      // The count the engine had when a lone coordinator planned each window
+      // between three barrier crossings: planning inside the barrier moved
+      // no window.
+      EXPECT_EQ(w1_epochs, 6u);
+    }
     for (int workers : {2, 4, 8}) {
-      EXPECT_EQ(w1, RingTrace(8, workers, seed))
+      std::uint64_t epochs = 0;
+      EXPECT_EQ(w1, RingTrace(8, workers, seed, &epochs))
           << "divergence at workers=" << workers << " seed=" << seed;
+      EXPECT_EQ(epochs, w1_epochs) << "workers=" << workers << " seed=" << seed;
     }
   }
+}
+
+// A token hops around 8 shards on 8 workers, one cross-shard mail per 200 us
+// window, so each of its 20,000 windows holds one event and the run is all
+// barrier crossings. On a machine with fewer than 8 free cores the pool is
+// oversubscribed. Measured on 4 vCPUs: the engine's barrier takes 0.2 s
+// (0.6 s under TSan); one that spins 16,384 pauses before it sleeps, never
+// yielding, takes 12-13 s, and one that only spins over 120 s. The bound
+// sits between the two; ctest runs this binary alone (tests/CMakeLists.txt)
+// because other suites' pools on the same cores slow any barrier.
+TEST(ShardedSimTest, OversubscribedPoolKeepsMoving) {
+  constexpr int kShards = 8;
+  constexpr int kHops = 20'000;
+  sim::ShardedSim ss({.shards = kShards, .workers = kShards, .window = sim::Usec(200)});
+  int hops = 0;  // Hops run one at a time; the barrier orders them.
+  std::function<void(int)> hop = [&](int shard) {
+    if (++hops == kHops) {
+      return;
+    }
+    const int next = (shard + 1) % kShards;
+    ss.Post(next, ss.shard(shard).now() + ss.window(), [&hop, next]() { hop(next); });
+  };
+  ss.shard(0).At(sim::Usec(1), [&hop]() { hop(0); });
+  const auto t0 = std::chrono::steady_clock::now();
+  ss.Run();
+  const double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_EQ(hops, kHops);
+  EXPECT_EQ(ss.epochs(), static_cast<std::uint64_t>(kHops));
+  EXPECT_LT(wall, 5.0) << "seconds for " << ss.epochs() << " epochs";
 }
 
 TEST(ShardedSimTest, ReusesWorkerPoolAcrossRuns) {
